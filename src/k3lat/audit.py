@@ -133,7 +133,9 @@ def case2_report(r, a, delta):
     m = 8 + sigma_minus
     k = -m * m - 9 * m + 124
     n = r_minus - 2
-    xi_weight = (2 ** ((r_minus - r_minus) // 2) + 1) * k
+    # the lift's scale 2^((r_- - a_-)/2) is 1 here, since a_- = r_-
+    scale = 1
+    xi_weight = (scale + 1) * k
     report = {
         "triplet": (r, a, delta),
         "case": "A.4",
@@ -149,7 +151,7 @@ def case2_report(r, a, delta):
     # div(Xi) = 2H, so F_k = Xi^(1/2) has div = H = R exactly; the slack
     # comes from k - n > 0 alone (nu = 1).
     report["ledger"] = DivisorLedger(
-        [("norm_minus4", 1), ("dual_norm_minus1", 2 ** ((r_minus - r_minus) // 2))],
+        [("norm_minus4", 1), ("dual_norm_minus1", scale)],
         1, k, n)
     report["uses_R_geq_D"] = True
     report["verdict"] = gritsenko_verdict(k, 1, n, k > n, False)
@@ -161,16 +163,12 @@ def theorem1_coverage():
     union of the two case families."""
     out = []
     for entry in geography_table():
-        r, a, delta = entry.triplet
-        row = {"triplet": (r, a, delta), "verdicts": {}}
-        if 13 <= r <= 17:
-            row["verdicts"]["A.3"] = case1_report(r, a, delta)["verdict"]
-        if r + a == 22 and r <= 17:
-            row["verdicts"]["A.4"] = case2_report(r, a, delta)["verdict"]
-        row["verdict"] = (VERDICT_NEG_INFINITY
-                         if VERDICT_NEG_INFINITY in row["verdicts"].values()
-                         else "not-covered")
-        out.append(row)
+        row = kodaira_report(*entry.triplet)
+        out.append({
+            "triplet": row["triplet"],
+            "verdicts": {tag: rep["verdict"] for tag, rep in row["cases"].items()},
+            "verdict": row["verdict"],
+        })
     return out
 
 

@@ -8,7 +8,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import K3LatError
+from .errors import K3LatError, InvalidInput
 from .exactalg import CycEight
 from .lattice import parse_lattice, discriminant_form, main_invariant
 from .finiteform import milgram_signature, form_invariants
@@ -16,7 +16,7 @@ from .geography import geography_table, k3_triplet_realizable
 from .vectors import short_vectors, witness_vector
 from .qseries import DEFAULT_PREC, eta_quotient, theta_series, psi_m
 from .weil import weil_word, weil_V, one_element, coset_formula_check, CycMatrix
-from .audit import kodaira_report, theorem1_coverage
+from .audit import kodaira_report
 
 SCHEMA = 1
 
@@ -145,7 +145,10 @@ def _qexp_eta(args):
     spec = []
     for part in args.spec.split(","):
         s, _, m = part.partition("^")
-        spec.append((int(s), int(m or 1)))
+        try:
+            spec.append((int(s), int(m or 1)))
+        except ValueError:
+            raise InvalidInput(f"eta factor {part!r} is not of the form s or s^m") from None
     f = eta_quotient(spec, args.prec)
     if args.json:
         _emit_json({"schema": SCHEMA, "prec": _frac(f.prec),
@@ -246,10 +249,7 @@ def _audit_row_json(row):
 
 def _audit_kodaira(args):
     if args.all:
-        rows = []
-        for cov in theorem1_coverage():
-            r, a, d = cov["triplet"]
-            rows.append(kodaira_report(r, a, d))
+        rows = [kodaira_report(*e.triplet) for e in geography_table()]
         if args.json:
             _emit_json({"schema": SCHEMA,
                         "rows": [_audit_row_json(row) for row in rows]})

@@ -73,6 +73,10 @@ class InsufficientPrecision(K3LatError):
     pass
 
 
+class InvalidInput(K3LatError, ValueError):
+    """An argument outside the domain of the function it was passed to."""
+
+
 class ParseError(K3LatError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")

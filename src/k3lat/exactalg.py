@@ -39,10 +39,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_eq(a, b):
-    return a == b
-
-
 def det(m):
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(m)
@@ -326,11 +322,6 @@ class CycEight:
         """2^(-e) for e >= 0."""
         return cls((1, 0, 0, 0), e)
 
-    @classmethod
-    def root_of_unity_16th_even(cls, numerator):
-        """e^(pi*i*numerator/4) = z^numerator."""
-        return cls.zeta_power(numerator)
-
     # arithmetic -------------------------------------------------------
     def __add__(self, other):
         other = _coerce(other)
@@ -426,15 +417,3 @@ def _coerce(x):
     if isinstance(x, int):
         return CycEight.integer(x)
     raise TypeError(f"cannot coerce {type(x)!r} to CycEight")
-
-
-def cyc_add(x, y):
-    return x + y
-
-
-def cyc_mul(x, y):
-    return x * y
-
-
-def cyc_equals(x, y):
-    return x == y

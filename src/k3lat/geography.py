@@ -113,8 +113,6 @@ class GeographyEntry:
         self.triplet = (r, a, delta)
         self.g = 11 - (r + a) // 2
         self.k = (r - a) // 2
-        self.exists_Lplus = True
-        self.exists_Lminus = True
         self.named = (r, a, delta) in NAMED_TRIPLETS
         self.fixture = _FIXTURE_BY_TRIPLET.get((r, a, delta))
 

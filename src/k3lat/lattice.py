@@ -17,6 +17,7 @@ from .exactalg import (
     transpose,
     det,
 )
+from .finiteform import FiniteQuadraticForm, _apply, _cols, _encode, _xor_span
 from .errors import (
     NotTwoElementary,
     OddLattice,
@@ -201,8 +202,6 @@ def is_two_elementary(L):
 
 def discriminant_form(L):
     """The finite quadratic form (D_L, q_L, b_L) of an even 2-elementary L."""
-    from .finiteform import FiniteQuadraticForm
-
     if not L.is_even():
         raise OddLattice("q_L is only defined for even lattices")
     if not is_two_elementary(L):
@@ -316,15 +315,6 @@ class GlueMap:
         self.a_L = a_L
         self.a_M = a_M
 
-    def apply(self, x):
-        return tuple(
-            sum(self.matrix[i][j] * x[j] for j in range(self.a_L)) % 2
-            for i in range(self.a_M)
-        )
-
-    def inverse_matrix(self):
-        return _f2_inverse(self.matrix)
-
 
 def glue_map_from_embedding(L, M, glue):
     """Recover lambda from a unimodular even gluing of L + M.
@@ -346,33 +336,25 @@ def glue_map_from_embedding(L, M, glue):
     a_L = len(L.disc_orders())
     a_M = len(M.disc_orders())
     nL = L.rank
-    gens = []
-    for g in glue:
-        cL = L.disc_class(g[:nL])
-        cM = M.disc_class(g[nL:])
-        gens.append(list(cL) + list(cM))
-    span = _f2_span(gens, a_L + a_M)
+    gens = [_encode(tuple(L.disc_class(g[:nL])) + tuple(M.disc_class(g[nL:])))
+            for g in glue]
+    _, span = _xor_span(gens)
     if len(span) != 2 ** a_L or a_L != a_M:
         raise NotGraph("glue group is not the graph of a bijection D_L -> D_M")
+    # an element of the span is x_L in the high a_L bits, x_M in the low a_M
     lut = {}
-    for v in span:
-        key = tuple(v[:a_L])
-        if key in lut and lut[key] != tuple(v[a_L:]):
+    for v in sorted(span):
+        key, image = v >> a_M, v & ((1 << a_M) - 1)
+        if lut.setdefault(key, image) != image:
             raise NotGraph("glue group projects non-injectively to D_L")
-        lut[key] = tuple(v[a_L:])
-    if len(lut) != 2 ** a_L:
-        raise NotGraph("glue group projects non-injectively to D_L")
-    cols = []
-    for j in range(a_L):
-        e = tuple(1 if i == j else 0 for i in range(a_L))
-        cols.append(lut[e])
-    matrix = [[cols[j][i] for j in range(a_L)] for i in range(a_M)]
+    cols = [lut[1 << (a_L - 1 - j)] for j in range(a_L)]
+    matrix = [[(c >> (a_M - 1 - i)) & 1 for c in cols] for i in range(a_M)]
     lam = GlueMap(matrix, a_L, a_M)
     # defining property: q_M(lambda x) = -q_L(x)
-    qL = discriminant_form(L)
-    qM = discriminant_form(M)
-    for x in lut:
-        if qM.q(lut[x]) != (-qL.q(x)) % 2:
+    qL = discriminant_form(L).qh_table()
+    qM = discriminant_form(M).qh_table()
+    for x, image in lut.items():
+        if qM[image] != -qL[x] % 4:
             raise NotGraph("glue map fails the anti-isometry relation")
     return lam
 
@@ -398,46 +380,11 @@ def glues_to_isometry(L, M, lam, gamma_L, gamma_M):
     """Whether (gamma_L, gamma_M) extends to the glued unimodular lattice:
     the induced discriminant actions must match through lambda.
     """
-    rL = induced_disc_matrix(L, gamma_L)
-    rM = induced_disc_matrix(M, gamma_M)
-    lhs = _f2_mat_mul(lam.matrix, rL)
-    rhs = _f2_mat_mul(rM, lam.matrix)
-    return lhs == rhs
-
-
-def _f2_span(gens, width):
-    seen = {tuple([0] * width)}
-    changed = True
-    while changed:
-        changed = False
-        for g in gens:
-            g = tuple(c % 2 for c in g)
-            for v in list(seen):
-                w = tuple((a + b) % 2 for a, b in zip(v, g))
-                if w not in seen:
-                    seen.add(w)
-                    changed = True
-    return [list(v) for v in sorted(seen)]
-
-
-def _f2_mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) % 2 for j in range(cols)]
-            for i in range(rows)]
-
-
-def _f2_inverse(m):
-    n = len(m)
-    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % 2), None)
-        if piv is None:
-            raise ValueError("matrix is singular over F2")
-        a[col], a[piv] = a[piv], a[col]
-        for r in range(n):
-            if r != col and a[r][col] % 2:
-                a[r] = [(x + y) % 2 for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    rL = _cols(induced_disc_matrix(L, gamma_L))
+    rM = _cols(induced_disc_matrix(M, gamma_M))
+    lam_cols = _cols(lam.matrix)
+    return ([_apply(lam_cols, c) for c in rL]
+            == [_apply(rM, c) for c in lam_cols])
 
 
 # ---------------------------------------------------------------------------

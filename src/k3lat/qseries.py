@@ -19,7 +19,7 @@ import cmath
 from fractions import Fraction
 from math import gcd
 
-from .errors import NonIntegerExponents, InsufficientPrecision
+from .errors import NonIntegerExponents, InsufficientPrecision, InvalidInput
 
 N = 24  # universal exponent denominator
 
@@ -352,7 +352,7 @@ def eta_series(scale, prec):
     Euler's pentagonal number theorem: prod (1 - x^n) = sum over k in Z of
     (-1)^k x^(k(3k-1)/2)."""
     if scale < 1:
-        raise ValueError("eta scale must be a positive integer")
+        raise InvalidInput("eta scale must be a positive integer")
     prec_u = _to_units(prec)
     n = _span(scale, N * scale, prec_u)
     coeffs = [0] * n
@@ -369,7 +369,7 @@ def eta_series(scale, prec):
 def eta_quotient(spec, prec):
     """prod eta(s*tau)^m for (s, m) pairs; negative exponents allowed."""
     if not spec:
-        raise ValueError("empty eta quotient")
+        raise InvalidInput("empty eta quotient")
     # the leading exponent is sum s*m/24; compute factors with enough slack
     lead = sum(Fraction(s * m, N) for s, m in spec)
     slack = Fraction(_to_units(prec), N) - min(lead, 0)
@@ -407,7 +407,7 @@ def theta_series(kind, prec):
 def psi_m(m, prec):
     """eta_{1^-8 2^8 4^-8}^2 theta^(8+m) - 2(m+16) eta_{1^-8 2^8 4^-8} theta^m."""
     if m < 0:
-        raise ValueError("m must be >= 0")
+        raise InvalidInput("m must be >= 0")
     work = Fraction(prec) + 2  # the eta quotient pole costs two units
     etaq = eta_quotient([(1, -8), (2, 8), (4, -8)], work)
     theta = theta_series("integral", work)

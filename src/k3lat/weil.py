@@ -8,7 +8,6 @@ a common power-of-two denominator; products reduce to integer matmuls.
 """
 
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -18,8 +17,9 @@ from .errors import (
     DegenerateForm,
     UnsupportedInvariant,
     InsufficientPrecision,
+    InvalidInput,
 )
-from .finiteform import milgram_signature
+from .finiteform import _decode, milgram_signature
 from .qseries import (
     FracSeries,
     eta_quotient,
@@ -100,13 +100,6 @@ class CycMatrix:
     def column(self, j):
         return [self.entry(i, j) for i in range(self.n)]
 
-    def apply_indicator(self, vec):
-        """Matrix times a 0/1 vector, as a list of CycEight."""
-        v = np.asarray(vec, dtype=np.int64)
-        cols = [self.comps[k] @ v for k in range(4)]
-        return [CycEight([int(cols[k][i]) for k in range(4)], self.denom_exp)
-                for i in range(self.n)]
-
     def __eq__(self, other):
         return (self.denom_exp == other.denom_exp
                 and np.array_equal(self.comps, other.comps))
@@ -115,30 +108,13 @@ class CycMatrix:
         return f"CycMatrix(n={self.n}, denom_exp={self.denom_exp})"
 
 
-def _elements(q):
-    return list(product((0, 1), repeat=q.a))
-
-
 def weil_T(q):
     """rho(T) e_gamma = e^(pi i gamma^2) e_gamma."""
-    elems = _elements(q)
-    n = len(elems)
+    k = 2 * np.array(q.qh_table(), dtype=np.int64)  # e^(pi i q) = zeta^(4q)
+    n = len(k)
+    idx = np.arange(n)
     comps = np.zeros((4, n, n), dtype=np.int64)
-    for idx, x in enumerate(elems):
-        k = int(4 * q.q(x)) % 8
-        layer, sign = (k, 1) if k < 4 else (k - 4, -1)
-        comps[layer][idx][idx] = sign
-    return CycMatrix(comps, 0)
-
-
-def _t_inverse(q):
-    elems = _elements(q)
-    n = len(elems)
-    comps = np.zeros((4, n, n), dtype=np.int64)
-    for idx, x in enumerate(elems):
-        k = (-int(4 * q.q(x))) % 8
-        layer, sign = (k, 1) if k < 4 else (k - 4, -1)
-        comps[layer][idx][idx] = sign
+    comps[k % 4, idx, idx] = np.where(k < 4, 1, -1)
     return CycMatrix(comps, 0)
 
 
@@ -147,8 +123,6 @@ def weil_S(q, sigma):
     if sigma % 8 != milgram_signature(q):
         raise SignatureMismatch(
             f"sigma = {sigma} mod 8 does not match the Gauss sum")
-    elems = _elements(q)
-    n = len(elems)
     a = q.a
     # i^(-sigma/2) = zeta^(-sigma); 1/sqrt(2^a) needs a sqrt2 numerator for odd a
     scalar = CycEight.zeta_power(-sigma)
@@ -156,15 +130,14 @@ def weil_S(q, sigma):
     if a % 2:
         scalar = scalar * CycEight.sqrt2()
         denom = (a + 1) // 2
-    comps = np.zeros((4, n, n), dtype=np.int64)
-    base = [int(c) for c in scalar.coeffs]
     denom += scalar.denom_exp
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            sign = -1 if q.b(x, y) == Fraction(1, 2) else 1
-            for k in range(4):
-                comps[k][i][j] = sign * base[k]
-    return CycMatrix(comps, denom)
+    # row x of E holds the coordinates of element x; (E B E^T)[x, y] = 2b(x, y)
+    bits = np.arange(a - 1, -1, -1)
+    E = (np.arange(1 << a)[:, None] >> bits) & 1
+    B = (np.array(q.rows, dtype=np.int64)[:, None] >> bits) & 1
+    signs = 1 - 2 * ((E @ B @ E.T) & 1)
+    base = np.array(scalar.coeffs, dtype=np.int64)
+    return CycMatrix(base[:, None, None] * signs, denom)
 
 
 def weil_word(q, sigma, word):
@@ -172,21 +145,23 @@ def weil_word(q, sigma, word):
 
     word: iterable of tokens "S", "T", "S^-1", "T^-1".
     """
-    S = weil_S(q, sigma)
-    tok_map = {
-        "S": S,
-        "T": weil_T(q),
-        "S^-1": S.inverse(),
-        "T^-1": _t_inverse(q),
-    }
     word = list(word)
     if not word:
-        raise ValueError("empty word")
-    out = None
+        raise InvalidInput("empty word")
     for tok in word:
-        if tok not in tok_map:
-            raise ValueError(f"unknown token {tok!r}")
-        out = tok_map[tok] if out is None else out * tok_map[tok]
+        if tok not in ("S", "T", "S^-1", "T^-1"):
+            raise InvalidInput(f"unknown token {tok!r}")
+    tok_map = {}
+    if "S" in word or "S^-1" in word:
+        tok_map["S"] = weil_S(q, sigma)
+    if "S^-1" in word:
+        tok_map["S^-1"] = tok_map["S"].inverse()
+    if "T" in word or "T^-1" in word:
+        tok_map["T"] = weil_T(q)
+        tok_map["T^-1"] = tok_map["T"].conjugate_transpose()
+    out = tok_map[word[0]]
+    for tok in word[1:]:
+        out = out * tok_map[tok]
     return out
 
 
@@ -197,24 +172,18 @@ def weil_V(q, sigma):
 
 def vk_vectors(q):
     """Indicator vectors of the four q-value classes, k/2 for k = 0..3."""
-    elems = _elements(q)
-    vs = [np.zeros(len(elems), dtype=np.int64) for _ in range(4)]
-    for idx, x in enumerate(elems):
-        k = int(2 * q.q(x)) % 4
-        vs[k][idx] = 1
-    return vs
+    table = np.array(q.qh_table(), dtype=np.int64)
+    return [(table == k).astype(np.int64) for k in range(4)]
 
 
 def one_element(q):
     """The unique gamma with <1_L, delta> = delta^2 mod Z for all delta."""
-    elems = _elements(q)
-    hits = [x for x in elems
-            if all(q.b(x, y) == q.q(y) % 1 for y in elems)]
-    if not hits:
+    gamma, rank = q.characteristic_solve()
+    if gamma is None:
         raise DegenerateForm("no characteristic element; form data inconsistent")
-    if len(hits) > 1:
+    if rank < q.a:
         raise DegenerateForm("characteristic element is not unique")
-    return hits[0]
+    return _decode(gamma, q.a)
 
 
 def coset_formula_check(q, sigma, l):
@@ -228,14 +197,8 @@ def coset_formula_check(q, sigma, l):
         scalar = scalar * CycEight.sqrt2()
         denom = (a + 1) // 2
     scalar = scalar * CycEight.half_power(denom)
-    vs = vk_vectors(q)
-    elems = _elements(q)
-    for idx, x in enumerate(elems):
-        k = int(2 * q.q(x)) % 4
-        rhs = scalar * CycEight.zeta_power(-2 * l * k)
-        if lhs[idx] != rhs:
-            return False
-    return True
+    rhs = [scalar * CycEight.zeta_power(-2 * l * k) for k in range(4)]
+    return all(lhs[x] == rhs[k] for x, k in enumerate(q.qh_table()))
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +252,8 @@ def lift_B(q, sigma, r_minus, a_minus, prec):
     if psiV.leading_exponent() is not None and psiV.leading_exponent() < Fraction(m, 4):
         raise InsufficientPrecision("psi_m|_V fails its vanishing order")
     one = one_element(q)
-    elems = _elements(q)
     components = {}
-    for x in elems:
-        k = int(2 * q.q(x)) % 4
+    for x, k in zip(q.elements(), q.qh_table()):
         comp = hs[k] * scale
         if not any(x):
             comp = comp + psi

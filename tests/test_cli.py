@@ -111,6 +111,19 @@ def test_domain_error_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("qexp", "eta", "0^1"),
+    ("qexp", "eta", "x"),
+    ("qexp", "psi", "-1"),
+    ("weil", "matrix", "U(2)", "--word", "S,X"),
+])
+def test_bad_input_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_error_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["geo", "list", "--bogus"])

@@ -143,3 +143,111 @@ def test_degenerate_b_detected():
     q = FiniteQuadraticForm(2, [0, 0], [[0, 0], [0, 0]])
     assert not q.is_nondegenerate()
     assert form_of("U(2)").is_nondegenerate()
+
+
+# ---------------------------------------------------------------------------
+# oracles from the defining sums over the generator data q_gen, b_mat
+
+def oracle_q(q, x):
+    """q(x) = sum_i x_i q(e_i) + sum_{i<j} x_i x_j 2b(e_i, e_j) mod 2."""
+    ones = [i for i in range(q.a) if x[i]]
+    total = sum((q.q_gen[i] for i in ones), Fraction(0))
+    total += sum((2 * q.b_mat[i][j] for i in ones for j in ones if i < j), Fraction(0))
+    return total % 2
+
+
+def oracle_b(q, x, y):
+    """b(x, y) = sum_{i,j} x_i y_j b(e_i, e_j) mod 1."""
+    return sum((q.b_mat[i][j] for i in range(q.a) if x[i]
+                for j in range(q.a) if y[j]), Fraction(0)) % 1
+
+
+def catalog_forms(max_a):
+    for fix in fixture_catalog():
+        if fix.lattice.is_even():
+            q = discriminant_form(fix.lattice)
+            if q.a <= max_a:
+                yield fix.name, q
+
+
+def test_q_b_q_values_against_defining_sums():
+    import random
+
+    rng = random.Random(5)
+    checked = 0
+    for name, q in catalog_forms(8):
+        elems = q.elements()
+        qv = q.q_values()
+        assert list(qv) == elems, name
+        for x in elems:
+            assert q.q(x) == oracle_q(q, x) == qv[x], (name, x)
+        # every pair for small a; every x against a seeded sample beyond
+        ys = elems if q.a <= 4 else rng.sample(elems, 8)
+        for x in elems:
+            for y in ys:
+                assert q.b(x, y) == oracle_b(q, x, y), (name, x, y)
+        checked += 1
+    assert checked >= 20
+
+
+def brute_isotropic_subgroups(q):
+    """Every subgroup on which q vanishes, as a frozenset of tuples."""
+    zero = tuple([0] * q.a)
+    iso = [x for x in q.elements() if any(x) and oracle_q(q, x) == 0]
+    found = {frozenset([zero])}
+    frontier = list(found)
+    while frontier:
+        new = []
+        for H in frontier:
+            for c in iso:
+                if c in H:
+                    continue
+                K = H | {tuple((u + v) % 2 for u, v in zip(c, h)) for h in H}
+                if K not in found and all(oracle_q(q, k) == 0 for k in K):
+                    found.add(K)
+                    new.append(K)
+        frontier = new
+    return found
+
+
+def test_isotropic_subgroups_against_brute_force():
+    exprs = ["U(2)", "U(2) + U(2)", "U(2) + <2> + <-2>", "<2>^2 + <-2>^4",
+             "U(2)^3", "<2>^3 + <-2>^3"]
+    for expr in exprs:
+        q = form_of(expr)
+        assert q.a <= 6
+        got = [frozenset(G.elements()) for G in isotropic_subgroups(q, 1 << q.a)]
+        assert len(got) == len(set(got)), expr
+        assert set(got) == brute_isotropic_subgroups(q), expr
+    # the order bound cuts the list to the subgroups of order <= 2
+    q = form_of("U(2) + U(2)")
+    small = [G for G in isotropic_subgroups(q, 2)]
+    assert {frozenset(G.elements()) for G in small} == {
+        H for H in brute_isotropic_subgroups(q) if len(H) <= 2}
+
+
+def test_isometry_witness_table_preserves_q_and_b():
+    from k3lat.lattice import d4_lattice
+
+    pairs = [
+        (form_of("<2> + <-2>"), form_of("<-2> + <2>")),
+        (form_of("<2>^2 + <-2>"), form_of("U(2) + <2>")),
+        (form_of("U(2) + <2> + <-2>"), form_of("<2>^2 + <-2>^2")),
+        (form_of("U(2) + U(2)"),
+         discriminant_form(direct_sum(d4_lattice(), d4_lattice()))),
+    ]
+    for q1, q2 in pairs:
+        table = isometry_witness(q1, q2)
+        assert table is not None
+        a = q1.a
+
+        def image(x):
+            return tuple(sum(x[i] * table[i][k] for i in range(a)) % 2
+                         for k in range(a))
+
+        elems = q1.elements()
+        assert len({image(x) for x in elems}) == len(elems)
+        for x in elems:
+            assert oracle_q(q2, image(x)) == oracle_q(q1, x)
+            for y in elems:
+                assert oracle_b(q2, image(x), image(y)) == oracle_b(q1, x, y)

@@ -6,9 +6,13 @@ from itertools import product
 
 import pytest
 
-from k3lat.errors import SignatureMismatch, UnsupportedInvariant
+from k3lat.errors import DegenerateForm, SignatureMismatch, UnsupportedInvariant
 from k3lat.exactalg import CycEight
-from k3lat.finiteform import milgram_signature, induced_disc_action
+from k3lat.finiteform import (
+    FiniteQuadraticForm,
+    milgram_signature,
+    induced_disc_action,
+)
 from k3lat.geography import fixture_catalog
 from k3lat.lattice import parse_lattice, discriminant_form
 from k3lat.weil import (
@@ -184,3 +188,52 @@ def test_principal_part_trivial_cases():
     constF = VectorValuedForm(q, {(0,): FracSeries.one(4),
                                   (1,): FracSeries.zero(4)}, 0)
     assert principal_part(constF) == [((0,), 0, 1)]
+
+
+# ---------------------------------------------------------------------------
+# oracles from the defining sums over the generator data q_gen, b_mat
+
+def oracle_q(q, x):
+    ones = [i for i in range(q.a) if x[i]]
+    total = sum((q.q_gen[i] for i in ones), Fraction(0))
+    total += sum((2 * q.b_mat[i][j] for i in ones for j in ones if i < j), Fraction(0))
+    return total % 2
+
+
+def oracle_b(q, x, y):
+    return sum((q.b_mat[i][j] for i in range(q.a) if x[i]
+                for j in range(q.a) if y[j]), Fraction(0)) % 1
+
+
+def test_one_element_against_all_pairs_scan():
+    # the catalog forms up to a = 6 all have a constant diagonal; these do not
+    mixed = [(e, discriminant_form(parse_lattice(e)))
+             for e in ("U(2) + <2>", "<2> + U(2) + <-2>^2", "U(2) + <-2>^3")]
+    checked = 0
+    for name, q in list(catalog_forms(max_a=6)) + mixed:
+        elems = q.elements()
+        hits = [x for x in elems
+                if all(oracle_b(q, x, y) == oracle_q(q, y) % 1 for y in elems)]
+        assert [one_element(q)] == hits, name
+        checked += 1
+    assert checked >= 13
+    with pytest.raises(DegenerateForm):
+        one_element(FiniteQuadraticForm(2, [0, 0], [[0, 0], [0, 0]]))
+
+
+def test_weil_s_entries_against_formula():
+    """rho(S)[x, y] = i^(-sigma/2) 2^(-a/2) (-1)^(2b(x, y)), numerically."""
+    import cmath
+
+    checked = 0
+    for name, q in catalog_forms(max_a=5):
+        sigma = milgram_signature(q)
+        S = weil_S(q, sigma)
+        scalar = cmath.exp(-1j * cmath.pi * sigma / 4) * 2 ** (-q.a / 2)
+        elems = q.elements()
+        for i, x in enumerate(elems):
+            for j, y in enumerate(elems):
+                expect = scalar * (-1 if oracle_b(q, x, y) else 1)
+                assert abs(complex(S.entry(i, j)) - expect) < 1e-12, (name, x, y)
+        checked += 1
+    assert checked >= 8
