@@ -1,9 +1,10 @@
-"""Exact linear-algebra kernel: Smith normal form, rational inertia, and
-arithmetic in the ring generated by a primitive 8th root of unity with
-2-power denominators.
+"""Exact linear-algebra kernel: integer Bareiss determinants, Smith and
+Hermite normal forms, rational inverses and inertia, and arithmetic in the
+ring generated by a primitive 8th root of unity with 2-power denominators.
 
-Everything here is pure Python integer / Fraction arithmetic; no floats
-except in the explicit `complex()` conversions used by numeric cross-checks.
+Determinants and normal forms run on Python ints; `rational_inverse` and
+`rational_inertia` on Fractions. No floats except in the explicit
+`complex()` conversions used by numeric cross-checks.
 """
 
 from fractions import Fraction
@@ -31,38 +32,30 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
 def det(m):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant of an integer matrix by fraction-free (Bareiss)
+    elimination: every division by the previous pivot is exact.
+    """
     n = len(m)
-    if n == 0:
-        return 1
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
+    a = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-    prod = Fraction(sign)
-    for i in range(n):
-        prod *= a[i][i]
-    if prod.denominator == 1:
-        return int(prod)
-    return prod
+        piv, pivot_row = a[k][k], a[k]
+        for r in range(k + 1, n):
+            f = a[r][k]
+            a[r] = [(piv * x - f * y) // prev for x, y in zip(a[r], pivot_row)]
+        prev = piv
+    return sign * a[-1][-1] if n else 1
 
 
 def rational_inverse(m):

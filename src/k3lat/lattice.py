@@ -4,6 +4,7 @@ unimodular gluing check.
 """
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from .exactalg import (
     rational_inertia,
     rational_inverse,
     mat_mul,
-    mat_vec,
     transpose,
     det,
 )
@@ -76,16 +76,17 @@ class Lattice:
 
     def pair(self, x, y):
         """Bilinear form on rational vectors in basis coordinates."""
-        gx = mat_vec(self.gram, [Fraction(c) for c in x])
-        return sum(Fraction(a) * b for a, b in zip(y, gx))
+        xs, dx = _over_common_den(x)
+        ys, dy = _over_common_den(y)
+        return Fraction(_dot(ys, _mat_vec(self.gram, xs)), dx * dy)
 
     def norm(self, x):
         return self.pair(x, x)
 
     def in_dual(self, x):
         """Whether a rational vector pairs integrally with the whole lattice."""
-        gx = mat_vec(self.gram, [Fraction(c) for c in x])
-        return all(v.denominator == 1 for v in gx)
+        xs, den = _over_common_den(x)
+        return all(c % den == 0 for c in _mat_vec(self.gram, xs))
 
     # discriminant machinery ------------------------------------------
     def _snf_data(self):
@@ -107,12 +108,13 @@ class Lattice:
 
     def disc_class(self, x):
         """Coordinates of x + L in D_L = prod Z/d_i, for x in the dual."""
-        gx = mat_vec(self.gram, [Fraction(c) for c in x])
-        if any(v.denominator != 1 for v in gx):
+        xs, den = _over_common_den(x)
+        gx = _mat_vec(self.gram, xs)
+        if any(c % den for c in gx):
             raise NotInDual(f"vector {x} does not pair integrally with the lattice")
         d, u, v, nontrivial = self._snf_data()
-        z = mat_vec(u, [int(c) for c in gx])
-        return tuple(z[i] % d[i][i] for i in nontrivial)
+        gx = [c // den for c in gx]
+        return tuple(_dot(u[i], gx) % d[i][i] for i in nontrivial)
 
     def __eq__(self, other):
         return isinstance(other, Lattice) and self.gram == other.gram
@@ -121,6 +123,20 @@ class Lattice:
         if self.expr:
             return f"Lattice({self.expr!r})"
         return f"Lattice(rank={self.rank}, det={self.det()})"
+
+
+def _over_common_den(x):
+    """(ints, den) with x = ints / den, den > 0 the lcm of x's denominators."""
+    den = math.lcm(*(c.denominator for c in x))
+    return [c.numerator * (den // c.denominator) for c in x], den
+
+
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y) if a)
+
+
+def _mat_vec(m, x):
+    return [_dot(x, row) for row in m]
 
 
 class MainInvariant:
@@ -206,11 +222,13 @@ def discriminant_form(L):
         raise OddLattice("q_L is only defined for even lattices")
     if not is_two_elementary(L):
         raise NotTwoElementary(f"elementary divisors {L.disc_orders()}")
-    lifts = L.disc_generator_lifts()
-    a = len(lifts)
-    q_gen = [L.norm(x) % 2 for x in lifts]
-    b = [[L.pair(x, y) % 1 for y in lifts] for x in lifts]
-    return FiniteQuadraticForm(a, q_gen, b)
+    # the generator lifts are v_i / 2 for the nontrivial SNF columns v_i, so
+    # W = V^T G V holds 4 q on the diagonal and 4 b off it
+    d, u, v, nontrivial = L._snf_data()
+    cols = [[row[i] for row in v] for i in nontrivial]
+    w = [[Fraction(_dot(c, gc), 4) for c in cols]
+         for gc in (_mat_vec(L.gram, c) for c in cols)]
+    return FiniteQuadraticForm(len(w), [w[i][i] for i in range(len(w))], w)
 
 
 def main_invariant(L):
@@ -241,47 +259,29 @@ def overlattice(L, glue):
             raise ValueError("glue vector has wrong length")
         if not L.in_dual(g):
             raise NotInDual(f"glue vector {g} is not in the dual lattice")
-    for i, g in enumerate(glue):
-        for h in list(glue)[i:]:
-            if L.pair(g, h).denominator != 1:
-                raise NotIntegral("glue vectors pair non-integrally")
-    denom = 1
-    for g in glue:
-        for c in g:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+    # everything below is over one common denominator
+    over = [_over_common_den(g) for g in glue]
+    denom = math.lcm(*(den for _, den in over))
+    scaled = [[c * (denom // den) for c in g] for g, den in over]
+    denom2 = denom * denom
+    for i, g in enumerate(scaled):
+        gg = _mat_vec(L.gram, g)
+        if any(_dot(h, gg) % denom2 for h in scaled[i:]):
+            raise NotIntegral("glue vectors pair non-integrally")
     gen = [[denom * (1 if i == j else 0) for i in range(n)] for j in range(n)]
-    gen += [[int(c * denom) for c in g] for g in glue]
+    gen += scaled
     # columns of the generator matrix, rows indexed by ambient coordinate
     mat = [[gen[k][i] for k in range(len(gen))] for i in range(n)]
     basis = hermite_normal_form_columns(mat)
-    index = denom ** n // _diag_product(basis)
-    bq = [[Fraction(basis[i][j], denom) for j in range(n)] for i in range(n)]
-    new_gram = [[L.pair(_col(bq, i), _col(bq, j)) for j in range(n)] for i in range(n)]
-    for row in new_gram:
-        for x in row:
-            if x.denominator != 1:
-                raise NotIntegral("generated group is not an integral lattice")
+    index = denom ** n // math.prod(basis[i][i] for i in range(n))
+    scaled_gram = mat_mul(transpose(basis), mat_mul(L.gram, basis))
+    if any(x % denom2 for row in scaled_gram for x in row):
+        raise NotIntegral("generated group is not an integral lattice")
     labels = [f"m{i+1}" for i in range(n)]
-    M = Lattice([[int(x) for x in row] for row in new_gram], labels)
-    M.basis_in_ambient = bq  # columns: new basis in the old rational coordinates
+    M = Lattice([[x // denom2 for x in row] for row in scaled_gram], labels)
+    # columns: new basis in the old rational coordinates
+    M.basis_in_ambient = [[Fraction(x, denom) for x in row] for row in basis]
     return M, index
-
-
-def _col(m, j):
-    return [m[i][j] for i in range(len(m))]
-
-
-def _diag_product(m):
-    p = 1
-    for i in range(len(m)):
-        p *= m[i][i]
-    return p
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def dual_rescaled(L):
@@ -367,12 +367,12 @@ def induced_disc_matrix(L, gamma):
         raise NotIsometry("matrix does not preserve the gram matrix")
     if not is_two_elementary(L):
         raise NotTwoElementary("induced action implemented for 2-elementary lattices")
-    lifts = L.disc_generator_lifts()
-    a = len(lifts)
+    d, u, v, nontrivial = L._snf_data()
     cols = []
-    for x in lifts:
-        image = mat_vec([[Fraction(e) for e in row] for row in gamma], x)
-        cols.append(L.disc_class(image))
+    for i in nontrivial:
+        image = _mat_vec(gamma, [row[i] for row in v])  # d_i times gamma(lift)
+        cols.append(L.disc_class([Fraction(c, d[i][i]) for c in image]))
+    a = len(cols)
     return [[cols[j][i] for j in range(a)] for i in range(a)]
 
 

@@ -376,6 +376,8 @@ def eta_quotient(spec, prec):
     out = None
     for s, m in spec:
         base = eta_series(s, slack + s)
+        if m < 0 and not base.coeffs:
+            raise InvalidInput(f"precision too low: no term of eta({s}*tau) is left to invert")
         factor = base ** m if m >= 0 else base.inverse() ** (-m)
         out = factor if out is None else out * factor
     return out.truncate(min(Fraction(out.prec_units, N), Fraction(_to_units(prec), N)))

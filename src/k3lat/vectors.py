@@ -1,6 +1,7 @@
-"""Short-vector machinery: Fincke-Pohst enumeration on definite lattices,
-bounded witness search on indefinite ones, and the D'/D'' classification of
-norm -2 vectors by whether half of them lies in the dual.
+"""Short-vector machinery: Fincke-Pohst enumeration on definite lattices in
+exact integer arithmetic, bounded witness search on indefinite ones, and the
+D'/D'' classification of norm -2 vectors by whether half of them lies in
+the dual.
 """
 
 import math
@@ -18,10 +19,9 @@ def short_vectors(L, bound):
     if n_plus and n_minus:
         raise NotDefinite("Fincke-Pohst needs a definite lattice")
     sign = 1 if n_minus == 0 else -1
-    gram = [[sign * x for x in row] for row in L.gram]
     n = L.rank
     # Lagrange decomposition: norm = sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2
-    q = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    q = [[Fraction(sign * x) for x in row] for row in L.gram]
     for i in range(n):
         piv = q[i][i]
         if piv <= 0:
@@ -31,50 +31,43 @@ def short_vectors(L, bound):
         for k in range(i + 1, n):
             for l in range(k, n):
                 q[k][l] -= piv * q[i][k] * q[i][l]
+    # The same over the integers: with D_i = dens[i] the common denominator
+    # of row i, N_ij = D_i q[i][j] and scale the common denominator of the
+    # q[i][i] / D_i^2, scale times level i's term is
+    # K_i (D_i x_i + sum_{j>i} N_ij x_j)^2 with K_i = ks[i].
+    dens = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    nums = [[(j, q[i][j].numerator * (dens[i] // q[i][j].denominator))
+             for j in range(i + 1, n) if q[i][j]] for i in range(n)]
+    ratios = [q[i][i] / (dens[i] * dens[i]) for i in range(n)]
+    scale = math.lcm(*(r.denominator for r in ratios))
+    ks = [r.numerator * (scale // r.denominator) for r in ratios]
+    budget = math.floor(Fraction(bound) * scale)
     out = []
     coords = [0] * n
 
-    def descend(i, remaining):
-        """Choose coords[i] given the budget left for levels <= i."""
+    def descend(i, remaining, half):
+        """Choose coords[i] given the budget left for levels <= i; while
+        every higher coordinate is zero (half), only x_i >= 0, so each +-v
+        pair is met once."""
         if i < 0:
-            if any(coords):
-                out.append(tuple(coords))
+            if not half:
+                out.append((tuple(coords), sign * ((budget - remaining) // scale)))
             return
-        center = sum(q[i][j] * coords[j] for j in range(i + 1, n))
-        radius = math.sqrt(float(remaining / q[i][i])) if remaining > 0 else 0.0
-        lo = math.floor(-float(center) - radius) - 1
-        hi = math.ceil(-float(center) + radius) + 1
-        for x in range(lo, hi + 1):
+        d, k = dens[i], ks[i]
+        s = sum(c * coords[j] for j, c in nums[i])
+        t = math.isqrt(remaining // k)  # |d x + s| <= t
+        lo = 0 if half else -((s + t) // d)
+        for x in range(lo, (t - s) // d + 1):
             coords[i] = x
-            used = q[i][i] * (x + center) ** 2
-            if used <= remaining:
-                descend(i - 1, remaining - used)
+            val = d * x + s
+            descend(i - 1, remaining - k * val * val, half and not x)
         coords[i] = 0
 
-    descend(n - 1, Fraction(bound))
-    result = []
-    seen = set()
-    for v in out:
-        neg = tuple(-c for c in v)
-        canon = v if v > neg else neg
-        if canon in seen:
-            continue
-        seen.add(canon)
-        norm = _int_norm(L.gram, canon)
-        if 0 < abs(norm) <= bound:
-            result.append((canon, norm))
+    if budget >= 0:
+        descend(n - 1, budget, True)
+    result = [(max(v, tuple(-c for c in v)), norm) for v, norm in out]
     result.sort(key=lambda t: (abs(t[1]), t[0]))
     return result
-
-
-def _int_norm(gram, v):
-    n = len(v)
-    total = 0
-    for i in range(n):
-        if v[i]:
-            row = gram[i]
-            total += v[i] * sum(row[j] * v[j] for j in range(n))
-    return total
 
 
 def witness_vector(L, target_norm, box):
@@ -87,24 +80,28 @@ def witness_vector(L, target_norm, box):
         raise ValueError("box must be >= 1")
     n = L.rank
     gram = L.gram
+    # setting coords[i] = x adds x (2 sum_{j<i} G_ij x_j + G_ii x) to the norm
+    lower = [[(j, 2 * gram[i][j]) for j in range(i) if gram[i][j]] for i in range(n)]
     coords = [0] * n
 
-    def dfs(i, shell, touched):
+    def dfs(i, shell, norm):
         if i == n:
-            if touched and any(coords) and _int_norm(gram, coords) == target_norm:
+            # no sup-norm test: a vector inside a smaller shell missed there
+            if norm == target_norm and any(coords):
                 return tuple(coords)
             return None
+        s = sum(c * coords[j] for j, c in lower[i])
+        g = gram[i][i]
         for x in _shell_range(shell):
             coords[i] = x
-            hit = dfs(i + 1, shell, touched or abs(x) == shell)
+            hit = dfs(i + 1, shell, norm + x * (s + g * x))
             if hit:
                 return hit
         coords[i] = 0
         return None
 
-    for shell in range(0, box + 1):
-        coords = [0] * n
-        hit = dfs(0, shell, shell == 0)
+    for shell in range(box + 1):
+        hit = dfs(0, shell, 0)
         if hit:
             # canonical sign: first nonzero coordinate positive
             first = next(c for c in hit if c)

@@ -34,13 +34,15 @@ class CycMatrix:
     all over 2^denom_exp.  Canonical: denom_exp minimal."""
 
     def __init__(self, comps, denom_exp):
+        # an exact (object) product past int64 raises OverflowError here
         comps = np.asarray(comps, dtype=np.int64)
         while denom_exp > 0 and not (comps & 1).any():
             comps = comps >> 1
             denom_exp -= 1
         self.comps = comps
         self.denom_exp = denom_exp
-        if np.abs(comps).max(initial=0) > 1 << 45:
+        self.max_abs = int(np.abs(comps).max(initial=0))
+        if self.max_abs > 1 << 45:
             raise OverflowError("cyclotomic matrix entries grew too large")
 
     @property
@@ -55,14 +57,18 @@ class CycMatrix:
 
     def __mul__(self, other):
         n = self.n
-        out = np.zeros((4, n, n), dtype=np.int64)
+        # an entry is a sum of at most 4n products; where int64 could wrap,
+        # multiply exactly on Python ints instead
+        dtype = object if 4 * n * self.max_abs * other.max_abs >> 63 else np.int64
+        a, b = self.comps.astype(dtype, copy=False), other.comps.astype(dtype, copy=False)
+        out = np.zeros((4, n, n), dtype=dtype)
         for i in range(4):
-            if not self.comps[i].any():
+            if not a[i].any():
                 continue
             for j in range(4):
-                if not other.comps[j].any():
+                if not b[j].any():
                     continue
-                prod_ij = self.comps[i] @ other.comps[j]
+                prod_ij = a[i] @ b[j]
                 k = i + j
                 if k >= 4:
                     out[k - 4] -= prod_ij

@@ -58,6 +58,14 @@ def test_vec_short_json(capsys):
     assert payload["count"] == 120
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_vec_short_bound_at_most_zero(capsys, bound):
+    code, out, err = run(capsys, "vec", "short", "E8", "--bound", bound)
+    assert code == 0
+    assert out == "0 vectors up to sign\n"
+    assert err == ""
+
+
 def test_vec_witness(capsys):
     code, out, _ = run(capsys, "vec", "witness", "U", "--norm", "-4",
                        "--box", "3", "--json")
@@ -116,6 +124,7 @@ def test_domain_error_exit_2(capsys):
     ("qexp", "eta", "x"),
     ("qexp", "psi", "-1"),
     ("weil", "matrix", "U(2)", "--word", "S,X"),
+    ("qexp", "eta", "1^-8,2^8,4^-8", "--prec", "-3"),
 ])
 def test_bad_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -4,8 +4,10 @@ independent oracles (numpy determinants, complex arithmetic)."""
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from k3lat.exactalg import (
     smith_normal_form,
@@ -32,6 +34,66 @@ def test_det_matches_numpy():
         m = random_matrix(rng, n)
         expected = round(np.linalg.det(np.array(m, dtype=float)))
         assert det(m) == expected
+
+
+def fraction_det(m):
+    """Oracle: Gaussian elimination over the rationals, row swaps counted."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n, sign = len(a), 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    out = Fraction(sign)
+    for i in range(n):
+        out *= a[i][i]
+    assert out.denominator == 1
+    return int(out)
+
+
+@st.composite
+def square_matrices(draw):
+    """Integer matrices up to 7 x 7, some forced singular (a row that is a
+    combination of two others) and some forced to need a pivot swap (zero
+    leading entry, nonzero below it)."""
+    n = draw(st.integers(0, 7))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-10 ** 12, 10 ** 12))
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["plain", "singular", "swap"]))
+    if kind == "singular" and n >= 3:
+        c0, c1 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m[-1] = [c0 * x + c1 * y for x, y in zip(m[0], m[1])]
+    elif kind == "swap" and n >= 2:
+        m[0][0] = 0
+        m[1][0] = draw(st.integers(1, 9))
+    return m
+
+
+@given(square_matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+@example([[0, 2, 3], [0, 4, 5], [1, 1, 1]])
+@example([[1, 2], [2, 4]])
+@example([[0, 0], [0, 0]])
+def test_det_against_fraction_elimination(m):
+    assert det(m) == fraction_det(m)
+
+
+def test_det_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        m = random_matrix(rng, n, -50, 50)
+        if rng.random() < 0.3:
+            m[-1] = list(m[0])
+        assert det(m) == int(sympy.Matrix(m).det())
 
 
 def test_smith_normal_form_properties():

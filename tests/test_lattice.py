@@ -13,6 +13,8 @@ from k3lat.errors import (
     NotGraph,
     NotIsometry,
 )
+from k3lat.finiteform import _decode, iter_isotropic_subgroups
+from k3lat.geography import fixture_catalog
 from k3lat.lattice import (
     Lattice,
     parse_lattice,
@@ -232,3 +234,103 @@ def test_rescale_det():
     L = parse_lattice("U")
     assert rescale(L, 2).det() == -4
     assert rescale(L, -1).det() == -1
+
+
+# ---------------------------------------------------------------------------
+# oracles: the defining sums x^T G y over the rationals, term by term
+
+def fraction_pair(L, x, y):
+    return sum(Fraction(x[i]) * L.gram[i][j] * Fraction(y[j])
+               for i in range(L.rank) if x[i]
+               for j in range(L.rank) if y[j] and L.gram[i][j])
+
+
+def lift_of(lifts, bits):
+    """The sum of the D_L generator lifts picked out by an F2 vector."""
+    out = [Fraction(0)] * len(lifts[0])
+    for bit, lift in zip(bits, lifts):
+        if bit:
+            out = [x + y for x, y in zip(out, lift)]
+    return out
+
+
+DISC_EXPRS = (
+    ["U(2) + M7", "U(2)^2 + E8", "U(2)^2 + E8(2)", "U(2)^2 + <-2>^8",
+     "U(2) + E8(2) + <-2>^2"]
+    + [f"M{n}" for n in range(1, 13)]
+    + [f"<2>^2 + <-2>^{n}" for n in range(1, 11)]
+)
+
+
+def test_discriminant_form_against_defining_sums():
+    """q_gen and b_mat of every even 2-elementary fixture and expression up
+    to a = 12 equal L.pair and the rational sums on the generator lifts."""
+    lattices = [f.lattice for f in fixture_catalog()]
+    lattices += [d4_lattice()] + [parse_lattice(e) for e in DISC_EXPRS]
+    seen_a = set()
+    for L in lattices:
+        if not (L.is_even() and is_two_elementary(L)):
+            continue
+        form = discriminant_form(L)
+        lifts = L.disc_generator_lifts()
+        assert form.a == len(lifts) <= 12
+        seen_a.add(form.a)
+        for i, x in enumerate(lifts):
+            assert L.norm(x) == fraction_pair(L, x, x)
+            assert form.q_gen[i] == fraction_pair(L, x, x) % 2
+            for j, y in enumerate(lifts):
+                assert L.pair(x, y) == fraction_pair(L, x, y)
+                assert form.b_mat[i][j] == fraction_pair(L, x, y) % 1
+    assert seen_a >= set(range(13))
+
+
+OVERLATTICE_CASES = ["U(2)", "<2> + <-2>^3", "U(2) + <-2>^4", "E8(2)", "M10",
+                     "<2>^2 + <-2>^8", "U(2)^2 + E8(2)"]
+
+
+def _check_overlattice(L, glue):
+    """overlattice(L, glue) against the defining sums: NotIntegral exactly
+    when two glue vectors pair non-integrally, else a Gram matrix equal to
+    the pairings of basis_in_ambient and |det L| = index^2 |det M|."""
+    integral = all(fraction_pair(L, g, h).denominator == 1
+                   for g in glue for h in glue)
+    if not integral:
+        with pytest.raises(NotIntegral, match="glue vectors pair non-integrally"):
+            overlattice(L, glue)
+        return False
+    M, index = overlattice(L, glue)
+    cols = [[row[j] for row in M.basis_in_ambient] for j in range(L.rank)]
+    for i, x in enumerate(cols):
+        for j, y in enumerate(cols):
+            assert M.gram[i][j] == fraction_pair(L, x, y)
+    assert abs(L.det()) == index * index * abs(M.det())
+    return True
+
+
+def test_overlattice_gram_against_pairwise_sums():
+    built = 0
+    for expr in OVERLATTICE_CASES:
+        L = parse_lattice(expr)
+        form = discriminant_form(L)
+        lifts = L.disc_generator_lifts()
+        if form.a <= 6:
+            # every single glue vector, isotropic or not
+            for x in range(1, 2 ** form.a):
+                built += _check_overlattice(L, [lift_of(lifts, _decode(x, form.a))])
+        for order in (2, 4, 8):
+            for k, G in enumerate(iter_isotropic_subgroups(form, order)):
+                if k == 6:
+                    break
+                built += _check_overlattice(L, [lift_of(lifts, g) for g in G.generators])
+    # glue vectors that are not the reduced lifts, as in the catalog
+    M10 = m_lattice(10)
+    built += _check_overlattice(M10, [[Fraction(3, 2)] + [Fraction(-1, 2)] * 9])
+    M13 = m_lattice(13)
+    f1 = [Fraction(1, 2)] + [0] * 12
+    for j in (2, 3, 4, 11, 12):
+        f1[j] = Fraction(-1, 2)
+    f2 = [1] + [0] * 12
+    for j in (2, 5, 6, 7, 8, 9, 10, 12):
+        f2[j] = Fraction(-1, 2)
+    built += _check_overlattice(M13, [f1, f2, [2 * c for c in f1]])
+    assert built >= 40

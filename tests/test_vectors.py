@@ -1,8 +1,10 @@
 """Short vectors: Fincke-Pohst against a brute-force box oracle, root
 counts, witness search, and dual-class flags."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,6 +15,8 @@ from k3lat.lattice import (
     Lattice,
     parse_lattice,
     e8_lattice,
+    e7_lattice,
+    d4_lattice,
     rescale,
     direct_sum,
     hyperbolic_plane,
@@ -70,6 +74,32 @@ def brute_force_box(L, bound):
     return sorted(out, key=lambda t: (abs(t[1]), t[0]))
 
 
+def brute_force_dual_box(L, bound):
+    """Independent oracle for larger ranks: |x_i|^2 <= |norm(x)| (G^-1)_ii
+    (Cauchy-Schwarz against the dual basis) bounds each coordinate; the box
+    is scanned in numpy, one value of the first coordinate at a time."""
+    g = np.array(L.gram, dtype=np.int64)
+    inv = np.linalg.inv(g.astype(float))
+    box = [int(math.floor(math.sqrt(bound * abs(inv[i, i])) + 1e-9)) for i in range(L.rank)]
+    rest = np.array(list(product(*(range(-b, b + 1) for b in box[1:]))),
+                    dtype=np.int64).reshape(-1, L.rank - 1)
+    out = set()
+    for x0 in range(-box[0], box[0] + 1):
+        pts = np.hstack([np.full((len(rest), 1), x0, dtype=np.int64), rest])
+        norms = np.einsum("ki,ij,kj->k", pts, g, pts)
+        for k in np.nonzero((norms != 0) & (np.abs(norms) <= bound))[0]:
+            v = tuple(int(c) for c in pts[k])
+            out.add((max(v, tuple(-c for c in v)), int(norms[k])))
+    return sorted(out, key=lambda t: (abs(t[1]), t[0]))
+
+
+def random_gram_a_t_a_plus_i(rng, n):
+    """A^T A + I: positive definite with fractional Lagrange coefficients."""
+    a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    return [[sum(a[k][i] * a[k][j] for k in range(n)) + (i == j) for j in range(n)]
+            for i in range(n)]
+
+
 def test_fincke_pohst_against_brute_force():
     rng = random.Random(2024)
     for _ in range(50):
@@ -79,6 +109,22 @@ def test_fincke_pohst_against_brute_force():
         got = short_vectors(L, bound)
         expected = brute_force_box(L, bound)
         assert sorted(got) == sorted(expected), (L.gram, bound)
+    # non-diagonal root lattices, both signs, and random A^T A + I
+    cases = [(Lattice([[2, -1], [-1, 2]]), b) for b in (2, 6, 14)]
+    cases += [(Lattice([[-2, 1], [1, -2]]), 8)]
+    cases += [(d4_lattice(), b) for b in (2, 4, 6)]
+    cases += [(e7_lattice(), b) for b in (2, 4)]
+    cases += [(Lattice([[-x for x in row] for row in e7_lattice().gram]), 3)]
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        g = random_gram_a_t_a_plus_i(rng, n)
+        if rng.random() < 0.5:
+            g = [[-x for x in row] for row in g]
+        cases.append((Lattice(g), rng.randint(1, 12)))
+    for L, bound in cases:
+        got = short_vectors(L, bound)
+        assert got == brute_force_dual_box(L, bound), (L.gram, bound)
+    assert len(short_vectors(e7_lattice(), 2)) == 63  # 126 roots
 
 
 def test_e8_root_count():
@@ -118,6 +164,46 @@ def test_witness_zero_norm_excluded():
     v = witness_vector(U, 0, 2)
     assert v is not None and any(v)
     assert U.norm(v) == 0
+
+
+def shell_brute_force(L, target_norm, box):
+    """Oracle: scan each sup-norm shell in the search's order (coordinate 0
+    slowest, values 0, 1, -1, 2, -2, ...), norms by the full sum."""
+    n = L.rank
+    for shell in range(box + 1):
+        values = [0] + [s * v for v in range(1, shell + 1) for s in (1, -1)]
+        for v in product(values, repeat=n):
+            if not any(v) or max(abs(c) for c in v) != shell:
+                continue
+            norm = sum(v[i] * L.gram[i][j] * v[j] for i in range(n) for j in range(n))
+            if norm == target_norm:
+                first = next(c for c in v if c)
+                return v if first > 0 else tuple(-c for c in v)
+    return None
+
+
+def test_witness_vector_first_hit_against_brute_force():
+    rng = random.Random(31)
+    cases = [(hyperbolic_plane(), t, 3) for t in (-6, -4, -2, 0, 2, 3)]
+    cases += [(parse_lattice("U(2) + <-2>"), t, 3) for t in (-6, -4, -2, 2, 5)]
+    cases += [(parse_lattice("U(2) + <2> + <-2>^2"), t, 2) for t in (-4, -2, 0, 4)]
+    cases += [(d4_lattice(), t, 2) for t in (-2, -4, -6, 2)]
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        while True:
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = rng.randint(-3, 3)
+            if round(np.linalg.det(np.array(g, dtype=float))) != 0:
+                break
+        cases.append((Lattice(g), rng.randint(-8, 8), rng.randint(1, 2)))
+    hits = 0
+    for L, target, box in cases:
+        expected = shell_brute_force(L, target, box)
+        assert witness_vector(L, target, box) == expected, (L.gram, target, box)
+        hits += expected is not None
+    assert hits >= 30
 
 
 def test_disc_class_flags():

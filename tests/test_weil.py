@@ -77,6 +77,18 @@ def test_weil_s_golden_two():
     assert S.entry(1, 1) == scalar * CycEight.integer(-1)
 
 
+def test_cyc_matrix_product_past_int64():
+    """A product whose entries leave int64 raises instead of wrapping; one
+    whose terms do but whose entries fit is exact."""
+    big = CycMatrix([[[1 << 32]], [[0]], [[0]], [[0]]], 0)
+    with pytest.raises(OverflowError):
+        big * big
+    zero = [[0, 0], [0, 0]]
+    a = CycMatrix([[[1 << 40, 1 << 40], [0, 0]], zero, zero, zero], 0)
+    b = CycMatrix([[[(1 << 23) + 1, 0], [-(1 << 23), 0]], zero, zero, zero], 0)
+    assert (a * b).comps[0].tolist() == [[1 << 40, 0], [0, 0]]
+
+
 def test_weil_s_sigma_mismatch():
     q = discriminant_form(parse_lattice("<2>"))
     with pytest.raises(SignatureMismatch):
