@@ -9,13 +9,12 @@ import sys
 from fractions import Fraction
 
 from .errors import K3LatError, InvalidInput
-from .exactalg import CycEight
 from .lattice import parse_lattice, discriminant_form, main_invariant
 from .finiteform import milgram_signature, form_invariants
 from .geography import geography_table, k3_triplet_realizable
 from .vectors import short_vectors, witness_vector
 from .qseries import DEFAULT_PREC, eta_quotient, theta_series, psi_m
-from .weil import weil_word, weil_V, one_element, coset_formula_check, CycMatrix
+from .weil import weil_word, one_element, relation_checks
 from .audit import kodaira_report
 
 SCHEMA = 1
@@ -186,20 +185,8 @@ def _weil_form(expr):
 
 def _weil_check(args):
     q, sigma = _weil_form(args.expr)
-    st3 = weil_word(q, sigma, ["S", "T"] * 3)
-    s2 = weil_word(q, sigma, ["S", "S"])
-    s8 = weil_word(q, sigma, ["S"] * 8)
-    v_inv = weil_V(q, sigma).inverse()
+    checks = relation_checks(q, sigma)
     one = one_element(q)
-    col = v_inv.column(0)
-    elems = q.elements()
-    expected = [CycEight.integer(1 if x == one else 0) for x in elems]
-    checks = {
-        "st_cubed_is_s_squared": st3 == s2,
-        "s_eighth_is_identity": s8 == CycMatrix.identity(1 << q.a),
-        "v_inverse_e0_is_e_one": col == expected,
-        "coset_formula": all(coset_formula_check(q, sigma, l) for l in range(4)),
-    }
     a, delta, sig = form_invariants(q)
     payload = {"schema": SCHEMA, "a": a, "delta": delta, "sigma": sig,
                "one_element": list(one), "checks": checks}
@@ -215,15 +202,16 @@ def _weil_check(args):
 
 def _weil_matrix(args):
     q, sigma = _weil_form(args.expr)
-    word = args.word.split(",")
-    mat = weil_word(q, sigma, word)
-    rows = [[str(mat.entry(i, j)) for j in range(mat.n)] for i in range(mat.n)]
+    mat = weil_word(q, sigma, args.word.split(","))
+    names, index = mat.distinct_entries()
     if args.json:
+        rows = [[names[k] for k in row] for row in index]
         _emit_json({"schema": SCHEMA, "n": mat.n, "entries": rows})
         return 0
-    width = max(len(s) for row in rows for s in row)
-    for row in rows:
-        print("  ".join(s.rjust(width) for s in row))
+    width = max(map(len, names))
+    padded = [s.rjust(width) for s in names]
+    for row in index:
+        print("  ".join([padded[k] for k in row]))
     return 0
 
 

@@ -7,7 +7,12 @@ the dual.
 import math
 from fractions import Fraction
 
-from .errors import NotDefinite
+from .errors import NotDefinite, BoundExceeded
+
+# Nodes (coordinate choices) a witness search may visit before it gives up;
+# about a second of search.  The searches the Kodaira audit runs need at most
+# 16,421.
+WITNESS_NODE_BUDGET = 1_000_000
 
 
 def short_vectors(L, bound):
@@ -74,7 +79,9 @@ def witness_vector(L, target_norm, box):
     """A vector of the given norm with coordinates in [-box, box], or None.
 
     Semidecision only: None does not prove nonexistence.  The search runs
-    in increasing sup-norm shells so cheap witnesses are found first.
+    in increasing sup-norm shells so cheap witnesses are found first.  It
+    raises BoundExceeded after WITNESS_NODE_BUDGET nodes, so None always
+    means the whole box was searched.
     """
     if box < 1:
         raise ValueError("box must be >= 1")
@@ -83,8 +90,14 @@ def witness_vector(L, target_norm, box):
     # setting coords[i] = x adds x (2 sum_{j<i} G_ij x_j + G_ii x) to the norm
     lower = [[(j, 2 * gram[i][j]) for j in range(i) if gram[i][j]] for i in range(n)]
     coords = [0] * n
+    left = WITNESS_NODE_BUDGET
 
     def dfs(i, shell, norm):
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise BoundExceeded(
+                f"witness search passed {WITNESS_NODE_BUDGET} nodes; use a smaller box")
         if i == n:
             # no sup-norm test: a vector inside a smaller shell missed there
             if norm == target_norm and any(coords):

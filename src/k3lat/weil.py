@@ -3,11 +3,16 @@ exact matrices over the 8th-cyclotomic ring, the v_k indicator vectors, the
 characteristic element 1_L, the six-coset lift components, and principal
 parts.
 
-Matrices are stored as four integer numpy layers (the zeta-components) over
-a common power-of-two denominator; products reduce to integer matmuls.
+Matrices and blocks of columns are stored as four integer numpy layers (the
+zeta-components) over a common power-of-two denominator.  Words in S and T
+act on such blocks without dense generator matrices: rho(T) is a diagonal of
+8th roots of unity, and rho(S) is a character sum, one fast Walsh-Hadamard
+transform over the 2^a axis (Scheithauer, IMRN 2009; Stromberg, Math. Z.
+2013), so each generator costs O(a 2^a) per column.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -18,8 +23,9 @@ from .errors import (
     UnsupportedInvariant,
     InsufficientPrecision,
     InvalidInput,
+    BoundExceeded,
 )
-from .finiteform import _decode, milgram_signature
+from .finiteform import _decode, _encode, milgram_signature
 from .qseries import (
     FracSeries,
     eta_quotient,
@@ -28,20 +34,32 @@ from .qseries import (
     split_congruence,
 )
 
+# Largest a for which a word is built as a full 2^a x 2^a matrix.  At a = 10
+# (n = 1024) `weil check` takes about 1.3 s and peaks near 190 MB on a 2-vCPU
+# Xeon VM; each step up in a quadruples both (one dense block at a = 12 holds
+# 4 x 4096^2 int64, 512 MB).
+MAX_DENSE_A = 10
+
+_TOKENS = ("S", "T", "S^-1", "T^-1")
+
 
 class CycMatrix:
-    """A square matrix over Z[zeta_8, 1/2]: comps[k] holds the zeta^k layer,
+    """An n x m matrix over Z[zeta_8, 1/2]: comps[k] holds the zeta^k layer,
     all over 2^denom_exp.  Canonical: denom_exp minimal."""
 
     def __init__(self, comps, denom_exp):
-        # an exact (object) product past int64 raises OverflowError here
+        # an exact (object) result past int64 raises OverflowError here
         comps = np.asarray(comps, dtype=np.int64)
-        while denom_exp > 0 and not (comps & 1).any():
-            comps = comps >> 1
-            denom_exp -= 1
+        if denom_exp > 0:
+            # the 2-adic valuation of the OR of all entries is the smallest
+            # valuation among them (two's complement keeps trailing zeros)
+            low = int(np.bitwise_or.reduce(comps, axis=None))
+            shift = min(denom_exp, (low & -low).bit_length() - 1) if low else denom_exp
+            comps = comps >> shift
+            denom_exp -= shift
         self.comps = comps
         self.denom_exp = denom_exp
-        self.max_abs = int(np.abs(comps).max(initial=0))
+        self.max_abs = max(int(comps.max(initial=0)), -int(comps.min(initial=0)))
         if self.max_abs > 1 << 45:
             raise OverflowError("cyclotomic matrix entries grew too large")
 
@@ -55,13 +73,21 @@ class CycMatrix:
         comps[0] = np.eye(n, dtype=np.int64)
         return cls(comps, 0)
 
+    @classmethod
+    def basis_column(cls, n, j):
+        """The column e_j of length n."""
+        comps = np.zeros((4, n, 1), dtype=np.int64)
+        comps[0, j, 0] = 1
+        return cls(comps, 0)
+
     def __mul__(self, other):
-        n = self.n
-        # an entry is a sum of at most 4n products; where int64 could wrap,
-        # multiply exactly on Python ints instead
-        dtype = object if 4 * n * self.max_abs * other.max_abs >> 63 else np.int64
+        """The dense product; the reference for the matrix-free actions."""
+        inner = self.comps.shape[2]
+        # an entry is a sum of at most 4 * inner products; where int64 could
+        # wrap, multiply exactly on Python ints instead
+        dtype = object if 4 * inner * self.max_abs * other.max_abs >> 63 else np.int64
         a, b = self.comps.astype(dtype, copy=False), other.comps.astype(dtype, copy=False)
-        out = np.zeros((4, n, n), dtype=dtype)
+        out = np.zeros((4, self.n, other.comps.shape[2]), dtype=dtype)
         for i in range(4):
             if not a[i].any():
                 continue
@@ -106,6 +132,19 @@ class CycMatrix:
     def column(self, j):
         return [self.entry(i, j) for i in range(self.n)]
 
+    def distinct_entries(self):
+        """(names, index): str of each distinct entry, built once, and the
+        n x m nested list of positions in names, so entry (i, j) renders as
+        names[index[i][j]]."""
+        n, m = self.comps.shape[1:]
+        # one 32-byte key per entry: a 1-D unique, much faster than axis=0
+        flat = np.ascontiguousarray(self.comps.reshape(4, n * m).T)
+        keys, index = np.unique(flat.view(np.dtype((np.void, 32))).ravel(),
+                                return_inverse=True)
+        distinct = keys.view(np.int64).reshape(-1, 4).tolist()
+        names = [str(CycEight(c, self.denom_exp)) for c in distinct]
+        return names, index.reshape(n, m).tolist()
+
     def __eq__(self, other):
         return (self.denom_exp == other.denom_exp
                 and np.array_equal(self.comps, other.comps))
@@ -114,61 +153,160 @@ class CycMatrix:
         return f"CycMatrix(n={self.n}, denom_exp={self.denom_exp})"
 
 
-def weil_T(q):
-    """rho(T) e_gamma = e^(pi i gamma^2) e_gamma."""
-    k = 2 * np.array(q.qh_table(), dtype=np.int64)  # e^(pi i q) = zeta^(4q)
-    n = len(k)
-    idx = np.arange(n)
-    comps = np.zeros((4, n, n), dtype=np.int64)
-    comps[k % 4, idx, idx] = np.where(k < 4, 1, -1)
-    return CycMatrix(comps, 0)
+# ---------------------------------------------------------------------------
+# the matrix-free action
+
+def _walsh_hadamard(x):
+    """In place over axis 0: row y becomes sum_x (-1)^popcount(x & y) row x."""
+    n = len(x)
+    h = 1
+    while h < n:
+        view = x.reshape(n // (2 * h), 2, h, -1)
+        lo, hi = view[:, 0], view[:, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        h *= 2
 
 
-def weil_S(q, sigma):
-    """rho(S) e_gamma = i^(-sigma/2) |D|^(-1/2) sum_delta e^(-2 pi i <gamma,delta>) e_delta."""
+def weil_scalar(q, sigma):
+    """i^(-sigma/2) 2^(-a/2), the scalar of rho(S); rho(S)^-1 and the coset
+    formula use its conjugate."""
     if sigma % 8 != milgram_signature(q):
         raise SignatureMismatch(
             f"sigma = {sigma} mod 8 does not match the Gauss sum")
     a = q.a
     # i^(-sigma/2) = zeta^(-sigma); 1/sqrt(2^a) needs a sqrt2 numerator for odd a
     scalar = CycEight.zeta_power(-sigma)
-    denom = a // 2
     if a % 2:
         scalar = scalar * CycEight.sqrt2()
-        denom = (a + 1) // 2
-    denom += scalar.denom_exp
-    # row x of E holds the coordinates of element x; (E B E^T)[x, y] = 2b(x, y)
-    bits = np.arange(a - 1, -1, -1)
-    E = (np.arange(1 << a)[:, None] >> bits) & 1
-    B = (np.array(q.rows, dtype=np.int64)[:, None] >> bits) & 1
-    signs = 1 - 2 * ((E @ B @ E.T) & 1)
-    base = np.array(scalar.coeffs, dtype=np.int64)
-    return CycMatrix(base[:, None, None] * signs, denom)
+    return scalar * CycEight.half_power((a + 1) // 2)
 
 
-def weil_word(q, sigma, word):
-    """Product of generator matrices for a word over S, T and their inverses.
+class WeilAction:
+    """rho_L of words in S, T and their inverses, applied to CycMatrix
+    blocks of columns indexed by the elements of D_L.
 
-    word: iterable of tokens "S", "T", "S^-1", "T^-1".
+    rho(T) e_x = zeta^(2 qh(x)) e_x with qh = 2q(x) mod 4, and
+    (rho(S) X)[x] = scalar * sum_y (-1)^(2b(x, y)) X[y] = scalar * H(X)[Bx],
+    with H the Walsh-Hadamard transform over the bits of the element ints
+    and B the F2 matrix of 2b (read at Bx after the transform, so a singular
+    B needs no inverse).  rho(S)^-1 applies the conjugate scalar, once
+    S S* = I has been checked exactly on every basis vector.  sigma is read
+    only by S; None serves words in T alone.  Each generator costs O(a 2^a)
+    per column; a block of m columns costs O(m a 2^a).
     """
+
+    def __init__(self, q, sigma):
+        self.q = q
+        self.sigma = sigma
+        self.n = 1 << q.a
+        self._unitary = False
+
+    @cached_property
+    def scalar(self):
+        return weil_scalar(self.q, self.sigma)
+
+    @cached_property
+    def _qh(self):
+        return np.array(self.q.qh_table(), dtype=np.int64)
+
+    @cached_property
+    def _bx(self):
+        """Bx for every element x, indexed by x."""
+        bx = np.zeros(1, dtype=np.int64)
+        for row in reversed(self.q.rows):  # low bits first: index == int
+            bx = np.concatenate([bx, bx ^ row])
+        return bx
+
+    def _t(self, block, sign):
+        """Row x times zeta^k, k = 2 sign qh(x): a signed layer rotation."""
+        k = (2 * sign * self._qh) % 8
+        t = np.arange(4)[:, None]
+        src = (t - k) % 4  # zeta^k zeta^src = +-zeta^t
+        signs = 1 - 2 * (((src + k - t) >> 2) & 1)
+        comps = signs[:, :, None] * block.comps[src, np.arange(self.n), :]
+        return CycMatrix(comps, block.denom_exp)
+
+    def _s(self, block, conj):
+        scalar = self.scalar.conjugate() if conj else self.scalar
+        # entries of H(X) are sums of n entries of X, and the scalar adds at
+        # most sum |coeffs| of those.  Past int64, transform on Python ints.
+        big = self.n * block.max_abs * sum(map(abs, scalar.coeffs)) >> 63
+        dtype = object if big else np.int64
+        # transform only the nonzero layers; blocks often fill one or two
+        nonzero = [j for j in range(4) if block.comps[j].any()]
+        h = block.comps[nonzero].astype(dtype, copy=False)
+        for layer in h:
+            _walsh_hadamard(layer)
+        out = np.zeros(block.comps.shape, dtype=dtype)
+        for j, layer in zip(nonzero, h.take(self._bx, axis=1)):
+            for t, c in enumerate((scalar * CycEight.zeta_power(j)).coeffs):
+                if c:
+                    out[t] += c * layer
+        return CycMatrix(out, block.denom_exp + scalar.denom_exp)
+
+    def check_unitary(self):
+        """S S* = I on every basis vector, S* the conjugate transpose of the
+        full matrix of S; raises ValueError otherwise.  Runs once per action."""
+        if not self._unitary:
+            s_star = weil_S(self.q, self.sigma).conjugate_transpose()
+            if self._s(s_star, False) != CycMatrix.identity(self.n):
+                raise ValueError("rho(S) is not unitary; no inverse available")
+            self._unitary = True
+
+    def identity(self):
+        """The identity block, for forms with a <= MAX_DENSE_A."""
+        if self.q.a > MAX_DENSE_A:
+            raise BoundExceeded(
+                f"a = {self.q.a} exceeds the dense Weil bound a <= {MAX_DENSE_A}")
+        return CycMatrix.identity(self.n)
+
+    def apply(self, word, block):
+        """rho(word) block, the word's tokens applied right to left."""
+        for tok in reversed(_check_word(word)):
+            if tok == "T":
+                block = self._t(block, 1)
+            elif tok == "T^-1":
+                block = self._t(block, -1)
+            elif tok == "S":
+                block = self._s(block, False)
+            else:
+                self.check_unitary()
+                block = self._s(block, True)
+        return block
+
+    def matrix(self, word):
+        """rho(word) as a full matrix."""
+        return self.apply(word, self.identity())
+
+
+def _check_word(word):
     word = list(word)
     if not word:
         raise InvalidInput("empty word")
     for tok in word:
-        if tok not in ("S", "T", "S^-1", "T^-1"):
+        if tok not in _TOKENS:
             raise InvalidInput(f"unknown token {tok!r}")
-    tok_map = {}
-    if "S" in word or "S^-1" in word:
-        tok_map["S"] = weil_S(q, sigma)
-    if "S^-1" in word:
-        tok_map["S^-1"] = tok_map["S"].inverse()
-    if "T" in word or "T^-1" in word:
-        tok_map["T"] = weil_T(q)
-        tok_map["T^-1"] = tok_map["T"].conjugate_transpose()
-    out = tok_map[word[0]]
-    for tok in word[1:]:
-        out = out * tok_map[tok]
-    return out
+    return word
+
+
+def weil_T(q):
+    """rho(T) e_gamma = e^(pi i gamma^2) e_gamma."""
+    return WeilAction(q, None).matrix(["T"])
+
+
+def weil_S(q, sigma):
+    """rho(S) e_gamma = i^(-sigma/2) |D|^(-1/2) sum_delta e^(-2 pi i <gamma,delta>) e_delta."""
+    return WeilAction(q, sigma).matrix(["S"])
+
+
+def weil_word(q, sigma, word):
+    """The matrix of a word over S, T and their inverses, a <= MAX_DENSE_A.
+
+    word: iterable of tokens "S", "T", "S^-1", "T^-1".
+    """
+    return WeilAction(q, sigma).matrix(word)
 
 
 def weil_V(q, sigma):
@@ -192,19 +330,36 @@ def one_element(q):
     return _decode(gamma, q.a)
 
 
+def _coset_formula(act, l):
+    # (S T^l)^-1 e_0 = T^-l S^-1 e_0 against the closed form, row x in class k
+    lhs = act.apply(["T^-1"] * l + ["S^-1"], CycMatrix.basis_column(act.n, 0))
+    scalar = act.scalar.conjugate()
+    rhs = np.array([(scalar * CycEight.zeta_power(-2 * l * k)).coeffs for k in range(4)])
+    return lhs == CycMatrix(rhs[act._qh].T[:, :, None], scalar.denom_exp)
+
+
 def coset_formula_check(q, sigma, l):
     """rho((S T^l)^-1) e_0 = i^(sigma/2) 2^(-a/2) sum_k i^(-l k) v_k, exactly."""
-    mat = weil_word(q, sigma, ["S"] + ["T"] * l) if l else weil_S(q, sigma)
-    lhs = mat.inverse().column(0)
-    a = q.a
-    scalar = CycEight.zeta_power(sigma)
-    denom = a // 2
-    if a % 2:
-        scalar = scalar * CycEight.sqrt2()
-        denom = (a + 1) // 2
-    scalar = scalar * CycEight.half_power(denom)
-    rhs = [scalar * CycEight.zeta_power(-2 * l * k) for k in range(4)]
-    return all(lhs[x] == rhs[k] for x, k in enumerate(q.qh_table()))
+    return _coset_formula(WeilAction(q, sigma), l)
+
+
+def relation_checks(q, sigma):
+    """The four checks of `k3lat weil check`, in display order: (ST)^3 = S^2
+    and S^8 = I on the identity block, V^-1 e_0 = e_{1_L}, and the coset
+    formula for l = 0..3.  S S* = I is checked first, on the identity block,
+    by the rho(S)^-1 guard."""
+    act = WeilAction(q, sigma)
+    ident = act.identity()
+    act.check_unitary()
+    s2 = act.apply(["S", "S"], ident)
+    e0 = CycMatrix.basis_column(act.n, 0)
+    e_one = CycMatrix.basis_column(act.n, _encode(one_element(q)))
+    return {
+        "st_cubed_is_s_squared": act.apply(["S", "T"] * 3, ident) == s2,
+        "s_eighth_is_identity": act.apply(["S"] * 6, s2) == ident,
+        "v_inverse_e0_is_e_one": act.apply(["S^-1", "T^-1", "T^-1", "S"], e0) == e_one,
+        "coset_formula": all(_coset_formula(act, l) for l in range(4)),
+    }
 
 
 # ---------------------------------------------------------------------------

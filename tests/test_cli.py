@@ -5,6 +5,9 @@ import json
 import pytest
 
 from k3lat.cli import main
+from k3lat.finiteform import milgram_signature
+from k3lat.lattice import discriminant_form, parse_lattice
+from k3lat.weil import weil_word
 
 
 def run(capsys, *argv):
@@ -104,6 +107,22 @@ def test_weil_matrix(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("expr,word", [
+    ("<2>", "S"), ("M4", "S,T,S"), ("M6", "T^-1,S"), ("M6", "S^-1"), ("U(2)^3", "S,T"),
+])
+def test_weil_matrix_against_per_entry_rendering(capsys, expr, word):
+    q = discriminant_form(parse_lattice(expr))
+    mat = weil_word(q, milgram_signature(q), word.split(","))
+    rows = [[str(mat.entry(i, j)) for j in range(mat.n)] for i in range(mat.n)]
+    width = max(len(s) for row in rows for s in row)
+    text = "".join("  ".join(s.rjust(width) for s in row) + "\n" for row in rows)
+    code, out, _ = run(capsys, "weil", "matrix", expr, "--word", word)
+    assert code == 0 and out == text
+    payload = {"schema": 1, "n": mat.n, "entries": rows}
+    code, out, _ = run(capsys, "weil", "matrix", expr, "--word", word, "--json")
+    assert code == 0 and out == json.dumps(payload, separators=(",", ":")) + "\n"
+
+
 def test_audit_all_json(capsys):
     code, out, _ = run(capsys, "audit", "kodaira", "--all", "--json")
     assert code == 0
@@ -125,6 +144,9 @@ def test_domain_error_exit_2(capsys):
     ("qexp", "psi", "-1"),
     ("weil", "matrix", "U(2)", "--word", "S,X"),
     ("qexp", "eta", "1^-8,2^8,4^-8", "--prec", "-3"),
+    ("weil", "check", "U(2)^2 + E8(2)"),
+    ("weil", "matrix", "U(2)^2 + E8(2)", "--word", "S"),
+    ("vec", "witness", "LambdaK3", "--norm", "4", "--box", "2"),
 ])
 def test_bad_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -17,6 +17,8 @@ from k3lat.geography import fixture_catalog
 from k3lat.lattice import parse_lattice, discriminant_form
 from k3lat.weil import (
     CycMatrix,
+    WeilAction,
+    relation_checks,
     weil_T,
     weil_S,
     weil_word,
@@ -87,6 +89,41 @@ def test_cyc_matrix_product_past_int64():
     a = CycMatrix([[[1 << 40, 1 << 40], [0, 0]], zero, zero, zero], 0)
     b = CycMatrix([[[(1 << 23) + 1, 0], [-(1 << 23), 0]], zero, zero, zero], 0)
     assert (a * b).comps[0].tolist() == [[1 << 40, 0], [0, 0]]
+
+
+def test_s_action_past_int64():
+    """Entries at the 2^45 guard: where the transform could leave int64 it
+    runs on Python ints, so the result is exact or raises OverflowError."""
+    import numpy as np
+
+    half = Fraction(1, 2)
+
+    def diagonal_form(a):  # <2>^a: B = I
+        return FiniteQuadraticForm(a, [half] * a,
+                                   [[half * (i == j) for j in range(a)] for i in range(a)])
+
+    # a = 3: exact against Python-int sums of the defining formula, and a
+    # result past the guard raises
+    q = diagonal_form(3)
+    sigma = milgram_signature(q)
+    act = WeilAction(q, sigma)
+    scalar = CycEight.zeta_power(-sigma) * CycEight.sqrt2() * CycEight.half_power(2)
+    comps = np.zeros((4, 8, 1), dtype=np.int64)
+    x = [1 << 45, -(1 << 45), 0, 0, 0, 0, 0, 0]
+    comps[0, :, 0] = x
+    got = act.apply(["S"], CycMatrix(comps, 0))
+    for i in range(8):
+        expect = scalar * sum((-1) ** (i & j).bit_count() * x[j] for j in range(8))
+        assert got.entry(i, 0) == expect
+    comps[0] = 1 << 45  # sum_y X[y] = 2^48: 2^46 over the final denominator
+    with pytest.raises(OverflowError):
+        act.apply(["S"], CycMatrix(comps, 0))
+    # a = 19: sum_y X[y] = 2^64, which int64 would wrap to 0
+    q = diagonal_form(19)
+    comps = np.zeros((4, 1 << 19, 1), dtype=np.int64)
+    comps[0] = 1 << 45
+    with pytest.raises(OverflowError):
+        WeilAction(q, milgram_signature(q)).apply(["S"], CycMatrix(comps, 0))
 
 
 def test_weil_s_sigma_mismatch():
@@ -249,3 +286,79 @@ def test_weil_s_entries_against_formula():
                 assert abs(complex(S.entry(i, j)) - expect) < 1e-12, (name, x, y)
         checked += 1
     assert checked >= 8
+
+
+# ---------------------------------------------------------------------------
+# the matrix-free action against dense generators and dense products
+
+def dense_S(q, sigma):
+    """rho(S) from its sign matrix (E B E^T) & 1, E the element coordinates."""
+    import numpy as np
+
+    a = q.a
+    scalar = CycEight.zeta_power(-sigma) * CycEight.half_power((a + 1) // 2)
+    if a % 2:
+        scalar = scalar * CycEight.sqrt2()
+    bits = np.arange(a - 1, -1, -1)
+    E = (np.arange(1 << a)[:, None] >> bits) & 1
+    B = (np.array(q.rows, dtype=np.int64)[:, None] >> bits) & 1
+    signs = 1 - 2 * ((E @ B @ E.T) & 1)
+    return CycMatrix(np.array(scalar.coeffs)[:, None, None] * signs, scalar.denom_exp)
+
+
+def dense_T(q):
+    """rho(T): the diagonal of zeta^(4 q(x))."""
+    import numpy as np
+
+    k = 2 * np.array(q.qh_table(), dtype=np.int64)
+    n = len(k)
+    idx = np.arange(n)
+    comps = np.zeros((4, n, n), dtype=np.int64)
+    comps[k % 4, idx, idx] = np.where(k < 4, 1, -1)
+    return CycMatrix(comps, 0)
+
+
+MIXED_WORDS = (["S", "T"], ["T^-1", "S"], ["S^-1", "T", "S"],
+               ["S", "T", "S^-1", "T^-1"], ["T", "T", "S^-1", "S^-1", "T^-1"])
+
+
+def test_actions_against_dense_generators():
+    checked = 0
+    for name, q in catalog_forms(max_a=8):
+        sigma = milgram_signature(q)
+        S, T = dense_S(q, sigma), dense_T(q)
+        act = WeilAction(q, sigma)
+        ident = CycMatrix.identity(1 << q.a)
+        assert act.apply(["S"], ident) == S == weil_S(q, sigma), name
+        assert act.apply(["S^-1"], ident) == S.conjugate_transpose(), name
+        assert act.apply(["T"], ident) == T == weil_T(q), name
+        assert act.apply(["T^-1"], ident) == T.conjugate_transpose(), name
+        checked += 1
+    assert checked >= 8
+
+
+def test_words_and_coset_formula_against_dense_products():
+    checked = 0
+    for name, q in catalog_forms(max_a=6):
+        sigma = milgram_signature(q)
+        S, T = dense_S(q, sigma), dense_T(q)
+        gens = {"S": S, "S^-1": S.inverse(), "T": T, "T^-1": T.conjugate_transpose()}
+        for word in MIXED_WORDS:
+            expect = gens[word[0]]
+            for tok in word[1:]:
+                expect = expect * gens[tok]
+            assert weil_word(q, sigma, word) == expect, (name, word)
+        assert weil_V(q, sigma) == gens["S^-1"] * T * T * S, name
+        # (S T^l)^-1 e_0 from dense products against the closed form
+        a = q.a
+        scalar = CycEight.zeta_power(sigma) * CycEight.half_power((a + 1) // 2)
+        if a % 2:
+            scalar = scalar * CycEight.sqrt2()
+        for l in range(4):
+            col = (S * T ** l).inverse().column(0)
+            dense = all(col[x] == scalar * CycEight.zeta_power(-2 * l * k)
+                        for x, k in enumerate(q.qh_table()))
+            assert coset_formula_check(q, sigma, l) == dense, (name, l)
+        assert all(relation_checks(q, sigma).values()), name
+        checked += 1
+    assert checked >= 10
