@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .errors import K3LatError, InvalidInput
 from .lattice import parse_lattice, discriminant_form, main_invariant
-from .finiteform import milgram_signature, form_invariants
+from .finiteform import milgram_signature
 from .geography import geography_table, k3_triplet_realizable
 from .vectors import short_vectors, witness_vector
 from .qseries import DEFAULT_PREC, eta_quotient, theta_series, psi_m
@@ -130,14 +130,15 @@ def _vec_witness(args):
     return 0
 
 
-def _series_payload(f):
-    return [[_frac(e), _frac(c)] for e, c in f.terms()]
-
-
-def _print_series(f):
+def _emit_series(args, f):
+    if args.json:
+        _emit_json({"schema": SCHEMA, "prec": _frac(f.prec),
+                    "terms": [[_frac(e), _frac(c)] for e, c in f.terms()]})
+        return 0
     for e, c in f.terms():
         print(f"q^{_frac(e):>8}  {_frac(c)}")
     print(f"precision {_frac(f.prec)}")
+    return 0
 
 
 def _qexp_eta(args):
@@ -148,33 +149,15 @@ def _qexp_eta(args):
             spec.append((int(s), int(m or 1)))
         except ValueError:
             raise InvalidInput(f"eta factor {part!r} is not of the form s or s^m") from None
-    f = eta_quotient(spec, args.prec)
-    if args.json:
-        _emit_json({"schema": SCHEMA, "prec": _frac(f.prec),
-                    "terms": _series_payload(f)})
-        return 0
-    _print_series(f)
-    return 0
+    return _emit_series(args, eta_quotient(spec, args.prec))
 
 
 def _qexp_theta(args):
-    f = theta_series(args.kind, args.prec)
-    if args.json:
-        _emit_json({"schema": SCHEMA, "prec": _frac(f.prec),
-                    "terms": _series_payload(f)})
-        return 0
-    _print_series(f)
-    return 0
+    return _emit_series(args, theta_series(args.kind, args.prec))
 
 
 def _qexp_psi(args):
-    f = psi_m(args.m, args.prec)
-    if args.json:
-        _emit_json({"schema": SCHEMA, "prec": _frac(f.prec),
-                    "terms": _series_payload(f)})
-        return 0
-    _print_series(f)
-    return 0
+    return _emit_series(args, psi_m(args.m, args.prec))
 
 
 def _weil_form(expr):
@@ -187,13 +170,13 @@ def _weil_check(args):
     q, sigma = _weil_form(args.expr)
     checks = relation_checks(q, sigma)
     one = one_element(q)
-    a, delta, sig = form_invariants(q)
-    payload = {"schema": SCHEMA, "a": a, "delta": delta, "sigma": sig,
+    a, delta = q.a, q.delta()
+    payload = {"schema": SCHEMA, "a": a, "delta": delta, "sigma": sigma,
                "one_element": list(one), "checks": checks}
     if args.json:
         _emit_json(payload)
     else:
-        print(f"form invariants (a, delta, sigma) = ({a}, {delta}, {sig})")
+        print(f"form invariants (a, delta, sigma) = ({a}, {delta}, {sigma})")
         print(f"1_L = {list(one)}")
         for name, ok in checks.items():
             print(f"{name:28s} {'ok' if ok else 'FAILED'}")

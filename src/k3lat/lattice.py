@@ -477,24 +477,23 @@ def _atom_lattice(tok, pos):
         n = int(tok[2:-1])
         if n == 0:
             raise ParseError("scale factor must be nonzero", pos)
-        out = rescale(hyperbolic_plane(), n)
-        out.expr = f"U({n})"
-        return out
+        return rescale(hyperbolic_plane(), n)
     if tok == "E8":
         return e8_lattice()
     if tok.startswith("E8("):
         n = int(tok[3:-1])
         if n == 0:
             raise ParseError("scale factor must be nonzero", pos)
-        out = rescale(e8_lattice(), n)
-        out.expr = f"E8({n})"
-        return out
+        return rescale(e8_lattice(), n)
     if tok == "A1":
         out = span_lattice(-2)
         out.expr = "A1"
         return out
     if tok.startswith("M"):
-        return m_lattice(int(tok[1:]))
+        n = int(tok[1:])
+        if n < 1:
+            raise ParseError("M_n needs n >= 1", pos)
+        return m_lattice(n)
     if tok == "LambdaK3":
         return k3_lattice()
     if tok.startswith("<"):

@@ -7,7 +7,7 @@ the dual.
 import math
 from fractions import Fraction
 
-from .errors import NotDefinite, BoundExceeded
+from .errors import NotDefinite, BoundExceeded, InvalidInput
 
 # Nodes (coordinate choices) a witness search may visit before it gives up;
 # about a second of search.  The searches the Kodaira audit runs need at most
@@ -84,7 +84,7 @@ def witness_vector(L, target_norm, box):
     means the whole box was searched.
     """
     if box < 1:
-        raise ValueError("box must be >= 1")
+        raise InvalidInput("box must be >= 1")
     n = L.rank
     gram = L.gram
     # setting coords[i] = x adds x (2 sum_{j<i} G_ij x_j + G_ii x) to the norm

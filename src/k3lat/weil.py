@@ -8,7 +8,10 @@ zeta-components) over a common power-of-two denominator.  Words in S and T
 act on such blocks without dense generator matrices: rho(T) is a diagonal of
 8th roots of unity, and rho(S) is a character sum, one fast Walsh-Hadamard
 transform over the 2^a axis (Scheithauer, IMRN 2009; Stromberg, Math. Z.
-2013), so each generator costs O(a 2^a) per column.
+2013), so each generator costs O(a 2^a) per column.  rho(S)^-1 is the same
+transform times the conjugate scalar; the Gauss sum behind that scalar is
+what certifies rho(S) unitary (see weil_scalar), so no dense product checks
+it.  Only full matrices are capped in a (MAX_DENSE_A).
 """
 
 from fractions import Fraction
@@ -34,8 +37,9 @@ from .qseries import (
     split_congruence,
 )
 
-# Largest a for which a word is built as a full 2^a x 2^a matrix.  At a = 10
-# (n = 1024) `weil check` takes about 1.3 s and peaks near 190 MB on a 2-vCPU
+# Largest a for which a word is built as a full 2^a x 2^a matrix; words
+# acting on a few columns, such as e_0, have no cap.  At a = 10
+# (n = 1024) `weil check` takes about 1.2 s and peaks near 165 MB on a 2-vCPU
 # Xeon VM; each step up in a quadruples both (one dense block at a = 12 holds
 # 4 x 4096^2 int64, 512 MB).
 MAX_DENSE_A = 10
@@ -171,7 +175,15 @@ def _walsh_hadamard(x):
 
 def weil_scalar(q, sigma):
     """i^(-sigma/2) 2^(-a/2), the scalar of rho(S); rho(S)^-1 and the coset
-    formula use its conjugate."""
+    formula use its conjugate.
+
+    Its Gauss sum is also the guard that rho(S)^-1 = rho(S)*.  The entry
+    (S S*)[x, x'] = 2^-a sum_y (-1)^(2b(x + x', y)) is delta_{x, x'} exactly
+    when 2b has no radical R.  On R, q is a sign character, so the Gauss sum
+    of a degenerate form vanishes if that character is nontrivial and has
+    magnitude sqrt(|D| |R|), not sqrt|D|, if it is trivial: either way
+    milgram_signature raises DegenerateForm.
+    """
     if sigma % 8 != milgram_signature(q):
         raise SignatureMismatch(
             f"sigma = {sigma} mod 8 does not match the Gauss sum")
@@ -191,17 +203,17 @@ class WeilAction:
     (rho(S) X)[x] = scalar * sum_y (-1)^(2b(x, y)) X[y] = scalar * H(X)[Bx],
     with H the Walsh-Hadamard transform over the bits of the element ints
     and B the F2 matrix of 2b (read at Bx after the transform, so a singular
-    B needs no inverse).  rho(S)^-1 applies the conjugate scalar, once
-    S S* = I has been checked exactly on every basis vector.  sigma is read
-    only by S; None serves words in T alone.  Each generator costs O(a 2^a)
-    per column; a block of m columns costs O(m a 2^a).
+    B needs no inverse).  rho(S)^-1 applies the conjugate scalar: S is
+    symmetric, and unitary whenever weil_scalar accepts the form.  sigma is
+    read only by S; None serves words in T alone.  Each generator costs
+    O(a 2^a) per column; a block of m columns costs O(m a 2^a), and only the
+    full identity block is capped at a <= MAX_DENSE_A.
     """
 
     def __init__(self, q, sigma):
         self.q = q
         self.sigma = sigma
         self.n = 1 << q.a
-        self._unitary = False
 
     @cached_property
     def scalar(self):
@@ -246,15 +258,6 @@ class WeilAction:
                     out[t] += c * layer
         return CycMatrix(out, block.denom_exp + scalar.denom_exp)
 
-    def check_unitary(self):
-        """S S* = I on every basis vector, S* the conjugate transpose of the
-        full matrix of S; raises ValueError otherwise.  Runs once per action."""
-        if not self._unitary:
-            s_star = weil_S(self.q, self.sigma).conjugate_transpose()
-            if self._s(s_star, False) != CycMatrix.identity(self.n):
-                raise ValueError("rho(S) is not unitary; no inverse available")
-            self._unitary = True
-
     def identity(self):
         """The identity block, for forms with a <= MAX_DENSE_A."""
         if self.q.a > MAX_DENSE_A:
@@ -269,11 +272,8 @@ class WeilAction:
                 block = self._t(block, 1)
             elif tok == "T^-1":
                 block = self._t(block, -1)
-            elif tok == "S":
-                block = self._s(block, False)
             else:
-                self.check_unitary()
-                block = self._s(block, True)
+                block = self._s(block, tok == "S^-1")
         return block
 
     def matrix(self, word):
@@ -346,12 +346,11 @@ def coset_formula_check(q, sigma, l):
 def relation_checks(q, sigma):
     """The four checks of `k3lat weil check`, in display order: (ST)^3 = S^2
     and S^8 = I on the identity block, V^-1 e_0 = e_{1_L}, and the coset
-    formula for l = 0..3.  S S* = I is checked first, on the identity block,
-    by the rho(S)^-1 guard."""
+    formula for l = 0..3.  The last two act on the column e_0 and use
+    rho(S)^-1, which needs no check of its own (see weil_scalar)."""
     act = WeilAction(q, sigma)
     ident = act.identity()
-    act.check_unitary()
-    s2 = act.apply(["S", "S"], ident)
+    s2 = act.apply(["S"], weil_S(q, sigma))
     e0 = CycMatrix.basis_column(act.n, 0)
     e_one = CycMatrix.basis_column(act.n, _encode(one_element(q)))
     return {

@@ -147,6 +147,10 @@ def test_domain_error_exit_2(capsys):
     ("weil", "check", "U(2)^2 + E8(2)"),
     ("weil", "matrix", "U(2)^2 + E8(2)", "--word", "S"),
     ("vec", "witness", "LambdaK3", "--norm", "4", "--box", "2"),
+    ("vec", "witness", "E8", "--norm", "-2", "--box", "0"),
+    ("vec", "witness", "E8", "--norm", "-2", "--box", "-1"),
+    ("lat", "info", "M0"),
+    ("weil", "check", "U(2) + M0"),
 ])
 def test_bad_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

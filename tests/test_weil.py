@@ -1,5 +1,6 @@
 """The Weil representation: exact metaplectic relations over the catalog,
-unitarity, the coset formula, lift component shapes, and equivariance."""
+unitarity and its Gauss-sum guard, the coset formula, lift component
+shapes, and equivariance."""
 
 from fractions import Fraction
 from itertools import product
@@ -10,12 +11,14 @@ from k3lat.errors import DegenerateForm, SignatureMismatch, UnsupportedInvariant
 from k3lat.exactalg import CycEight
 from k3lat.finiteform import (
     FiniteQuadraticForm,
+    _encode,
     milgram_signature,
     induced_disc_action,
 )
 from k3lat.geography import fixture_catalog
 from k3lat.lattice import parse_lattice, discriminant_form
 from k3lat.weil import (
+    MAX_DENSE_A,
     CycMatrix,
     WeilAction,
     relation_checks,
@@ -29,6 +32,7 @@ from k3lat.weil import (
     lift_B,
     principal_part,
     psi_m_slash_V,
+    weil_scalar,
 )
 
 
@@ -362,3 +366,55 @@ def test_words_and_coset_formula_against_dense_products():
         assert all(relation_checks(q, sigma).values()), name
         checked += 1
     assert checked >= 10
+
+
+# ---------------------------------------------------------------------------
+# rho(S)^-1 = rho(S)* rests on the Gauss-sum guard alone
+
+def all_forms(a):
+    """Every FiniteQuadraticForm on (Z/2)^a: q(e_i) in (1/2)Z mod 2, and
+    b(e_i, e_j) in {0, 1/2} above the diagonal."""
+    half = Fraction(1, 2)
+    pairs = [(i, j) for i in range(a) for j in range(i + 1, a)]
+    for q_gen in product(range(4), repeat=a):
+        for off in product((0, 1), repeat=len(pairs)):
+            b = [[half * (q_gen[i] % 2) * (i == j) for j in range(a)] for i in range(a)]
+            for (i, j), bit in zip(pairs, off):
+                b[i][j] = b[j][i] = half * bit
+            yield FiniteQuadraticForm(a, [half * h for h in q_gen], b)
+
+
+def test_degenerate_forms_have_no_weil_scalar():
+    """Every degenerate form with a <= 3 fails the Gauss sum, whatever sigma,
+    so rho(S)^-1 never acts for a form where S S* != I."""
+    reasons = []
+    for a in range(1, 4):
+        for q in all_forms(a):
+            if q.is_nondegenerate():
+                continue
+            S = dense_S(q, 0)
+            assert S * S.conjugate_transpose() != CycMatrix.identity(1 << a)
+            for sigma in range(8):
+                with pytest.raises(DegenerateForm) as exc:
+                    weil_scalar(q, sigma)
+                reasons.append(str(exc.value))
+                with pytest.raises(DegenerateForm):
+                    WeilAction(q, sigma).apply(["S^-1"], CycMatrix.basis_column(1 << a, 0))
+    assert len(reasons) == 8 * 306
+    assert reasons.count("Gauss sum vanishes") == 8 * 171
+    assert reasons.count("Gauss sum has the wrong magnitude") == 8 * 135
+
+
+@pytest.mark.parametrize("expr", ["<2>^2 + <-2>^9", "U(2)^2 + E8(2)"])
+def test_column_checks_past_the_dense_bound(expr):
+    """V^-1 e_0 and the coset formula act on one column, so they run at
+    a > MAX_DENSE_A, where a full matrix is refused."""
+    q = discriminant_form(parse_lattice(expr))
+    sigma = milgram_signature(q)
+    act = WeilAction(q, sigma)
+    assert q.a > MAX_DENSE_A
+    e0 = CycMatrix.basis_column(act.n, 0)
+    e_one = CycMatrix.basis_column(act.n, _encode(one_element(q)))
+    assert act.apply(["S^-1", "T^-1", "T^-1", "S"], e0) == e_one
+    for l in range(4):
+        assert coset_formula_check(q, sigma, l), l
