@@ -4,9 +4,9 @@ audit, with stable JSON output for scripting.
 """
 
 import argparse
+import functools
 import json
 import sys
-from fractions import Fraction
 
 from .errors import K3LatError, InvalidInput
 from .lattice import parse_lattice, discriminant_form, main_invariant
@@ -33,10 +33,6 @@ def _emit_json(payload):
 def _big(n):
     """Determinants and group orders may exceed 64 bits; keep them lossless."""
     return str(n)
-
-
-def _frac(x):
-    return str(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +128,12 @@ def _vec_witness(args):
 
 def _emit_series(args, f):
     if args.json:
-        _emit_json({"schema": SCHEMA, "prec": _frac(f.prec),
-                    "terms": [[_frac(e), _frac(c)] for e, c in f.terms()]})
+        _emit_json({"schema": SCHEMA, "prec": str(f.prec),
+                    "terms": [[str(e), str(c)] for e, c in f.terms()]})
         return 0
     for e, c in f.terms():
-        print(f"q^{_frac(e):>8}  {_frac(c)}")
-    print(f"precision {_frac(f.prec)}")
+        print(f"q^{str(e):>8}  {c}")
+    print(f"precision {f.prec}")
     return 0
 
 
@@ -329,9 +325,15 @@ def build_parser():
     return p
 
 
+# argparse keeps no state between parse_args calls (set_defaults values are
+# copied into each new Namespace, and usage errors and --help look up
+# sys.stdout/sys.stderr when they print), so one parser serves every main()
+# call in a process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except K3LatError as exc:

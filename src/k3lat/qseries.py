@@ -19,11 +19,18 @@ import cmath
 from fractions import Fraction
 from math import gcd
 
-from .errors import NonIntegerExponents, InsufficientPrecision, InvalidInput
+from .errors import (NonIntegerExponents, InsufficientPrecision, InvalidInput,
+                     BoundExceeded)
 
 N = 24  # universal exponent denominator
 
 DEFAULT_PREC = 32
+
+# The largest precision eta_quotient, theta_series and psi_m are asked for;
+# psi_m works at prec + 2.  psi_m(7, 1998) takes about 0.8 s on a 2-vCPU Xeon
+# VM, and the time grows as about prec^2.2.  lift_B at precision p asks for psi_m at 4p + 4
+# (at p = 60, the largest the tests use, that is 244), so it stops at p = 498.
+MAX_PREC = 2000
 
 # operands at most this long are multiplied term by term; past it, packing
 # into big integers costs less than the Python-level double loop
@@ -35,6 +42,14 @@ def _to_units(e):
     if u.denominator != 1:
         raise ValueError(f"exponent {e} is not a multiple of 1/{N}")
     return int(u)
+
+
+def _check_prec(prec, extra=0):
+    """Raise BoundExceeded unless a series asked for at prec, computed at
+    prec + extra, stays within MAX_PREC."""
+    if prec + extra > MAX_PREC:
+        raise BoundExceeded(
+            f"precision {prec} is past the q-series bound {MAX_PREC - extra}")
 
 
 def _span(lead, step, prec_units):
@@ -370,6 +385,7 @@ def eta_quotient(spec, prec):
     """prod eta(s*tau)^m for (s, m) pairs; negative exponents allowed."""
     if not spec:
         raise InvalidInput("empty eta quotient")
+    _check_prec(prec)
     # the leading exponent is sum s*m/24; compute factors with enough slack
     lead = sum(Fraction(s * m, N) for s, m in spec)
     slack = Fraction(_to_units(prec), N) - min(lead, 0)
@@ -385,6 +401,7 @@ def eta_quotient(spec, prec):
 
 def theta_series(kind, prec):
     """Theta of <2>: sum q^(n^2) ("integral") or sum q^((n+1/2)^2) ("shifted")."""
+    _check_prec(prec)
     prec_u = _to_units(prec)
     if kind == "integral":
         n = _span(0, N, prec_u)
@@ -410,6 +427,7 @@ def psi_m(m, prec):
     """eta_{1^-8 2^8 4^-8}^2 theta^(8+m) - 2(m+16) eta_{1^-8 2^8 4^-8} theta^m."""
     if m < 0:
         raise InvalidInput("m must be >= 0")
+    _check_prec(prec, 2)
     work = Fraction(prec) + 2  # the eta quotient pole costs two units
     etaq = eta_quotient([(1, -8), (2, 8), (4, -8)], work)
     theta = theta_series("integral", work)

@@ -9,16 +9,18 @@ from fractions import Fraction
 
 from .errors import NotDefinite, BoundExceeded, InvalidInput
 
-# Nodes (coordinate choices) a witness search may visit before it gives up;
-# about a second of search.  The searches the Kodaira audit runs need at most
-# 16,421.
+# Nodes (coordinate choices) a witness search or a Fincke-Pohst enumeration
+# may visit before it gives up; about a second of search.  The searches the
+# Kodaira audit runs need at most 16,421 nodes; short_vectors on E8 needs
+# 9,196 at bound 6 and 49,464 at bound 10, and exceeds the budget at bound 24.
 WITNESS_NODE_BUDGET = 1_000_000
 
 
 def short_vectors(L, bound):
     """All nonzero vectors of |norm| <= bound in a definite lattice, up to
     sign.  Returns (vector, norm) pairs sorted by (|norm|, vector); norms
-    carry the sign of the lattice.
+    carry the sign of the lattice.  Raises BoundExceeded after
+    WITNESS_NODE_BUDGET search nodes.
     """
     n_plus, n_minus = L.signature()
     if n_plus and n_minus:
@@ -49,11 +51,13 @@ def short_vectors(L, bound):
     budget = math.floor(Fraction(bound) * scale)
     out = []
     coords = [0] * n
+    left = WITNESS_NODE_BUDGET
 
     def descend(i, remaining, half):
         """Choose coords[i] given the budget left for levels <= i; while
         every higher coordinate is zero (half), only x_i >= 0, so each +-v
         pair is met once."""
+        nonlocal left
         if i < 0:
             if not half:
                 out.append((tuple(coords), sign * ((budget - remaining) // scale)))
@@ -62,7 +66,12 @@ def short_vectors(L, bound):
         s = sum(c * coords[j] for j, c in nums[i])
         t = math.isqrt(remaining // k)  # |d x + s| <= t
         lo = 0 if half else -((s + t) // d)
-        for x in range(lo, (t - s) // d + 1):
+        hi = (t - s) // d + 1
+        left -= hi - lo  # this node's children, counted in one step
+        if left < 0:
+            raise BoundExceeded(
+                f"Fincke-Pohst passed {WITNESS_NODE_BUDGET} nodes; use a smaller bound")
+        for x in range(lo, hi):
             coords[i] = x
             val = d * x + s
             descend(i - 1, remaining - k * val * val, half and not x)

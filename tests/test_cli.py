@@ -1,9 +1,13 @@
 """Command-line interface: golden outputs, exit codes, JSON stability."""
 
+import argparse
+import contextlib
+import io
 import json
 
 import pytest
 
+from k3lat import cli
 from k3lat.cli import main
 from k3lat.finiteform import milgram_signature
 from k3lat.lattice import discriminant_form, parse_lattice
@@ -151,6 +155,11 @@ def test_domain_error_exit_2(capsys):
     ("vec", "witness", "E8", "--norm", "-2", "--box", "-1"),
     ("lat", "info", "M0"),
     ("weil", "check", "U(2) + M0"),
+    ("qexp", "eta", "1^-8,2^8,4^-8", "--prec", "100000000"),
+    ("qexp", "eta", "1^-24", "--prec", "2001"),
+    ("qexp", "theta", "integral", "--prec", "2001"),
+    ("qexp", "psi", "7", "--prec", "1999"),
+    ("vec", "short", "E8", "--bound", "100"),
 ])
 def test_bad_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -170,3 +179,76 @@ def test_deterministic_output(capsys):
     code1, out1, _ = run(capsys, "audit", "kodaira", "--all", "--json")
     code2, out2, _ = run(capsys, "audit", "kodaira", "--all", "--json")
     assert out1 == out2
+
+
+# In-process calls whose parses could leak into one another through a reused
+# parser: defaults after explicit values, --json then text, the mutually
+# exclusive group, usage errors, --help and unknown verbs.
+REUSE_CALLS = [
+    ["geo", "list", "--count"],
+    ["lat", "info", "U + E8(2)", "--json"],
+    ["lat", "info", "U + E8(2)"],
+    ["audit", "kodaira", "--all"],
+    ["audit", "kodaira", "--triplet", "17", "5", "1"],
+    ["audit", "kodaira", "--all", "--triplet", "17", "5", "1"],
+    ["audit", "kodaira"],
+    ["audit", "kodaira", "--triplet", "13", "9", "1", "--json"],
+    ["audit", "kodaira", "--triplet", "13", "9", "1"],
+    ["vec", "witness", "U", "--norm", "-4", "--box", "1", "--json"],
+    ["vec", "witness", "U", "--norm", "-4"],
+    ["vec", "short", "E8", "--bound", "2"],
+    ["vec", "short", "E8", "--bound", "x"],
+    ["qexp", "eta", "1^-8,2^8,4^-8", "--prec", "4", "--json"],
+    ["qexp", "eta", "1^-8,2^8,4^-8"],
+    ["qexp", "theta", "shifted", "--prec", "6"],
+    ["qexp", "theta", "bogus"],
+    ["qexp", "psi", "7", "--prec", "3"],
+    ["weil", "check", "U(2)", "--json"],
+    ["weil", "check", "U(2)"],
+    ["weil", "matrix", "<2>", "--word", "S,T"],
+    ["weil", "matrix", "<2>"],
+    ["weil", "--help"],
+    ["--help"],
+    ["frobnicate"],
+    ["lat", "frob"],
+    ["geo", "list", "--bogus"],
+    ["lat", "info", "<2> + ??"],
+    [],
+]
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_main_reuses_one_parser(monkeypatch):
+    """main() keeps one parser per process; every call, run twice in one
+    process, prints what a freshly built parser prints."""
+    reused = [_call(argv) for argv in REUSE_CALLS * 2]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = [_call(argv) for argv in REUSE_CALLS * 2]
+    for argv, got, want in zip(REUSE_CALLS * 2, reused, fresh):
+        assert got == want, argv
+
+    inits = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(type(self))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser()
+    one_build = len(inits)
+    assert one_build > 1
+    del inits[:]
+    for _ in range(20):
+        _call(["geo", "list", "--count"])
+    assert len(inits) <= one_build

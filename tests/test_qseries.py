@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3lat.errors import InsufficientPrecision, NonIntegerExponents
+from k3lat.errors import BoundExceeded, InsufficientPrecision, NonIntegerExponents
 from k3lat.qseries import (
     FracSeries,
     eta_series,
@@ -18,6 +18,7 @@ from k3lat.qseries import (
     split_congruence,
     eval_numeric,
     DEFAULT_PREC,
+    MAX_PREC,
 )
 
 
@@ -213,3 +214,18 @@ def test_theta_inversion_numeric():
     lhs = eval_numeric(th, -1 / (4 * tau))
     rhs = cmath.sqrt(-2j * tau) * eval_numeric(th, tau)
     assert abs(lhs - rhs) < 1e-9
+
+
+def test_precision_bound():
+    """Up to MAX_PREC the series are computed; past it eta_quotient,
+    theta_series and psi_m (which works two units higher) raise at once."""
+    assert theta_series("integral", MAX_PREC).prec == MAX_PREC
+    assert eta_quotient([(1, 1)], MAX_PREC).prec == MAX_PREC
+    start = time.perf_counter()
+    for call in (lambda: eta_quotient([(1, -24)], MAX_PREC + 1),
+                 lambda: eta_quotient([(1, -8), (2, 8), (4, -8)], 10 ** 8),
+                 lambda: theta_series("shifted", Fraction(MAX_PREC * 4 + 1, 4)),
+                 lambda: psi_m(7, MAX_PREC - 1)):
+        with pytest.raises(BoundExceeded):
+            call()
+    assert time.perf_counter() - start < 1

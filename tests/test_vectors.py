@@ -10,7 +10,8 @@ import pytest
 
 import numpy as np
 
-from k3lat.errors import NotDefinite
+from k3lat import vectors
+from k3lat.errors import BoundExceeded, NotDefinite
 from k3lat.lattice import (
     Lattice,
     parse_lattice,
@@ -137,6 +138,16 @@ def test_rescaled_roots():
     roots = short_vectors(rescale(e8_lattice(), 2), 4)
     assert len(roots) == 120
     assert all(n == -4 for _, n in roots)
+
+
+def test_fincke_pohst_node_budget(monkeypatch):
+    """E8 at bound 6 visits 9,196 nodes, far under WITNESS_NODE_BUDGET; one
+    node less of budget and the enumeration raises instead of truncating."""
+    monkeypatch.setattr(vectors, "WITNESS_NODE_BUDGET", 9196)
+    assert len(short_vectors(e8_lattice(), 6)) == 4560
+    monkeypatch.setattr(vectors, "WITNESS_NODE_BUDGET", 9195)
+    with pytest.raises(BoundExceeded):
+        short_vectors(e8_lattice(), 6)
 
 
 def test_indefinite_rejected():
