@@ -6,6 +6,7 @@ isogeny finder, the (g, k) fixed-locus formulas, and a catalog of every
 named lattice construction used elsewhere in the package.
 """
 
+import functools
 from fractions import Fraction
 
 from .errors import NotRealizable
@@ -15,7 +16,6 @@ from .finiteform import (
     quotient_form,
 )
 from .lattice import (
-    GlueSpec,
     direct_sum,
     discriminant_form,
     dual_rescaled,
@@ -33,48 +33,30 @@ from .lattice import (
 )
 
 
-def _form_exists(a, delta, sigma):
-    """Whether a 2-elementary finite quadratic form with invariants
-    (a, delta, sigma mod 8) exists.
-
-    Enumerates decompositions into the four building blocks: the two
-    rank-one odd blocks (sigma +/-1, delta 1), and the even blocks u
-    (sigma 0) and v (sigma 4), both of length 2.
-    """
-    if a < 0:
-        return False
-    for j in range(a + 1):
-        for k in range(a - j + 1):
-            rem = a - j - k
-            if rem % 2:
-                continue
-            if (j + k > 0) != (delta == 1):
-                continue
-            for n in range(rem // 2 + 1):
-                if (j - k + 4 * n - sigma) % 8 == 0:
-                    return True
-    return False
-
-
 def _lattice_exists(t_plus, t_minus, a, delta, sigma):
-    """Even 2-elementary lattice existence with the given signature and
-    form invariants (Nikulin's conditions).
+    """Whether an even 2-elementary lattice of signature (t_plus, t_minus)
+    with form invariants (a, delta, sigma mod 8) exists.
+
+    Nikulin's existence theorem ("Integral symmetric bilinear forms and some
+    of their applications", 1979, Thm 3.6.2), with r = t_plus + t_minus and
+    s = t_plus - t_minus mod 8; Milgram's formula asks for s = sigma.
     """
-    if t_plus < 0 or t_minus < 0 or a < 0:
+    if t_plus < 0 or t_minus < 0:
         return False
-    if t_plus + t_minus < a:
+    r = t_plus + t_minus
+    s = (t_plus - t_minus) % 8
+    if s != sigma % 8 or not 0 <= a <= r or (r - a) % 2:
         return False
-    if (t_plus + t_minus - a) % 2:
+    if delta == 0 and s % 4:
         return False
-    if (t_plus - t_minus - sigma) % 8:
-        return False
-    if not _form_exists(a, delta, sigma % 8):
-        return False
-    # boundary rank = a: the gram matrix is twice a unimodular one, and an
-    # even unimodular form needs signature divisible by 8 when delta = 0
-    if t_plus + t_minus == a and delta == 0 and (t_plus - t_minus) % 8:
-        return False
-    return True
+    if a == 0:
+        return delta == 0 and s == 0
+    if a == 1:
+        return s in (1, 7)
+    if a == 2 and s == 4:
+        return delta == 0
+    # rank = a: the gram matrix is twice an even unimodular one when delta = 0
+    return not (delta == 0 and a == r and s)
 
 
 def lattice_exists(sig, q):
@@ -111,6 +93,7 @@ NAMED_TRIPLETS = [
 class GeographyEntry:
     def __init__(self, r, a, delta):
         self.triplet = (r, a, delta)
+        # the fixed locus is a genus-g curve and k rational curves
         self.g = 11 - (r + a) // 2
         self.k = (r - a) // 2
         self.named = (r, a, delta) in NAMED_TRIPLETS
@@ -122,28 +105,20 @@ class GeographyEntry:
 
 def geography_table():
     """All realizable triplets, ordered by (r, a, delta); 75 entries."""
-    out = []
-    for r in range(1, 21):
-        for a in range(0, 23):
-            for delta in (0, 1):
-                if k3_triplet_realizable(r, a, delta):
-                    out.append(GeographyEntry(r, a, delta))
-    return out
+    return [GeographyEntry(r, a, delta) for r in range(1, 21) for a in range(23)
+            for delta in (0, 1) if k3_triplet_realizable(r, a, delta)]
+
+
+_FIXED_LOCUS_KIND = {(10, 10, 0): "empty", (10, 8, 0): "two-elliptic-curves"}
 
 
 def geometric_invariants(r, a, delta):
     """(g, k, fixed_locus_kind) of the involution fixed locus."""
     if not k3_triplet_realizable(r, a, delta):
         raise NotRealizable(f"({r},{a},{delta}) is not a K3 main invariant")
-    g = 11 - (r + a) // 2
-    k = (r - a) // 2
-    if (r, a, delta) == (10, 10, 0):
-        kind = "empty"
-    elif (r, a, delta) == (10, 8, 0):
-        kind = "two-elliptic-curves"
-    else:
-        kind = "curves"
-    return g, k, kind
+    entry = GeographyEntry(r, a, delta)
+    kind = _FIXED_LOCUS_KIND.get(entry.triplet, "curves")
+    return entry.g, entry.k, kind
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +143,10 @@ def find_isogeny_glue(L, a_target, delta_target):
         a2, d2, _ = form_invariants(qq)
         if (a2, d2) != (a_target, delta_target):
             continue
-        vectors = []
-        for gen in G.generators:
-            vec = [Fraction(0)] * L.rank
-            for i, bit in enumerate(gen):
-                if bit:
-                    vec = [x + y for x, y in zip(vec, lifts[i])]
-            vectors.append(vec)
-        M, _index = overlattice(L, GlueSpec(vectors))
+        # each generator lifts to the sum of the lifts of its nonzero coordinates
+        vectors = [[sum(col) for col in zip(*(lifts[i] for i, bit in enumerate(gen) if bit))]
+                   for gen in G.generators]
+        M, _index = overlattice(L, vectors)
         inv = main_invariant(M)
         if (inv.a, inv.delta) == (a_target, delta_target):
             return G, M
@@ -185,111 +156,77 @@ def find_isogeny_glue(L, a_target, delta_target):
 # ---------------------------------------------------------------------------
 # constructive witnesses by block sums
 
-_HALF = Fraction(1, 2)
+@functools.cache
+def _witness_blocks():
+    """The standard blocks with their main invariants (r_plus, r_minus, a,
+    delta), in search order."""
+    blocks = (hyperbolic_plane(), rescale(hyperbolic_plane(), 2), span_lattice(2),
+              span_lattice(-2), d4_lattice(), e7_lattice(), e8_lattice(),
+              rescale(e8_lattice(), 2))
+    return tuple((L, main_invariant(L).as_tuple()) for L in blocks)
 
 
-def _blocks():
-    return [
-        ("U", hyperbolic_plane(), (1, 1, 0, 0)),
-        ("U(2)", rescale(hyperbolic_plane(), 2), (1, 1, 2, 0)),
-        ("<2>", span_lattice(2), (1, 0, 1, 1)),
-        ("<-2>", span_lattice(-2), (0, 1, 1, 1)),
-        ("D4", d4_lattice(), (0, 4, 2, 0)),
-        ("E7", e7_lattice(), (0, 7, 1, 1)),
-        ("E8", e8_lattice(), (0, 8, 0, 0)),
-        ("E8(2)", rescale(e8_lattice(), 2), (0, 8, 8, 0)),
-    ]
+def _block_counts(invariants, rest):
+    """Multiplicities of the blocks, in lexicographic order, whose
+    (r_plus, r_minus, a) add up to rest."""
+    if not invariants:
+        if not any(rest):
+            yield ()
+        return
+    head = invariants[0][:3]
+    top = min(x // h for x, h in zip(rest, head) if h)
+    for c in range(top + 1):
+        left = tuple(x - c * h for x, h in zip(rest, head))
+        for tail in _block_counts(invariants[1:], left):
+            yield (c,) + tail
 
 
 def block_sum_witness(t_plus, t_minus, a, delta):
     """An explicit even 2-elementary lattice with the given invariants,
     assembled from standard blocks; None if the search space is exhausted.
+
+    Main invariants add over direct sums (delta is the largest of the
+    summands'), so the first multiplicities that add up to the target and
+    contain an odd block exactly when delta = 1 give the witness.
     """
-    blocks = _blocks()
-    counts = [0] * len(blocks)
-    found = []
-
-    def total(idx):
-        return sum(counts[i] * blocks[i][2][idx] for i in range(len(blocks)))
-
-    def search(i):
-        if found:
-            return
-        if i == len(blocks):
-            if (total(0), total(1), total(2)) != (t_plus, t_minus, a):
-                return
-            has_odd = any(c and blk[2][3] for c, blk in zip(counts, blocks))
-            if has_odd != (delta == 1):
-                return
-            pieces = []
-            for c, (_, lat, _) in zip(counts, blocks):
-                pieces.extend([lat] * c)
-            if not pieces:
-                return
-            L = direct_sum(*pieces) if len(pieces) > 1 else pieces[0]
-            inv = main_invariant(L)
-            if inv.as_tuple() == (t_plus, t_minus, a, delta):
-                found.append(L)
-            return
-        _, _, (p, m, aa, _) = blocks[i]
-        limit = t_plus + t_minus
-        top = limit
-        if p:
-            top = min(top, t_plus // p)
-        if m:
-            top = min(top, t_minus // m)
-        if aa:
-            top = min(top, a // aa)
-        for c in range(top + 1):
-            counts[i] = c
-            if total(0) <= t_plus and total(1) <= t_minus and total(2) <= a:
-                search(i + 1)
-            counts[i] = 0
-
-    search(0)
-    return found[0] if found else None
+    blocks = _witness_blocks()
+    for counts in _block_counts([inv for _, inv in blocks], (t_plus, t_minus, a)):
+        has_odd = any(c and inv[3] for c, (_, inv) in zip(counts, blocks))
+        if any(counts) and has_odd == (delta == 1):
+            return direct_sum(*(L for c, (L, _) in zip(counts, blocks) for _ in range(c)))
+    return None
 
 
 # ---------------------------------------------------------------------------
 # the fixture catalog
 
+_HALF = Fraction(1, 2)
+
+
 def _m10_glued():
     M10 = m_lattice(10)
     v = [Fraction(3, 2)] + [-_HALF] * 9
-    return overlattice(M10, GlueSpec([v]))
+    return overlattice(M10, [v])
 
 
 def _u2_glued():
     base = parse_lattice("U(2) + <-2>^8")
     f1 = [Fraction(3, 2), Fraction(1)] + [-_HALF] * 8
     f2 = [_HALF, Fraction(1)] + [-_HALF] * 8
-    return overlattice(base, GlueSpec([f1, f2]))
+    return overlattice(base, [f1, f2])
 
 
 def _m12_glued():
-    M12 = m_lattice(12)
-    glue = []
-    for i in (1, 2):
-        v = [Fraction(3, 2)] + [Fraction(0)] * 11
-        v[i] = Fraction(-1)
-        for j in range(3, 12):
-            v[j] = -_HALF
-        glue.append(v)
-    return overlattice(M12, GlueSpec(glue))
+    f1 = [Fraction(3, 2), -1, 0] + [-_HALF] * 9
+    f2 = [Fraction(3, 2), 0, -1] + [-_HALF] * 9
+    return overlattice(m_lattice(12), [f1, f2])
 
 
 def _m13_glued():
-    M13 = m_lattice(13)
-    f1 = [_HALF] + [Fraction(0)] * 12
-    for j in (2, 3, 4, 11, 12):
-        f1[j] = -_HALF
-    f2 = [Fraction(1)] + [Fraction(0)] * 12
-    for j in (2, 5, 6, 7, 8, 9, 10, 12):
-        f2[j] = -_HALF
-    f3 = [Fraction(3, 2), Fraction(-1)] + [Fraction(0)] * 11
-    for j in range(3, 12):
-        f3[j] = -_HALF
-    return overlattice(M13, GlueSpec([f1, f2, f3]))
+    f1 = [_HALF, 0, -_HALF, -_HALF, -_HALF] + [0] * 6 + [-_HALF, -_HALF]
+    f2 = [1, 0, -_HALF, 0, 0] + [-_HALF] * 6 + [0, -_HALF]
+    f3 = [Fraction(3, 2), -1, 0] + [-_HALF] * 9 + [0]
+    return overlattice(m_lattice(13), [f1, f2, f3])
 
 
 class Fixture:
@@ -356,7 +293,7 @@ def duality_chain_check():
                         span_lattice(-1), e8_lattice())
     L3 = parse_lattice("U(2)^2 + E8")
     glue = [Fraction(0), Fraction(0), _HALF, _HALF] + [Fraction(0)] * 8
-    M, _ = overlattice(L3, GlueSpec([glue]))
+    M, _ = overlattice(L3, [glue])
 
     def key(X):
         return (X.rank, X.signature(), abs(X.det()), X.is_even())

@@ -32,6 +32,13 @@ DEFAULT_PREC = 32
 # (at p = 60, the largest the tests use, that is 244), so it stops at p = 498.
 MAX_PREC = 2000
 
+# The largest sum of |m| over the factors eta(s*tau)^m of an eta quotient.
+# Powers cost more as |m| grows, and a pole adds its order to the working
+# precision: at MAX_PREC, 1^-24 takes about 1.0 s and 1^-48 about 1.5 s as
+# fresh `qexp eta` processes on a 2-vCPU Xeon VM; at precision 32, 1^-12000
+# takes 2.2 s.  The quotients the package uses have sum |m| <= 24.
+MAX_ETA_EXPONENTS = 48
+
 # operands at most this long are multiplied term by term; past it, packing
 # into big integers costs less than the Python-level double loop
 SCHOOLBOOK_MAX = 20
@@ -386,6 +393,10 @@ def eta_quotient(spec, prec):
     if not spec:
         raise InvalidInput("empty eta quotient")
     _check_prec(prec)
+    weight = sum(abs(m) for _, m in spec)
+    if weight > MAX_ETA_EXPONENTS:
+        raise BoundExceeded(
+            f"sum of |exponents| {weight} is past the eta-quotient bound {MAX_ETA_EXPONENTS}")
     # the leading exponent is sum s*m/24; compute factors with enough slack
     lead = sum(Fraction(s * m, N) for s, m in spec)
     slack = Fraction(_to_units(prec), N) - min(lead, 0)

@@ -160,6 +160,9 @@ def test_domain_error_exit_2(capsys):
     ("qexp", "theta", "integral", "--prec", "2001"),
     ("qexp", "psi", "7", "--prec", "1999"),
     ("vec", "short", "E8", "--bound", "100"),
+    ("lat", "info", "<2>^100000"),
+    ("lat", "info", "M100000"),
+    ("qexp", "eta", "1^-48000"),
 ])
 def test_bad_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

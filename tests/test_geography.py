@@ -1,6 +1,7 @@
 """The triplet geography: the 75-entry table, existence rules, fixtures,
 block-sum witnesses, and isogeny glue."""
 
+import functools
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from k3lat.geography import (
     block_sum_witness,
     fixture_catalog,
     duality_chain_check,
+    _lattice_exists,
 )
 from k3lat.lattice import (
     parse_lattice,
@@ -100,6 +102,93 @@ def test_lattice_exists_matches_examples():
     # the parity/boundary rules forbid it
     q = discriminant_form(parse_lattice("<-2>^7"))
     assert not lattice_exists((0, 8), q)
+
+
+@functools.cache
+def _form_exists_by_blocks(a, delta, sigma):
+    """Brute force: a 2-elementary form with invariants (a, delta, sigma mod
+    8) exists iff it splits into j blocks <1/2> and k blocks <-1/2> (length
+    1, sigma +1 and -1, delta 1) and blocks u and v (length 2, sigma 0 and
+    4), with j + k > 0 exactly when delta = 1."""
+    for j in range(a + 1):
+        for k in range(a - j + 1):
+            rem = a - j - k
+            if rem % 2 or (j + k > 0) != (delta == 1):
+                continue
+            if any((j - k + 4 * n - sigma) % 8 == 0 for n in range(rem // 2 + 1)):
+                return True
+    return False
+
+
+def _lattice_exists_by_blocks(t_plus, t_minus, a, delta, sigma):
+    """The form must exist, fit in the rank with the rank's parity, and have
+    the signature mod 8 (Milgram); at rank a with delta = 0 the lattice is
+    twice an even unimodular one, whose signature is divisible by 8."""
+    r = t_plus + t_minus
+    if a > r or (r - a) % 2 or (t_plus - t_minus - sigma) % 8:
+        return False
+    if not _form_exists_by_blocks(a, delta, sigma % 8):
+        return False
+    return not (r == a and delta == 0 and (t_plus - t_minus) % 8)
+
+
+def test_existence_rule_against_block_enumeration():
+    """Nikulin's closed-form conditions agree with the brute-force block
+    decomposition on every small input."""
+    realizable = 0
+    for t_plus in range(24):
+        for t_minus in range(24):
+            for a in range(25):
+                for delta in (0, 1):
+                    for sigma in range(8):
+                        expected = _lattice_exists_by_blocks(t_plus, t_minus, a, delta, sigma)
+                        assert _lattice_exists(t_plus, t_minus, a, delta, sigma) == expected, \
+                            (t_plus, t_minus, a, delta, sigma)
+                        realizable += expected
+    assert realizable > 1000
+
+
+# block_sum_witness(...).expr for L+ (signature (1, r-1)) and L- (signature
+# (2, 20-r)) of every named triplet, pinned so that the search order, and
+# with it the first witness, cannot drift
+NAMED_WITNESS_EXPRS = {
+    (1, 1, 1): ("<2>", "U + U + <-2> + E8 + E8"),
+    (2, 2, 0): ("U(2)", "U + U(2) + E8 + E8"),
+    (5, 5, 1): ("<2> + <-2> + <-2> + <-2> + <-2>", "<2> + <2> + <-2> + E7 + E7"),
+    (10, 2, 0): ("U(2) + E8", "U + U(2) + E8"),
+    (10, 8, 0): ("U + E8(2)", "U(2) + U(2) + D4 + D4"),
+    (10, 8, 1): ("<2> + <-2> + <-2> + <-2> + <-2> + <-2> + D4",
+                 "<2> + <2> + <-2> + <-2> + D4 + D4"),
+    (10, 10, 0): ("U(2) + E8(2)", "U + U(2) + E8(2)"),
+    (10, 10, 1): ("<2> + <-2> + E8(2)",
+                  "<2> + <2> + <-2> + <-2> + <-2> + <-2> + <-2> + <-2> + D4"),
+    (11, 9, 1): ("<2> + <-2> + <-2> + <-2> + <-2> + <-2> + <-2> + D4",
+                 "<2> + <2> + <-2> + <-2> + <-2> + <-2> + <-2> + D4"),
+    (11, 11, 1): ("<2> + <-2> + <-2> + E8(2)", "<2> + <2> + <-2> + E8(2)"),
+    (12, 8, 1): ("<2> + <-2> + <-2> + <-2> + D4 + D4",
+                 "<2> + <2> + <-2> + <-2> + <-2> + <-2> + D4"),
+    (12, 10, 1): ("<2> + <-2> + <-2> + <-2> + <-2> + <-2> + <-2> + <-2> + D4",
+                  "<2> + <2> + E8(2)"),
+    (13, 7, 1): ("<2> + D4 + D4 + D4", "<2> + <2> + <-2> + <-2> + <-2> + D4"),
+    (13, 9, 1): ("<2> + <-2> + <-2> + <-2> + <-2> + D4 + D4",
+                 "<2> + <2> + <-2> + <-2> + <-2> + <-2> + <-2> + <-2> + <-2>"),
+    (14, 8, 1): ("<2> + <-2> + D4 + D4 + D4",
+                 "<2> + <2> + <-2> + <-2> + <-2> + <-2> + <-2> + <-2>"),
+    (15, 7, 1): ("<2> + <-2> + <-2> + <-2> + D4 + E7",
+                 "<2> + <2> + <-2> + <-2> + <-2> + <-2> + <-2>"),
+    (16, 6, 1): ("<2> + D4 + D4 + E7", "<2> + <2> + <-2> + <-2> + <-2> + <-2>"),
+    (17, 5, 1): ("<2> + D4 + D4 + E8", "<2> + <2> + <-2> + <-2> + <-2>"),
+    (18, 4, 0): ("U + D4 + D4 + E8", "U(2) + U(2)"),
+    (18, 4, 1): ("<2> + <-2> + <-2> + E7 + E8", "<2> + <2> + <-2> + <-2>"),
+    (19, 3, 1): ("<2> + <-2> + <-2> + E8 + E8", "<2> + <2> + <-2>"),
+}
+
+
+def test_named_block_sum_witness_exprs():
+    assert sorted(NAMED_WITNESS_EXPRS) == sorted(NAMED_TRIPLETS)
+    for (r, a, d), (plus, minus) in NAMED_WITNESS_EXPRS.items():
+        assert block_sum_witness(1, r - 1, a, d).expr == plus, (r, a, d)
+        assert block_sum_witness(2, 20 - r, a, d).expr == minus, (r, a, d)
 
 
 def test_fixture_catalog_invariants():

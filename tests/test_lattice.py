@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from k3lat.errors import (
+    BoundExceeded,
     ParseError,
     OddLattice,
     NotIntegral,
@@ -38,6 +39,7 @@ from k3lat.lattice import (
     glue_map_from_embedding,
     induced_disc_matrix,
     glues_to_isometry,
+    MAX_RANK,
 )
 
 
@@ -66,6 +68,16 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:
         parse_lattice("U + ??")
     assert 3 <= exc.value.position <= 4
+
+
+def test_rank_bound():
+    """parse_lattice builds ranks up to MAX_RANK and refuses larger sums, and
+    M_n past it, before it builds a Gram matrix."""
+    assert parse_lattice(f"U + <-2>^{MAX_RANK - 2}").rank == MAX_RANK
+    for expr in (f"U + <-2>^{MAX_RANK - 1}", f"M{MAX_RANK + 1}", "<2>^100000",
+                 "M100000", "LambdaK3^5"):
+        with pytest.raises(BoundExceeded):
+            parse_lattice(expr)
 
 
 def test_json_round_trip():

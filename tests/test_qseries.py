@@ -19,6 +19,7 @@ from k3lat.qseries import (
     eval_numeric,
     DEFAULT_PREC,
     MAX_PREC,
+    MAX_ETA_EXPONENTS,
 )
 
 
@@ -228,4 +229,17 @@ def test_precision_bound():
                  lambda: psi_m(7, MAX_PREC - 1)):
         with pytest.raises(BoundExceeded):
             call()
+    assert time.perf_counter() - start < 1
+
+
+def test_eta_exponent_bound():
+    """Up to MAX_ETA_EXPONENTS = sum |m| the quotient is computed; past it
+    eta_quotient raises before it builds a factor."""
+    half = MAX_ETA_EXPONENTS // 2
+    assert eta_quotient([(1, -half), (2, MAX_ETA_EXPONENTS - half)], 4).prec == 4
+    start = time.perf_counter()
+    for spec in ([(1, -MAX_ETA_EXPONENTS - 1)], [(1, -half), (2, half + 1)],
+                 [(1, -48000)]):
+        with pytest.raises(BoundExceeded):
+            eta_quotient(spec, DEFAULT_PREC)
     assert time.perf_counter() - start < 1
