@@ -325,15 +325,6 @@ class CycEight:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return CycEight([-x for x in self.coeffs], self.denom_exp)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         a, b = self.coeffs, other.coeffs
@@ -353,18 +344,6 @@ class CycEight:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        out = CycEight.integer(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def conjugate(self):
         """Galois conjugation z -> z^-1 (complex conjugation)."""
         c0, c1, c2, c3 = self.coeffs
@@ -381,9 +360,6 @@ class CycEight:
 
     def __hash__(self):
         return hash((self.coeffs, self.denom_exp))
-
-    def is_zero(self):
-        return self.coeffs == (0, 0, 0, 0)
 
     def __complex__(self):
         import cmath

@@ -9,9 +9,9 @@ take and return coordinate tuples and Fractions, converting at the edge.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
-from .exactalg import CycEight
 from .errors import DegenerateForm, NotIsotropic, BoundExceeded, NotIsometry
 
 HALF = Fraction(1, 2)
@@ -84,28 +84,57 @@ def _solve(cols, target):
 
 
 class FiniteQuadraticForm:
+    """Stored as qh_gen (q per generator in half-units mod 4) and rows (2b as
+    bitmasks); q_gen and b_mat are Fraction tuples derived from them."""
+
     def __init__(self, a, q_gen, b):
-        self.a = a
-        self.q_gen = [Fraction(x) % 2 for x in q_gen]
-        self.b_mat = [[Fraction(x) % 1 for x in row] for row in b]
-        if len(self.q_gen) != a or len(self.b_mat) != a:
+        """From Fraction-valued generator data, validated."""
+        q_gen = [Fraction(x) % 2 for x in q_gen]
+        b = [[Fraction(x) % 1 for x in row] for row in b]
+        if len(q_gen) != a or len(b) != a:
             raise ValueError("generator data has wrong length")
         for i in range(a):
-            if len(self.b_mat[i]) != a:
+            if len(b[i]) != a:
                 raise ValueError("bilinear matrix must be square")
             for j in range(a):
-                if self.b_mat[i][j] != self.b_mat[j][i]:
+                if b[i][j] != b[j][i]:
                     raise ValueError("bilinear matrix must be symmetric")
-                if self.b_mat[i][j] not in (0, HALF):
+                if b[i][j] not in (0, HALF):
                     raise ValueError("b values must be 0 or 1/2 mod 1")
-            if self.q_gen[i] % 1 != self.b_mat[i][i]:
+            if q_gen[i] % 1 != b[i][i]:
                 raise ValueError("q(g) mod 1 must equal b(g,g)")
-            if self.q_gen[i] not in (0, HALF, 1, Fraction(3, 2)):
+            if q_gen[i] not in (0, HALF, 1, Fraction(3, 2)):
                 raise ValueError("q values must lie in (1/2)Z mod 2Z")
-        # q of each generator in half-units mod 4, and the rows of 2b
-        self.qh_gen = [int(2 * x) for x in self.q_gen]
-        self.rows = [_encode(int(2 * x) for x in row) for row in self.b_mat]
-        self._qtable = None
+        self.a, self.qh_gen, self._qtable = a, [int(2 * x) for x in q_gen], None
+        self.rows = [_encode(int(2 * x) for x in row) for row in b]
+
+    @classmethod
+    def _of(cls, a, qh_gen, rows):
+        """From qh_gen and rows that agree: bit i of rows[i] is qh_gen[i] & 1,
+        and the rows are symmetric."""
+        form = cls.__new__(cls)
+        form.a, form.qh_gen, form.rows, form._qtable = a, qh_gen, rows, None
+        return form
+
+    @classmethod
+    def from_lift_gram(cls, w):
+        """The form whose generator lifts pair to w[i][j] / 4 (w symmetric and
+        integral): q_i = w_ii / 4 mod 2, b_ij = w_ij / 4 mod 1, so w is even."""
+        if any(x & 1 for row in w for x in row):
+            raise ValueError("b values must be 0 or 1/2 mod 1")
+        return cls._of(len(w), [(row[i] >> 1) & 3 for i, row in enumerate(w)],
+                       [_encode(x >> 1 for x in row) for row in w])
+
+    @cached_property
+    def q_gen(self):
+        """q of each generator, a tuple of Fractions mod 2."""
+        return tuple(Fraction(h, 2) for h in self.qh_gen)
+
+    @cached_property
+    def b_mat(self):
+        """b on the generators, a tuple of rows of Fractions mod 1."""
+        return tuple(tuple(Fraction((row >> (self.a - 1 - j)) & 1, 2) for j in range(self.a))
+                     for row in self.rows)
 
     # int-encoded elements -----------------------------------------------
     def qh_table(self):
@@ -158,20 +187,13 @@ class FiniteQuadraticForm:
         return self.characteristic_solve()[1] == self.a
 
     def direct_sum(self, other):
-        a = self.a + other.a
-        q_gen = self.q_gen + other.q_gen
-        b = [[Fraction(0)] * a for _ in range(a)]
-        for i in range(self.a):
-            for j in range(self.a):
-                b[i][j] = self.b_mat[i][j]
-        for i in range(other.a):
-            for j in range(other.a):
-                b[self.a + i][self.a + j] = other.b_mat[i][j]
-        return FiniteQuadraticForm(a, q_gen, b)
+        return FiniteQuadraticForm._of(
+            self.a + other.a, self.qh_gen + other.qh_gen,
+            [row << other.a for row in self.rows] + other.rows)
 
     def __eq__(self, other):
-        return (isinstance(other, FiniteQuadraticForm)
-                and self.q_gen == other.q_gen and self.b_mat == other.b_mat)
+        return (isinstance(other, FiniteQuadraticForm) and self.a == other.a
+                and self.qh_gen == other.qh_gen and self.rows == other.rows)
 
     def __repr__(self):
         return f"FiniteQuadraticForm(a={self.a})"
@@ -204,12 +226,6 @@ class SubgroupSpec:
     def elements(self):
         return [_decode(x, self.a) for x in sorted(self._span)]
 
-    def order(self):
-        return len(self._span)
-
-    def __contains__(self, x):
-        return _encode(x) in self._span
-
     def __eq__(self, other):
         return isinstance(other, SubgroupSpec) and self._span == other._span
 
@@ -219,22 +235,23 @@ class SubgroupSpec:
 
 # ---------------------------------------------------------------------------
 
+# the direction (sign re, sign im) of sqrt(2^a) zeta^sigma in Z[i], by sigma
+_GAUSS_DIRECTIONS = {(1, 0): 0, (1, 1): 1, (0, 1): 2, (-1, 1): 3,
+                     (-1, 0): 4, (-1, -1): 5, (0, -1): 6, (1, -1): 7}
+
+
 def milgram_signature(q):
-    """sigma mod 8 from the Gauss sum: sum e^(pi i q(x)) = sqrt|D| e^(2 pi i sigma/8)."""
+    """sigma mod 8 from the Gauss sum: sum e^(pi i q(x)) = sqrt|D| e^(2 pi i sigma/8).
+    The sum of i^qh(x) is a Gaussian integer re + i im; those of norm 2^a are
+    units times (1 + i)^a, so once re^2 + im^2 = 2^a its signs fix sigma."""
     table = q.qh_table()
-    # e^(pi i h/2) = zeta^(2h): 1, i, -1, -i for h = 0..3
     c0, c1, c2, c3 = (table.count(h) for h in range(4))
-    total = CycEight((c0 - c2, 0, c1 - c3, 0))
-    if total.is_zero():
+    re, im = c0 - c2, c1 - c3
+    if not (re or im):
         raise DegenerateForm("Gauss sum vanishes")
-    a = q.a
-    mag = CycEight.integer(2) ** (a // 2)
-    if a % 2:
-        mag = mag * CycEight.sqrt2()
-    for sigma in range(8):
-        if total == mag * CycEight.zeta_power(sigma):
-            return sigma
-    raise DegenerateForm("Gauss sum has the wrong magnitude")
+    if re * re + im * im != 1 << q.a:
+        raise DegenerateForm("Gauss sum has the wrong magnitude")
+    return _GAUSS_DIRECTIONS[(re > 0) - (re < 0), (im > 0) - (im < 0)]
 
 
 def parity_delta(q):
@@ -290,9 +307,9 @@ def quotient_form(q, G):
     for r in reps:
         if any(table[r ^ g] != table[r] for g in G._span):
             raise NotIsotropic("q does not descend to the quotient")
-    q_gen = [Fraction(table[r], 2) for r in reps]
-    b = [[Fraction(q.b2(r, s), 2) for s in reps] for r in reps]
-    return FiniteQuadraticForm(len(reps), q_gen, b)
+    return FiniteQuadraticForm._of(
+        len(reps), [table[r] for r in reps],
+        [_encode(q.b2(r, s) for s in reps) for r in reps])
 
 
 def _isometries(q1, q2):

@@ -214,9 +214,8 @@ def discriminant_form(L):
     # W = V^T G V holds 4 q on the diagonal and 4 b off it
     d, u, v, nontrivial = L._snf_data()
     cols = [[row[i] for row in v] for i in nontrivial]
-    w = [[Fraction(_dot(c, gc), 4) for c in cols]
-         for gc in (_mat_vec(L.gram, c) for c in cols)]
-    return FiniteQuadraticForm(len(w), [w[i][i] for i in range(len(w))], w)
+    w = [[_dot(c, gc) for c in cols] for gc in (_mat_vec(L.gram, c) for c in cols)]
+    return FiniteQuadraticForm.from_lift_gram(w)
 
 
 def main_invariant(L):

@@ -39,7 +39,7 @@ from .qseries import (
 
 # Largest a for which a word is built as a full 2^a x 2^a matrix; words
 # acting on a few columns, such as e_0, have no cap.  At a = 10
-# (n = 1024) `weil check` takes about 1.2 s and peaks near 165 MB on a 2-vCPU
+# (n = 1024) `weil check` takes about 1.1 s and peaks near 157 MB on a 2-vCPU
 # Xeon VM; each step up in a quadruples both (one dense block at a = 12 holds
 # 4 x 4096^2 int64, 512 MB).
 MAX_DENSE_A = 10
@@ -51,21 +51,30 @@ class CycMatrix:
     """An n x m matrix over Z[zeta_8, 1/2]: comps[k] holds the zeta^k layer,
     all over 2^denom_exp.  Canonical: denom_exp minimal."""
 
-    def __init__(self, comps, denom_exp):
+    def __init__(self, comps, denom_exp, owned=False):
+        """owned: nothing else refers to comps, so it may be shifted in place."""
         # an exact (object) result past int64 raises OverflowError here
         comps = np.asarray(comps, dtype=np.int64)
+        max_abs = max(int(comps.max(initial=0)), -int(comps.min(initial=0)))
         if denom_exp > 0:
             # the 2-adic valuation of the OR of all entries is the smallest
             # valuation among them (two's complement keeps trailing zeros)
             low = int(np.bitwise_or.reduce(comps, axis=None))
             shift = min(denom_exp, (low & -low).bit_length() - 1) if low else denom_exp
-            comps = comps >> shift
-            denom_exp -= shift
-        self.comps = comps
-        self.denom_exp = denom_exp
-        self.max_abs = max(int(comps.max(initial=0)), -int(comps.min(initial=0)))
-        if self.max_abs > 1 << 45:
+            if shift:
+                comps = np.right_shift(comps, shift, out=comps if owned else None)
+                max_abs >>= shift  # exact: every entry is a multiple of 2^shift
+                denom_exp -= shift
+        if max_abs > 1 << 45:
             raise OverflowError("cyclotomic matrix entries grew too large")
+        self.comps, self.denom_exp, self.max_abs = comps, denom_exp, max_abs
+
+    @classmethod
+    def _of(cls, comps, denom_exp, max_abs):
+        """From int64 layers already canonical, with their max_abs."""
+        out = cls.__new__(cls)
+        out.comps, out.denom_exp, out.max_abs = comps, denom_exp, max_abs
+        return out
 
     @property
     def n(self):
@@ -75,14 +84,14 @@ class CycMatrix:
     def identity(cls, n):
         comps = np.zeros((4, n, n), dtype=np.int64)
         comps[0] = np.eye(n, dtype=np.int64)
-        return cls(comps, 0)
+        return cls._of(comps, 0, 1)
 
     @classmethod
     def basis_column(cls, n, j):
         """The column e_j of length n."""
         comps = np.zeros((4, n, 1), dtype=np.int64)
         comps[0, j, 0] = 1
-        return cls(comps, 0)
+        return cls._of(comps, 0, 1)
 
     def __mul__(self, other):
         """The dense product; the reference for the matrix-free actions."""
@@ -141,12 +150,15 @@ class CycMatrix:
         n x m nested list of positions in names, so entry (i, j) renders as
         names[index[i][j]]."""
         n, m = self.comps.shape[1:]
-        # one 32-byte key per entry: a 1-D unique, much faster than axis=0
-        flat = np.ascontiguousarray(self.comps.reshape(4, n * m).T)
-        keys, index = np.unique(flat.view(np.dtype((np.void, 32))).ravel(),
-                                return_inverse=True)
-        distinct = keys.view(np.int64).reshape(-1, 4).tolist()
-        names = [str(CycEight(c, self.denom_exp)) for c in distinct]
+        c = self.comps.reshape(4, n * m)
+        if self.max_abs < 1 << 15:
+            # one int64 key per entry: c0 signed in the top 16 bits, c1..c3 + 2^15 below
+            key = c[0] << 48 | (c[1] + 32768) << 32 | (c[2] + 32768) << 16 | c[3] + 32768
+        else:
+            # one 32-byte key per entry: a 1-D unique, much faster than axis=0
+            key = np.ascontiguousarray(c.T).view(np.dtype((np.void, 32))).ravel()
+        _, first, index = np.unique(key, return_index=True, return_inverse=True)
+        names = [str(CycEight(e, self.denom_exp)) for e in c[:, first].T.tolist()]
         return names, index.reshape(n, m).tolist()
 
     def __eq__(self, other):
@@ -161,15 +173,18 @@ class CycMatrix:
 # the matrix-free action
 
 def _walsh_hadamard(x):
-    """In place over axis 0: row y becomes sum_x (-1)^popcount(x & y) row x."""
-    n = len(x)
+    """In place over axis 1 of a contiguous (k, n, m) stack: row y of each
+    layer becomes sum_x (-1)^popcount(x & y) row x."""
+    k, n, m = x.shape
     h = 1
     while h < n:
-        view = x.reshape(n // (2 * h), 2, h, -1)
-        lo, hi = view[:, 0], view[:, 1]
-        diff = lo - hi
+        view = x.reshape(k, n // (2 * h), 2, h, m)
+        lo, hi = view[:, :, 0], view[:, :, 1]
+        # (lo, hi) -> (lo + hi, lo - hi) with no temporary array; |2 hi| is
+        # within the final bound n max|x|, so int64 cannot wrap midway
         lo += hi
-        hi[...] = diff
+        hi *= -2
+        hi += lo
         h *= 2
 
 
@@ -208,6 +223,7 @@ class WeilAction:
     read only by S; None serves words in T alone.  Each generator costs
     O(a 2^a) per column; a block of m columns costs O(m a 2^a), and only the
     full identity block is capped at a <= MAX_DENSE_A.
+    The tables the generators read are built once per action.
     """
 
     def __init__(self, q, sigma):
@@ -231,32 +247,61 @@ class WeilAction:
             bx = np.concatenate([bx, bx ^ row])
         return bx
 
-    def _t(self, block, sign):
-        """Row x times zeta^k, k = 2 sign qh(x): a signed layer rotation."""
-        k = (2 * sign * self._qh) % 8
+    @cached_property
+    def _t_tables(self):
+        """sign -> (rows, signs): layer t of row x of rho(T^sign) X is
+        signs[t, x] times row x of the flattened (4 n, m) layers of X at
+        rows[t, x].  zeta^k zeta^s = +-zeta^t for s = (t - k) mod 4."""
+        tables = {}
         t = np.arange(4)[:, None]
-        src = (t - k) % 4  # zeta^k zeta^src = +-zeta^t
-        signs = 1 - 2 * (((src + k - t) >> 2) & 1)
-        comps = signs[:, :, None] * block.comps[src, np.arange(self.n), :]
-        return CycMatrix(comps, block.denom_exp)
+        for sign in (1, -1):
+            k = (2 * sign * self._qh) % 8
+            src = (t - k) % 4
+            tables[sign] = (src * self.n + np.arange(self.n),
+                            (1 - 2 * (((src + k - t) >> 2) & 1))[:, :, None])
+        return tables
+
+    @cached_property
+    def _s_tables(self):
+        """conj -> (mix, weight, denom_exp) for rho(S) or rho(S)^-1: layer j
+        of H(X) adds mix[t, j] times itself to layer t, as the scalar times
+        zeta^j does, and weight = sum |coeffs| bounds the growth."""
+        tables = {}
+        for conj in (False, True):
+            scalar = self.scalar.conjugate() if conj else self.scalar
+            mix = np.array([(scalar * CycEight.zeta_power(j)).coeffs for j in range(4)]).T
+            tables[conj] = (mix, sum(map(abs, scalar.coeffs)), scalar.denom_exp)
+        return tables
+
+    def _t(self, block, sign):
+        """Row x times zeta^(2 sign qh(x)): a signed layer rotation, so comps stay canonical."""
+        rows, signs = self._t_tables[sign]
+        comps = block.comps.reshape(4 * self.n, -1).take(rows, axis=0)
+        comps *= signs
+        return CycMatrix._of(comps, block.denom_exp, block.max_abs)
 
     def _s(self, block, conj):
-        scalar = self.scalar.conjugate() if conj else self.scalar
+        mix, weight, denom_exp = self._s_tables[conj]
+        comps = block.comps
+        # transform only the nonzero layers, all of them stacked at once
+        nonzero = np.flatnonzero(comps.reshape(4, -1).any(axis=1))
+        h = comps[nonzero]
         # entries of H(X) are sums of n entries of X, and the scalar adds at
-        # most sum |coeffs| of those.  Past int64, transform on Python ints.
-        big = self.n * block.max_abs * sum(map(abs, scalar.coeffs)) >> 63
-        dtype = object if big else np.int64
-        # transform only the nonzero layers; blocks often fill one or two
-        nonzero = [j for j in range(4) if block.comps[j].any()]
-        h = block.comps[nonzero].astype(dtype, copy=False)
-        for layer in h:
-            _walsh_hadamard(layer)
-        out = np.zeros(block.comps.shape, dtype=dtype)
-        for j, layer in zip(nonzero, h.take(self._bx, axis=1)):
-            for t, c in enumerate((scalar * CycEight.zeta_power(j)).coeffs):
-                if c:
-                    out[t] += c * layer
-        return CycMatrix(out, block.denom_exp + scalar.denom_exp)
+        # most weight of those.  Past int64, transform on Python ints.
+        if self.n * block.max_abs * weight >> 63:
+            h, mix = h.astype(object), mix.astype(object)
+        _walsh_hadamard(h)
+        h = h.take(self._bx, axis=1)
+        out = mix[:, nonzero] @ h.reshape(len(nonzero), -1)
+        return CycMatrix(out.reshape(comps.shape), block.denom_exp + denom_exp, owned=True)
+
+    @cached_property
+    def _coset_rhs(self):
+        """(S T^l)^-1 e_0, l = 0..3: conj(scalar) zeta^(-2 l k) on class k."""
+        scalar = self.scalar.conjugate()
+        table = np.array([[(scalar * CycEight.zeta_power(-2 * l * k)).coeffs
+                           for k in range(4)] for l in range(4)])
+        return [CycMatrix(col[self._qh].T[:, :, None], scalar.denom_exp) for col in table]
 
     def identity(self):
         """The identity block, for forms with a <= MAX_DENSE_A."""
@@ -330,17 +375,21 @@ def one_element(q):
     return _decode(gamma, q.a)
 
 
-def _coset_formula(act, l):
-    # (S T^l)^-1 e_0 = T^-l S^-1 e_0 against the closed form, row x in class k
-    lhs = act.apply(["T^-1"] * l + ["S^-1"], CycMatrix.basis_column(act.n, 0))
-    scalar = act.scalar.conjugate()
-    rhs = np.array([(scalar * CycEight.zeta_power(-2 * l * k)).coeffs for k in range(4)])
-    return lhs == CycMatrix(rhs[act._qh].T[:, :, None], scalar.denom_exp)
+def _coset_columns(act):
+    """T^-l S^-1 e_0 for l = 0..3, one more T^-1 per step."""
+    col = act.apply(["S^-1"], CycMatrix.basis_column(act.n, 0))
+    yield col
+    for _ in range(3):
+        col = act.apply(["T^-1"], col)
+        yield col
 
 
 def coset_formula_check(q, sigma, l):
     """rho((S T^l)^-1) e_0 = i^(sigma/2) 2^(-a/2) sum_k i^(-l k) v_k, exactly."""
-    return _coset_formula(WeilAction(q, sigma), l)
+    act = WeilAction(q, sigma)
+    # (S T^l)^-1 e_0 = T^-l S^-1 e_0 against the closed form
+    col = act.apply(["T^-1"] * l + ["S^-1"], CycMatrix.basis_column(act.n, 0))
+    return col == act._coset_rhs[l]
 
 
 def relation_checks(q, sigma):
@@ -357,7 +406,8 @@ def relation_checks(q, sigma):
         "st_cubed_is_s_squared": act.apply(["S", "T"] * 3, ident) == s2,
         "s_eighth_is_identity": act.apply(["S"] * 6, s2) == ident,
         "v_inverse_e0_is_e_one": act.apply(["S^-1", "T^-1", "T^-1", "S"], e0) == e_one,
-        "coset_formula": all(_coset_formula(act, l) for l in range(4)),
+        "coset_formula": all(col == rhs for col, rhs in zip(_coset_columns(act),
+                                                            act._coset_rhs)),
     }
 
 
@@ -369,9 +419,6 @@ class VectorValuedForm:
         self.form = form
         self.components = components  # element tuple -> FracSeries
         self.weight = weight
-
-    def component(self, gamma):
-        return self.components[tuple(gamma)]
 
     def __repr__(self):
         return f"VectorValuedForm(weight={self.weight}, a={self.form.a})"

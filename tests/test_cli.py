@@ -163,6 +163,7 @@ def test_domain_error_exit_2(capsys):
     ("lat", "info", "<2>^100000"),
     ("lat", "info", "M100000"),
     ("qexp", "eta", "1^-48000"),
+    ("qexp", "eta", "1^-1,100000^-23"),
 ])
 def test_bad_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -2,10 +2,13 @@
 quotients, isometries, and induced actions."""
 
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
 import pytest
 
-from k3lat.errors import NotIsotropic
+from k3lat.errors import DegenerateForm, NotIsotropic
+from k3lat.exactalg import CycEight
 from k3lat.finiteform import (
     FiniteQuadraticForm,
     milgram_signature,
@@ -31,6 +34,56 @@ from k3lat.geography import fixture_catalog
 
 def form_of(expr):
     return discriminant_form(parse_lattice(expr))
+
+
+@cache
+def cyc_eight_signature(a, counts):
+    """The eight-way search over sqrt(2^a) zeta^sigma in Z[zeta_8], from the
+    counts of q = 0, 1/2, 1, 3/2: sigma, or the DegenerateForm message."""
+    c0, c1, c2, c3 = counts
+    total = CycEight((c0 - c2, 0, c1 - c3, 0))
+    if total == 0:
+        return "Gauss sum vanishes"
+    mag = CycEight.integer(1 << (a // 2))
+    if a % 2:
+        mag = mag * CycEight.sqrt2()
+    for sigma in range(8):
+        if total == mag * CycEight.zeta_power(sigma):
+            return sigma
+    return "Gauss sum has the wrong magnitude"
+
+
+def every_form(a):
+    """Every form on (Z/2)^a, degenerate ones included: each q of the
+    generators in half-units and each symmetric 2b, as the lift gram w."""
+    pairs = [(i, j) for i in range(a) for j in range(i + 1, a)]
+    for qh in product(range(4), repeat=a):
+        for bits in product((0, 2), repeat=len(pairs)):
+            w = [[2 * qh[i] if i == j else 0 for j in range(a)] for i in range(a)]
+            for (i, j), x in zip(pairs, bits):
+                w[i][j] = w[j][i] = x
+            yield FiniteQuadraticForm.from_lift_gram(w)
+
+
+def test_gauss_sum_against_cyc_eight_search():
+    """The Gaussian-integer Gauss sum gives the sigma, or raises the message,
+    of the eight-way CycEight search on all 16,933 forms with a <= 4."""
+    seen = {"Gauss sum vanishes": 0, "Gauss sum has the wrong magnitude": 0}
+    total = 0
+    for a in range(5):
+        for q in every_form(a):
+            table = q.qh_table()
+            expect = cyc_eight_signature(a, tuple(table.count(h) for h in range(4)))
+            if isinstance(expect, str):
+                with pytest.raises(DegenerateForm) as exc:
+                    milgram_signature(q)
+                assert str(exc.value) == expect
+                seen[expect] += 1
+            else:
+                assert milgram_signature(q) == expect
+            total += 1
+    assert total == sum(4 ** a * 2 ** (a * (a - 1) // 2) for a in range(5)) == 16933
+    assert all(seen.values())
 
 
 def test_milgram_over_catalog():

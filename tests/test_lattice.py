@@ -296,6 +296,39 @@ def test_discriminant_form_against_defining_sums():
     assert seen_a >= set(range(13))
 
 
+def test_discriminant_form_integer_path_against_fraction_constructor():
+    """The form read off W = V^T G V with one parity check equals the one the
+    validating Fraction constructor builds from q = W_ii / 4, b = W_ij / 4,
+    on every fixture and expression up to a = 12; an odd entry of W is
+    refused by both."""
+    from k3lat.finiteform import FiniteQuadraticForm
+
+    lattices = [f.lattice for f in fixture_catalog()]
+    lattices += [d4_lattice()] + [parse_lattice(e) for e in DISC_EXPRS]
+    seen_a = set()
+    for L in lattices:
+        if not (L.is_even() and is_two_elementary(L)):
+            continue
+        d, u, v, nontrivial = L._snf_data()
+        cols = [[row[i] for row in v] for i in nontrivial]
+        w = [[sum(x * g * y for x, row in zip(c, L.gram) for g, y in zip(row, e))
+              for e in cols] for c in cols]
+        ref = FiniteQuadraticForm(len(w), [Fraction(w[i][i], 4) for i in range(len(w))],
+                                  [[Fraction(x, 4) for x in row] for row in w])
+        form = discriminant_form(L)
+        assert form.qh_gen == ref.qh_gen and form.rows == ref.rows, L
+        assert form.q_gen == ref.q_gen and form.b_mat == ref.b_mat, L
+        assert form == ref and form.a <= 12, L
+        seen_a.add(form.a)
+    assert seen_a >= set(range(13))
+    for w in ([[1]], [[2, 1], [1, 2]], [[4, 2, 0], [2, 2, 3], [0, 3, 0]]):
+        with pytest.raises(ValueError):
+            FiniteQuadraticForm.from_lift_gram(w)
+        with pytest.raises(ValueError):
+            FiniteQuadraticForm(len(w), [Fraction(w[i][i], 4) for i in range(len(w))],
+                                [[Fraction(x, 4) for x in row] for row in w])
+
+
 OVERLATTICE_CASES = ["U(2)", "<2> + <-2>^3", "U(2) + <-2>^4", "E8(2)", "M10",
                      "<2>^2 + <-2>^8", "U(2)^2 + E8(2)"]
 

@@ -20,6 +20,7 @@ from k3lat.qseries import (
     DEFAULT_PREC,
     MAX_PREC,
     MAX_ETA_EXPONENTS,
+    MAX_ETA_POLE,
 )
 
 
@@ -240,6 +241,18 @@ def test_eta_exponent_bound():
     start = time.perf_counter()
     for spec in ([(1, -MAX_ETA_EXPONENTS - 1)], [(1, -half), (2, half + 1)],
                  [(1, -48000)]):
+        with pytest.raises(BoundExceeded):
+            eta_quotient(spec, DEFAULT_PREC)
+    assert time.perf_counter() - start < 1
+
+
+def test_eta_pole_bound():
+    """Up to MAX_ETA_POLE = -sum s*m/24 the quotient is computed; past it
+    eta_quotient raises before it builds a factor, whatever sum |m| is."""
+    assert eta_quotient([(MAX_ETA_POLE, -24)], 4).prec == 4
+    assert eta_quotient([(1, -8), (2, 8), (4, -8)], 4).prec == 4  # psi_m's, order 1
+    start = time.perf_counter()
+    for spec in ([(MAX_ETA_POLE + 1, -24)], [(1, -1), (100000, -23)]):
         with pytest.raises(BoundExceeded):
             eta_quotient(spec, DEFAULT_PREC)
     assert time.perf_counter() - start < 1

@@ -21,6 +21,7 @@ from k3lat.weil import (
     MAX_DENSE_A,
     CycMatrix,
     WeilAction,
+    _coset_columns,
     relation_checks,
     weil_T,
     weil_S,
@@ -418,3 +419,56 @@ def test_column_checks_past_the_dense_bound(expr):
     assert act.apply(["S^-1", "T^-1", "T^-1", "S"], e0) == e_one
     for l in range(4):
         assert coset_formula_check(q, sigma, l), l
+
+
+# ---------------------------------------------------------------------------
+# the fixed-cost shortcuts against their plain forms
+
+def test_chained_coset_columns_against_independent_words():
+    """relation_checks' coset check takes T^-l S^-1 e_0 one T^-1 at a time;
+    each column equals the word applied from scratch, the four independent
+    coset_formula_check calls hold, and relation_checks agrees (a <= 6)."""
+    checked = 0
+    for name, q in catalog_forms(max_a=10):
+        sigma = milgram_signature(q)
+        act = WeilAction(q, sigma)
+        e0 = CycMatrix.basis_column(act.n, 0)
+        for l, col in enumerate(_coset_columns(act)):
+            assert col == act.apply(["T^-1"] * l + ["S^-1"], e0), (name, l)
+        independent = [coset_formula_check(q, sigma, l) for l in range(4)]
+        assert all(independent), name
+        if q.a <= 6:  # the rest of relation_checks works on the identity block
+            assert relation_checks(q, sigma)["coset_formula"], name
+        checked += 1
+    assert checked >= 10
+
+
+def test_distinct_entries_both_key_paths():
+    """Below max_abs = 2^15 entries are deduplicated on one int64 key, from
+    there on a 32-byte key; either way names[index[i][j]] renders entry (i, j)."""
+    import numpy as np
+
+    q = discriminant_form(parse_lattice("M5"))
+    small = weil_word(q, milgram_signature(q), ["S", "T", "S^-1"])
+    assert small.max_abs < 1 << 15
+    # an odd scale keeps the denominator, and pushes the entries past 2^15
+    scale = 3 ** 10
+    big = CycMatrix(small.comps * scale, small.denom_exp)
+    assert big.max_abs >= 1 << 15
+    for mat in (small, big):
+        names, index = mat.distinct_entries()
+        assert len(names) == len(set(names))
+        seen = set()
+        for i in range(mat.n):
+            for j in range(mat.comps.shape[2]):
+                assert names[index[i][j]] == str(mat.entry(i, j)), (i, j)
+                seen.add(index[i][j])
+        assert seen == set(range(len(names)))
+    assert len(small.distinct_entries()[0]) == len(big.distinct_entries()[0])
+    # the int64 key's extreme fields: +-(2^15 - 1) in every layer
+    top = (1 << 15) - 1
+    comps = np.array([[[top, -top, 0]], [[-top, top, 1]], [[0, top, -top]],
+                      [[top, top, -top]]], dtype=np.int64)
+    edge = CycMatrix(comps, 3)
+    names, index = edge.distinct_entries()
+    assert [names[k] for k in index[0]] == [str(edge.entry(0, j)) for j in range(3)]
