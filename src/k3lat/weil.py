@@ -16,6 +16,7 @@ it.  Only full matrices are capped in a (MAX_DENSE_A).
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -47,27 +48,31 @@ MAX_DENSE_A = 10
 _TOKENS = ("S", "T", "S^-1", "T^-1")
 
 
+def _canonical(comps, denom_exp, in_place):
+    """(comps, denom_exp, max_abs), denom_exp minimal; in_place: comps is fresh."""
+    max_abs = max(int(comps.max(initial=0)), -int(comps.min(initial=0)))
+    if denom_exp > 0:
+        # the 2-adic valuation of the OR of all entries is the smallest
+        # valuation among them (two's complement keeps trailing zeros)
+        low = int(np.bitwise_or.reduce(comps, axis=None))
+        shift = min(denom_exp, (low & -low).bit_length() - 1) if low else denom_exp
+        if shift:
+            comps = np.right_shift(comps, shift, out=comps if in_place else None)
+            max_abs >>= shift  # exact: every entry is a multiple of 2^shift
+            denom_exp -= shift
+    if max_abs > 1 << 45:
+        raise OverflowError("cyclotomic matrix entries grew too large")
+    return comps, denom_exp, max_abs
+
+
 class CycMatrix:
     """An n x m matrix over Z[zeta_8, 1/2]: comps[k] holds the zeta^k layer,
     all over 2^denom_exp.  Canonical: denom_exp minimal."""
 
-    def __init__(self, comps, denom_exp, owned=False):
-        """owned: nothing else refers to comps, so it may be shifted in place."""
+    def __init__(self, comps, denom_exp):
         # an exact (object) result past int64 raises OverflowError here
         comps = np.asarray(comps, dtype=np.int64)
-        max_abs = max(int(comps.max(initial=0)), -int(comps.min(initial=0)))
-        if denom_exp > 0:
-            # the 2-adic valuation of the OR of all entries is the smallest
-            # valuation among them (two's complement keeps trailing zeros)
-            low = int(np.bitwise_or.reduce(comps, axis=None))
-            shift = min(denom_exp, (low & -low).bit_length() - 1) if low else denom_exp
-            if shift:
-                comps = np.right_shift(comps, shift, out=comps if owned else None)
-                max_abs >>= shift  # exact: every entry is a multiple of 2^shift
-                denom_exp -= shift
-        if max_abs > 1 << 45:
-            raise OverflowError("cyclotomic matrix entries grew too large")
-        self.comps, self.denom_exp, self.max_abs = comps, denom_exp, max_abs
+        self.comps, self.denom_exp, self.max_abs = _canonical(comps, denom_exp, False)
 
     @classmethod
     def _of(cls, comps, denom_exp, max_abs):
@@ -180,8 +185,7 @@ def _walsh_hadamard(x):
     while h < n:
         view = x.reshape(k, n // (2 * h), 2, h, m)
         lo, hi = view[:, :, 0], view[:, :, 1]
-        # (lo, hi) -> (lo + hi, lo - hi) with no temporary array; |2 hi| is
-        # within the final bound n max|x|, so int64 cannot wrap midway
+        # (lo, hi) -> (lo + hi, lo - hi) in place; |2 hi| <= n max|x|, so no int64 wrap
         lo += hi
         hi *= -2
         hi += lo
@@ -286,14 +290,15 @@ class WeilAction:
         # transform only the nonzero layers, all of them stacked at once
         nonzero = np.flatnonzero(comps.reshape(4, -1).any(axis=1))
         h = comps[nonzero]
-        # entries of H(X) are sums of n entries of X, and the scalar adds at
-        # most weight of those.  Past int64, transform on Python ints.
+        # |entries of scalar H(X)| <= n max_abs weight; past int64, use Python ints
         if self.n * block.max_abs * weight >> 63:
             h, mix = h.astype(object), mix.astype(object)
         _walsh_hadamard(h)
         h = h.take(self._bx, axis=1)
-        out = mix[:, nonzero] @ h.reshape(len(nonzero), -1)
-        return CycMatrix(out.reshape(comps.shape), block.denom_exp + denom_exp, owned=True)
+        out = mix[:, nonzero] @ h.reshape(len(nonzero), comps[0].size)  # no -1: k may be 0
+        # reduce the fresh result in place; a copy adds 16 MB to `weil check` at a = 10
+        out = np.asarray(out.reshape(comps.shape), dtype=np.int64)
+        return CycMatrix._of(*_canonical(out, block.denom_exp + denom_exp, True))
 
     @cached_property
     def _coset_rhs(self):
@@ -387,9 +392,7 @@ def _coset_columns(act):
 def coset_formula_check(q, sigma, l):
     """rho((S T^l)^-1) e_0 = i^(sigma/2) 2^(-a/2) sum_k i^(-l k) v_k, exactly."""
     act = WeilAction(q, sigma)
-    # (S T^l)^-1 e_0 = T^-l S^-1 e_0 against the closed form
-    col = act.apply(["T^-1"] * l + ["S^-1"], CycMatrix.basis_column(act.n, 0))
-    return col == act._coset_rhs[l]
+    return next(islice(_coset_columns(act), l, None)) == act._coset_rhs[l]
 
 
 def relation_checks(q, sigma):
@@ -406,8 +409,7 @@ def relation_checks(q, sigma):
         "st_cubed_is_s_squared": act.apply(["S", "T"] * 3, ident) == s2,
         "s_eighth_is_identity": act.apply(["S"] * 6, s2) == ident,
         "v_inverse_e0_is_e_one": act.apply(["S^-1", "T^-1", "T^-1", "S"], e0) == e_one,
-        "coset_formula": all(col == rhs for col, rhs in zip(_coset_columns(act),
-                                                            act._coset_rhs)),
+        "coset_formula": list(_coset_columns(act)) == act._coset_rhs,
     }
 
 

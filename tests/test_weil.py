@@ -425,9 +425,9 @@ def test_column_checks_past_the_dense_bound(expr):
 # the fixed-cost shortcuts against their plain forms
 
 def test_chained_coset_columns_against_independent_words():
-    """relation_checks' coset check takes T^-l S^-1 e_0 one T^-1 at a time;
-    each column equals the word applied from scratch, the four independent
-    coset_formula_check calls hold, and relation_checks agrees (a <= 6)."""
+    """The coset checks take T^-l S^-1 e_0 one T^-1 at a time; each column
+    equals the word applied from scratch and the closed form, and
+    relation_checks agrees with the four coset_formula_check calls (a <= 6)."""
     checked = 0
     for name, q in catalog_forms(max_a=10):
         sigma = milgram_signature(q)
@@ -435,12 +435,26 @@ def test_chained_coset_columns_against_independent_words():
         e0 = CycMatrix.basis_column(act.n, 0)
         for l, col in enumerate(_coset_columns(act)):
             assert col == act.apply(["T^-1"] * l + ["S^-1"], e0), (name, l)
+            assert col == act._coset_rhs[l], (name, l)
         independent = [coset_formula_check(q, sigma, l) for l in range(4)]
         assert all(independent), name
         if q.a <= 6:  # the rest of relation_checks works on the identity block
             assert relation_checks(q, sigma)["coset_formula"], name
         checked += 1
     assert checked >= 10
+
+
+def test_zero_block_maps_to_zero():
+    """Every generator sends the zero block, a valid column block such as
+    a difference of v_k vectors, to the zero block."""
+    import numpy as np
+
+    q = discriminant_form(parse_lattice("U(2) + A1"))
+    act = WeilAction(q, milgram_signature(q))
+    zero = CycMatrix(np.zeros((4, act.n, 2), np.int64), 0)
+    for tok in ("S", "S^-1", "T", "T^-1"):
+        out = act.apply([tok], zero)
+        assert out == zero and out.denom_exp == 0 and out.max_abs == 0, tok
 
 
 def test_distinct_entries_both_key_paths():
