@@ -12,7 +12,9 @@ nothing at or past it is stored.
 Products pack each operand into one big integer and multiply once (Kronecker
 substitution, with the signed packing of Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", 2009); short operands
-use the schoolbook product.  eta(s*tau) comes from Euler's pentagonal series.
+use the schoolbook product.  Every power f^k, k < 0 too, comes from Miller's
+recurrence, with no product: eta(s*tau) (Euler's pentagonal series) and theta
+are sparse, and each coefficient costs one pass over f's nonzero terms.
 """
 
 import cmath
@@ -27,21 +29,21 @@ N = 24  # universal exponent denominator
 DEFAULT_PREC = 32
 
 # The largest precision eta_quotient, theta_series and psi_m are asked for;
-# psi_m works at prec + 2.  psi_m(7, 1998) takes about 0.8 s on a 2-vCPU Xeon
-# VM, and the time grows as about prec^2.2.  lift_B at precision p asks for psi_m at 4p + 4
-# (at p = 60, the largest the tests use, that is 244), so it stops at p = 498.
+# psi_m works at prec + 2.  psi_m(7, 1998) takes 0.8-1.1 s (2-vCPU Xeon VM),
+# mostly in products, and the time grows as about prec^2.3.  lift_B at precision
+# p asks for psi_m at 4p + 4 (244 at p = 60, the largest the tests use), so it
+# stops at p = 498.
 MAX_PREC = 2000
 
-# The largest sum of |m| over the factors eta(s*tau)^m of an eta quotient.
-# Powers cost more as |m| grows, and a pole adds its order to the working
-# precision: at MAX_PREC, 1^-24 takes about 1.0 s and 1^-48 about 1.5 s as
-# fresh `qexp eta` processes on a 2-vCPU Xeon VM; at precision 32, 1^-12000
-# takes 2.2 s.  The quotients the package uses have sum |m| <= 24.
+# The largest sum of |m| over the factors eta(s*tau)^m of an eta quotient, and
+# of psi_m's theta exponent 8 + m (m <= 40).  Coefficients grow with |m|: at
+# MAX_PREC, 1^-48 takes 0.03 s and psi_m(40, 1998) 1.1-1.5 s (2-vCPU Xeon VM).
+# The quotients the package uses have sum |m| <= 24.
 MAX_ETA_EXPONENTS = 48
 
 # The largest pole order -sum s*m/24 of an eta quotient; every factor is worked
 # that far past the asked precision (1^-1,100000^-23, order 95,833.4, took 10.8 s).
-# At the bound, 1^-47,529^-1 at MAX_PREC takes about 3.0 s as a fresh process.
+# At the bound, 1^-47,529^-1 at MAX_PREC takes about 0.07 s.
 MAX_ETA_POLE = 24
 
 # operands at most this long are multiplied term by term; past it, packing
@@ -225,52 +227,48 @@ class FracSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
-            return FracSeries(0, N, [1], self.prec_units)
-        out = self
-        # square-and-multiply; precision propagates through __mul__
-        for bit in bin(n)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
-
-    def inverse(self):
-        """Series inverse; the extremal term must have a nonzero rational
-        coefficient (it is factored off as a q-power).
-        """
-        if not self.coeffs:
+    def __pow__(self, k):
+        """f^k for any integer k by J.C.P. Miller's recurrence (Knuth, TAOCP
+        vol. 2, 4.7), known below p + (k - 1)*lead as a k-fold product is."""
+        if not isinstance(k, int):
+            return NotImplemented
+        if not self.coeffs and k < 0:
             raise ZeroDivisionError("cannot invert the zero series")
-        lead, step = self.lead, self.step
+        if k == 1:
+            return self
+        if k == 0 or not self.coeffs:
+            return FracSeries(0, N, [] if k else [1], self.prec_units)
+        lead, step, a = self.lead, self.step, self.coeffs
         span = self.prec_units - lead  # known part of f / q^lead, in 24ths
         n = _span(0, step, span)
-        # f = q^lead * sum a_i x^i / den with x = q^step; its inverse is
-        # q^-lead * den * sum b_k x^k, b_k = B_k / a_0^(k+1), where B_0 = 1 and
-        # B_k = -sum_{i=1..k} a_i a_0^(i-1) B_(k-i) stays integral
-        a = self.coeffs[:n]
+        # f = q^lead * sum a_j x^j / den, x = q^step; (sum a_j x^j)^k = sum g_i x^i
+        # has i a_0 g_i = sum_j ((k+1) j - i) a_j g_(i-j), so g_i = a_0^(k-i) E_i with
+        # E_0 = 1 and i E_i = sum_j ((k+1) j - i) w_j E_(i-j), w_j = a_j a_0^(j-1), exact
         a0 = a[0]
-        tail = [(i, c * a0 ** (i - 1)) for i, c in enumerate(a) if i and c]
-        B = [1]
-        for k in range(1, n):
+        tail = [(j, c * a0 ** (j - 1)) for j, c in enumerate(a[1:n], 1) if c]
+        tail = [(j, (k + 1) * j * w, w) for j, w in tail]
+        E = [1]
+        for i in range(1, n):
             acc = 0
-            for i, c in tail:
-                if i > k:
+            for j, kjw, w in tail:
+                if j > i:
                     break
-                acc += c * B[k - i]
-            B.append(-acc)
-        # over the common denominator a_0^n: b_k = B_k a_0^(n-1-k) / a_0^n
+                acc += (kjw - i * w) * E[i - j]
+            E.append(acc // i)
+        # over one denominator: coefficient i is E_i a_0^(k-i) / den^k
         out = [0] * n
-        p = self.den
-        for k in range(n - 1, -1, -1):
-            out[k] = B[k] * p
+        p = a0 ** max(k - n + 1, 0) * (self.den ** -k if k < 0 else 1)
+        for i in range(n - 1, -1, -1):
+            out[i] = E[i] * p
             p *= a0
-        den = p // self.den
+        den = a0 ** max(n - 1 - k, 0) * (self.den ** k if k > 0 else 1)
         if den < 0:
             den, out = -den, [-c for c in out]
-        return FracSeries(-lead, step, out, span - lead, den)
+        return FracSeries(k * lead, step, out, span + k * lead, den)
+
+    def inverse(self):
+        """Series inverse (of a nonzero series)."""
+        return self ** -1
 
     def scale_exponents(self, factor):
         """Substitute tau -> factor*tau (factor > 0), i.e. multiply all
@@ -404,8 +402,7 @@ def eta_quotient(spec, prec):
         base = eta_series(s, slack + s)
         if m < 0 and not base.coeffs:
             raise InvalidInput(f"precision too low: no term of eta({s}*tau) is left to invert")
-        factor = base ** m if m >= 0 else base.inverse() ** (-m)
-        out = factor if out is None else out * factor
+        out = base ** m if out is None else out * base ** m
     return out.truncate(min(Fraction(out.prec_units, N), Fraction(_to_units(prec), N)))
 
 
@@ -435,14 +432,24 @@ def theta_series(kind, prec):
 
 def psi_m(m, prec):
     """eta_{1^-8 2^8 4^-8}^2 theta^(8+m) - 2(m+16) eta_{1^-8 2^8 4^-8} theta^m."""
+    return _psi_combination(m, prec, [(1, -8), (2, 8), (4, -8)], 1, "integral")
+
+
+def _psi_combination(m, prec, eta_spec, eta_scale, theta_kind):
+    """E (E theta^(8+m) - 2(m+16) theta^m) for E = eta_scale * eta_quotient
+    of eta_spec, both factors worked two units past prec (psi_m's pole)."""
     if m < 0:
         raise InvalidInput("m must be >= 0")
+    if 8 + m > MAX_ETA_EXPONENTS:
+        raise BoundExceeded(f"m = {m} is past the psi_m bound {MAX_ETA_EXPONENTS - 8}")
     _check_prec(prec, 2)
-    work = Fraction(prec) + 2  # the eta quotient pole costs two units
-    etaq = eta_quotient([(1, -8), (2, 8), (4, -8)], work)
-    theta = theta_series("integral", work)
-    psi = etaq * etaq * theta ** (8 + m) - 2 * (m + 16) * etaq * theta ** m
-    return psi.truncate(min(psi.prec, Fraction(prec)))
+    work = Fraction(prec) + 2
+    eta = eta_quotient(eta_spec, work)
+    if eta_scale != 1:
+        eta = eta * eta_scale
+    theta = theta_series(theta_kind, work)
+    out = eta * (eta * theta ** (8 + m) - 2 * (m + 16) * theta ** m)
+    return out.truncate(min(out.prec, Fraction(prec)))
 
 
 def split_congruence(f, i):

@@ -31,11 +31,10 @@ from .errors import (
 )
 from .finiteform import _decode, _encode, milgram_signature
 from .qseries import (
-    FracSeries,
-    eta_quotient,
-    theta_series,
+    N,
     psi_m,
     split_congruence,
+    _psi_combination,
 )
 
 # Largest a for which a word is built as a full 2^a x 2^a matrix; words
@@ -430,11 +429,7 @@ def psi_m_slash_V(m, prec):
     """psi_m|_V from the transformed factors:
     eta_{1^-8 2^8 4^-8}|_V = -16 eta(2 tau)^-16 eta(4 tau)^8 and
     theta|_V = theta_shifted.  Starts at q^(m/4)."""
-    work = Fraction(prec) + 2
-    etav = eta_quotient([(2, -16), (4, 8)], work) * (-16)
-    theta = theta_series("shifted", work)
-    out = etav * etav * theta ** (8 + m) - 2 * (m + 16) * etav * theta ** m
-    return out.truncate(min(out.prec, Fraction(prec)))
+    return _psi_combination(m, prec, [(2, -16), (4, 8)], -16, "shifted")
 
 
 def lift_B(q, sigma, r_minus, a_minus, prec):
@@ -454,9 +449,9 @@ def lift_B(q, sigma, r_minus, a_minus, prec):
     if (r_minus - a_minus) % 2:
         raise UnsupportedInvariant("r_- and a_- must have equal parity")
     scale = 2 ** ((r_minus - a_minus) // 2)
-    psi = psi_m(m, prec)
-    hs = [split_congruence(psi_m(m, 4 * int(Fraction(prec)) + 4), i)
-          .truncate(Fraction(prec)) for i in range(4)]
+    big = psi_m(m, 4 * int(Fraction(prec)) + 4)
+    psi = big.truncate(Fraction(prec))
+    hs = [split_congruence(big, i).truncate(Fraction(prec)) for i in range(4)]
     psiV = psi_m_slash_V(m, prec)
     if psiV.leading_exponent() is not None and psiV.leading_exponent() < Fraction(m, 4):
         raise InsufficientPrecision("psi_m|_V fails its vanishing order")
@@ -475,9 +470,7 @@ def lift_B(q, sigma, r_minus, a_minus, prec):
 
 def principal_part(F):
     """All (element, exponent, coefficient) with exponent <= 0."""
-    out = []
-    for x in sorted(F.components):
-        for e, c in F.components[x].terms():
-            if e <= 0:
-                out.append((x, e, c))
-    return out
+    # lead + i*step <= 0 (in 24ths) for the first -lead // step + 1 terms
+    return [(x, Fraction(f.lead + i * f.step, N), Fraction(c, f.den))
+            for x, f in sorted(F.components.items())
+            for i, c in enumerate(f.coeffs[:max(0, -f.lead // f.step + 1)]) if c]

@@ -3,8 +3,11 @@ coefficients, the congruence-split identity, and numeric evaluation."""
 
 import cmath
 import math
+import random
 import time
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -21,7 +24,9 @@ from k3lat.qseries import (
     MAX_PREC,
     MAX_ETA_EXPONENTS,
     MAX_ETA_POLE,
+    N,
 )
+from k3lat.weil import psi_m_slash_V
 
 
 def euler_eta_coeffs(prec):
@@ -183,6 +188,74 @@ def test_series_arithmetic():
                                                            Fraction(1, 3)]
 
 
+def fields(f):
+    return (f.lead, f.step, f.coeffs, f.den, f.prec_units)
+
+
+def test_eta_powers_against_euler_products():
+    """eta(s*tau)^k for s in {1, 2, 4, 7}, k = +-1..+-24, term by term
+    against prod (1 - q^(s*n))^k built one factor at a time, at the
+    precision p + (k - 1)*lead of a k-fold product."""
+    n = 20
+    for s in (1, 2, 4, 7):
+        eta = eta_series(s, n)
+        for k in [k for k in range(-24, 25) if k]:
+            f = eta ** k
+            assert f.prec_units == eta.prec_units + (k - 1) * s
+            lead = Fraction(s * k, N)
+            oracle = euler_product_power(s, k, n)
+            assert f.terms() == [(lead + e, c) for e, c in enumerate(oracle)
+                                 if c and lead + e < f.prec], (s, k)
+
+
+def random_series(rng):
+    """A rational series with a_0 not +-1, den > 1, possibly a pole and a
+    wide step."""
+    step = rng.choice([6, 24, 48])
+    lead = rng.randint(-3, 2) * step
+    coeffs = [rng.choice([-6, -4, -3, -2, 2, 3, 5, 7])]
+    coeffs += [rng.randint(-9, 9) for _ in range(rng.randint(0, 14))]
+    prec = lead + rng.randint(1, 20) * 6
+    return FracSeries(lead, step, coeffs, prec, rng.choice([11, 13, 143]))
+
+
+def test_rational_powers_against_repeated_products():
+    """f ** k for k = -6..6 against k-fold products, field by field, and
+    f ** k * f^-k == 1 for k < 0."""
+    rng = random.Random(20261018)
+    for _ in range(60):
+        f = random_series(rng)
+        assert f.den > 1 and abs(f.coeffs[0]) != 1
+        # f times a power of 1/f is known below p - lead
+        one = FracSeries(0, N, [1], f.prec_units - f.lead)
+        assert f * f ** -1 == one and (f * f ** -1).prec == one.prec
+        assert fields(f.inverse()) == fields(f ** -1)
+        assert fields(f ** 0) == fields(FracSeries(0, N, [1], f.prec_units))
+        for k in range(1, 7):
+            product = reduce(mul, [f] * k)
+            assert fields(f ** k) == fields(product), (f, k)
+            g = f ** -k
+            assert g.prec_units == f.prec_units - (k + 1) * f.lead
+            assert g * product == one and (g * product).prec == one.prec, (f, -k)
+
+
+def test_zero_series_powers():
+    """0^k is 0 for k > 0 (on the step-1 grid past k = 1, as a product is),
+    1 for k = 0, and raises for k < 0."""
+    z = FracSeries(0, 2 * N, [], 5 * N)
+    assert fields(z ** 1) == fields(z)
+    for k in (2, 7):
+        assert fields(z ** k) == fields(FracSeries.zero(5)) == fields(z * z)
+    assert fields(z ** 0) == fields(FracSeries.one(5))
+    for k in (-1, -3):
+        with pytest.raises(ZeroDivisionError):
+            z ** k
+    with pytest.raises(ZeroDivisionError):
+        z.inverse()
+    with pytest.raises(TypeError):
+        FracSeries.one(5) ** 0.5
+
+
 def test_inverse_with_pole():
     f = FracSeries.monomial(-1, 5) + FracSeries.one(5)
     g = f.inverse()
@@ -243,6 +316,20 @@ def test_eta_exponent_bound():
                  [(1, -48000)]):
         with pytest.raises(BoundExceeded):
             eta_quotient(spec, DEFAULT_PREC)
+    assert time.perf_counter() - start < 1
+
+
+def test_psi_m_theta_exponent_bound():
+    """theta^(8+m) counts against MAX_ETA_EXPONENTS: psi_m and psi_m|_V run
+    up to m = 40 and raise past it before building any factor."""
+    top = MAX_ETA_EXPONENTS - 8
+    assert psi_m(top, 2).coefficient(-2) == 1
+    assert psi_m_slash_V(top, 2).prec == 2
+    start = time.perf_counter()
+    for call in (lambda: psi_m(top + 1, 2), lambda: psi_m(10 ** 6, 1998),
+                 lambda: psi_m(10 ** 9, 1000), lambda: psi_m_slash_V(top + 1, 2)):
+        with pytest.raises(BoundExceeded):
+            call()
     assert time.perf_counter() - start < 1
 
 
