@@ -1,13 +1,15 @@
 """Exact linear-algebra kernel: integer Bareiss determinants, Smith and
-Hermite normal forms, rational inverses and inertia, and arithmetic in the
-ring generated by a primitive 8th root of unity with 2-power denominators.
+Hermite normal forms, rational inverses, inertia by fraction-free symmetric
+elimination, and arithmetic in the ring generated by a primitive 8th root of
+unity with 2-power denominators.
 
-Determinants and normal forms run on Python ints; `rational_inverse` and
-`rational_inertia` on Fractions. No floats except in the explicit
-`complex()` conversions used by numeric cross-checks.
+Everything but `rational_inverse` (Fractions) runs on Python ints.  No
+floats except in the explicit `complex()` conversions used by numeric
+cross-checks.
 """
 
 from fractions import Fraction
+from operator import index
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +84,8 @@ def rational_inverse(m):
 
 def smith_normal_form(m):
     """Return (d, u, v) with u*m*v = d, u and v unimodular, d diagonal with
-    d[i] | d[i+1] and d[i] >= 0.
+    d[i] | d[i+1] and d[i] >= 0.  Entries of u and v can grow with the rank
+    of a dense m; on the parser's block sums they stay small (4 bits at rank 96).
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -216,48 +219,62 @@ def hermite_normal_form_columns(m):
 
 
 # ---------------------------------------------------------------------------
-# rational inertia
+# fraction-free symmetric elimination and inertia
+
+def _symmetric_bareiss(m):
+    """Fraction-free symmetric elimination (Bareiss 1968) of a symmetric
+    integer matrix.  Yields (i, p, row) per pivot: its index, the pivot and
+    its row on the indices still live, in order.  Pivot on the first live
+    nonzero diagonal entry; if there is none, row_i += row_j, col_i += col_j
+    for the first a_ij != 0 makes a_ii = 2 a_ij one.  Live entries become
+    (p a_ik - a_i,piv a_piv,k) // prev, exactly, so the pivots are the
+    leading minors M_k of a matrix congruent to m.  A row with a_i,piv = 0 is rescaled by p / prev
+    only when next read, so a block sum costs what its blocks cost.
+    """
+    a = [list(map(index, row)) for row in m]  # TypeError on a non-integer
+    idx = list(range(len(a)))
+    scale = [1] * len(a)  # the pivot each row was last brought up to
+    prev = 1
+
+    def fresh(t):
+        s = scale[t]
+        if s != prev:
+            a[t] = [x * prev // s for x in a[t]]
+            scale[t] = prev
+        return a[t]
+
+    while a:
+        t = next((t for t, row in enumerate(a) if row[t]), None)
+        if t is None:  # a stale row has the zero pattern of its fresh self
+            t, u = next(((t, u) for t, row in enumerate(a) for u, x in enumerate(row) if x),
+                        (None, None))
+            if t is None:
+                return
+            a[t] = [x + y for x, y in zip(fresh(t), fresh(u))]
+            for row in a:
+                row[t] += row[u]
+        prow = fresh(t)
+        del a[t], scale[t]
+        p = prow.pop(t)
+        yield idx.pop(t), p, prow
+        for r, row in enumerate(a):
+            del row[t]
+            f = prow[r]
+            if f:
+                a[r] = [(p * x - f * y) // prev for x, y in zip(fresh(r), prow)]
+                scale[r] = p
+        prev = p
+
 
 def rational_inertia(m):
-    """Signature of a symmetric rational matrix via exact congruence
-    diagonalization.  Returns (n_plus, n_minus, n_zero).
-    """
+    """Signature (n_plus, n_minus, n_zero) of a symmetric integer matrix:
+    the signs of the LDL^T diagonal M_k / M_(k-1) of `_symmetric_bareiss`."""
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    for i in range(n):
-        for j in range(i):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
-    n_plus = n_minus = n_zero = 0
-    live = list(range(n))
-    while live:
-        piv = next((i for i in live if a[i][i] != 0), None)
-        if piv is None:
-            pair = next(((i, j) for i in live for j in live if i < j and a[i][j] != 0), None)
-            if pair is None:
-                n_zero += len(live)
-                break
-            i, j = pair
-            # congruence by (row_i += row_j) makes the diagonal nonzero
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
-            piv = i
-        p = a[piv][piv]
-        if p > 0:
-            n_plus += 1
-        else:
-            n_minus += 1
-        live = [i for i in live if i != piv]
-        for i in live:
-            f = a[i][piv] / p
-            if f:
-                for k in range(n):
-                    a[i][k] -= f * a[piv][k]
-                for k in range(n):
-                    a[k][i] -= f * a[k][piv]
-    return n_plus, n_minus, n_zero
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+    signs = [p > 0 for _, p, _ in _symmetric_bareiss(m)]
+    n_plus = sum(s == t for s, t in zip([True] + signs, signs))  # M_(k-1) M_k > 0
+    return n_plus, len(signs) - n_plus, n - len(signs)
 
 
 # ---------------------------------------------------------------------------

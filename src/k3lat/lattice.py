@@ -36,6 +36,7 @@ class Lattice:
 
     gram: symmetric integer matrix with det != 0.
     labels: optional basis names.
+    A dense gram can meet smith_normal_form's entry growth; parsed ones cannot.
     """
 
     def __init__(self, gram, labels=None, expr=None):
@@ -48,7 +49,8 @@ class Lattice:
             for j in range(n):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        if n and det(gram) == 0:
+        self._det = det(gram) if n else 1
+        if self._det == 0:
             raise ValueError("gram matrix must be nonsingular")
         self.gram = gram
         self.labels = list(labels) if labels else [f"b{i+1}" for i in range(n)]
@@ -63,12 +65,14 @@ class Lattice:
         return len(self.gram)
 
     def det(self):
-        return det(self.gram)
+        return self._det
 
     def signature(self):
         """(n_plus, n_minus); no zero part since gram is nonsingular."""
         if self._sig is None:
             np_, nm, nz = rational_inertia(self.gram)
+            if nz:
+                raise ArithmeticError(f"nonsingular gram has {nz} zero eigenvalues")
             self._sig = (np_, nm)
         return self._sig
 

@@ -8,6 +8,7 @@ import math
 from fractions import Fraction
 
 from .errors import NotDefinite, BoundExceeded, InvalidInput
+from .exactalg import _symmetric_bareiss
 
 # Nodes (coordinate choices) a witness search or a Fincke-Pohst enumeration
 # may visit before it gives up; about a second of search.  The searches the
@@ -22,33 +23,10 @@ def short_vectors(L, bound):
     carry the sign of the lattice.  Raises BoundExceeded after
     WITNESS_NODE_BUDGET search nodes.
     """
-    n_plus, n_minus = L.signature()
-    if n_plus and n_minus:
-        raise NotDefinite("Fincke-Pohst needs a definite lattice")
-    sign = 1 if n_minus == 0 else -1
     n = L.rank
-    # Lagrange decomposition: norm = sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2
-    q = [[Fraction(sign * x) for x in row] for row in L.gram]
-    for i in range(n):
-        piv = q[i][i]
-        if piv <= 0:
-            raise NotDefinite("gram matrix is not definite")
-        for j in range(i + 1, n):
-            q[i][j] = q[i][j] / piv
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= piv * q[i][k] * q[i][l]
-    # The same over the integers: with D_i = dens[i] the common denominator
-    # of row i, N_ij = D_i q[i][j] and scale the common denominator of the
-    # q[i][i] / D_i^2, scale times level i's term is
-    # K_i (D_i x_i + sum_{j>i} N_ij x_j)^2 with K_i = ks[i].
-    dens = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    nums = [[(j, q[i][j].numerator * (dens[i] // q[i][j].denominator))
-             for j in range(i + 1, n) if q[i][j]] for i in range(n)]
-    ratios = [q[i][i] / (dens[i] * dens[i]) for i in range(n)]
-    scale = math.lcm(*(r.denominator for r in ratios))
-    ks = [r.numerator * (scale // r.denominator) for r in ratios]
-    budget = math.floor(Fraction(bound) * scale)
+    sign = -1 if n and L.gram[0][0] < 0 else 1  # the sign of a definite form
+    dens, nums, scale, ks = _lagrange_integers([[sign * x for x in row] for row in L.gram])
+    budget = math.floor(bound) * scale  # norms are integers
     out = []
     coords = [0] * n
     left = WITNESS_NODE_BUDGET
@@ -82,6 +60,28 @@ def short_vectors(L, bound):
     result = [(max(v, tuple(-c for c in v)), norm) for v, norm in out]
     result.sort(key=lambda t: (abs(t[1]), t[0]))
     return result
+
+
+def _lagrange_integers(q):
+    """(dens, nums, scale, ks) of a positive definite integer gram q, with
+    scale * norm(x) = sum_i ks[i] (dens[i] x_i + sum_{(j, c) in nums[i]} c x_j)^2.
+    From the pivots M_i and rows a_ij of `_symmetric_bareiss`, with g_i =
+    gcd(M_i, a_i,i+1..n): D_i = M_i / g_i, N_ij = a_ij / g_i and level
+    weight g_i^2 / (M_i M_(i-1)); scale clears the weights' denominators.
+    """
+    dens, nums, weights = [], [], []
+    prev = 1
+    for i, p, row in _symmetric_bareiss(q):
+        if i != len(dens) or p <= 0:  # Sylvester: every M_i > 0
+            raise NotDefinite("Fincke-Pohst needs a definite lattice")
+        g = math.gcd(p, *row)
+        dens.append(p // g)
+        nums.append([(j, x // g) for j, x in enumerate(row, i + 1) if x])
+        h = math.gcd(g * g, p * prev)
+        weights.append((g * g // h, p * prev // h))
+        prev = p
+    scale = math.lcm(*(d for _, d in weights))
+    return dens, nums, scale, [k * (scale // d) for k, d in weights]
 
 
 def witness_vector(L, target_norm, box):

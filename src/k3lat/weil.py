@@ -416,10 +416,11 @@ def relation_checks(q, sigma):
 # the six-coset lift
 
 class VectorValuedForm:
-    def __init__(self, form, components, weight):
+    def __init__(self, form, components, weight, psi=None):
         self.form = form
         self.components = components  # element tuple -> FracSeries
         self.weight = weight
+        self.psi = psi  # the input series of a lift, if it is one
 
     def __repr__(self):
         return f"VectorValuedForm(weight={self.weight}, a={self.form.a})"
@@ -435,7 +436,7 @@ def psi_m_slash_V(m, prec):
 def lift_B(q, sigma, r_minus, a_minus, prec):
     """Components of the vector-valued lift B[psi_m], m = 8 + sigma:
     psi_m on e_0, 2^((r-a)/2) h_m^(k) on the v_k classes, psi_m|_V on e_{1_L}.
-    Weight sigma/2.
+    Weight sigma/2.  The form keeps psi_m, at precision 4 prec + 4, as psi.
     """
     if r_minus >= 12:
         raise UnsupportedInvariant("the lift construction assumes r_- < 12")
@@ -455,17 +456,15 @@ def lift_B(q, sigma, r_minus, a_minus, prec):
     psiV = psi_m_slash_V(m, prec)
     if psiV.leading_exponent() is not None and psiV.leading_exponent() < Fraction(m, 4):
         raise InsufficientPrecision("psi_m|_V fails its vanishing order")
+    # one series per class k, shared by its elements; FracSeries is immutable
+    classes = [h * scale for h in hs]
+    components = dict(zip(q.elements(), (classes[k] for k in q.qh_table())))
+    zero = tuple([0] * q.a)
+    components[zero] = components[zero] + psi
     one = one_element(q)
-    components = {}
-    for x, k in zip(q.elements(), q.qh_table()):
-        comp = hs[k] * scale
-        if not any(x):
-            comp = comp + psi
-        if x == one:
-            comp = comp + psiV
-        components[x] = comp
+    components[one] = components[one] + psiV
     weight = Fraction(4 - r_minus, 2)
-    return VectorValuedForm(q, components, weight)
+    return VectorValuedForm(q, components, weight, big)
 
 
 def principal_part(F):

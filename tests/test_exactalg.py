@@ -173,6 +173,91 @@ def test_inertia_sylvester():
         assert rational_inertia(g) == expected
 
 
+def fraction_inertia(m):
+    """Oracle: congruence diagonalization over the rationals.  Pivot on the
+    first live nonzero diagonal entry; when every live diagonal entry is 0,
+    row_i += row_j and col_i += col_j on a pair with a_ij != 0 first."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    n_plus = n_minus = n_zero = 0
+    live = list(range(n))
+    while live:
+        piv = next((i for i in live if a[i][i] != 0), None)
+        if piv is None:
+            pair = next(((i, j) for i in live for j in live if i < j and a[i][j] != 0), None)
+            if pair is None:
+                n_zero += len(live)
+                break
+            i, j = pair
+            for k in range(n):
+                a[i][k] += a[j][k]
+            for k in range(n):
+                a[k][i] += a[k][j]
+            piv = i
+        p = a[piv][piv]
+        if p > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        live = [i for i in live if i != piv]
+        for i in live:
+            f = a[i][piv] / p
+            if f:
+                for k in range(n):
+                    a[i][k] -= f * a[piv][k]
+                for k in range(n):
+                    a[k][i] -= f * a[k][piv]
+    return n_plus, n_minus, n_zero
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices up to 8 x 8: plain, singular (sum of
+    fewer than n signed rank-one squares), with an all-zero diagonal (the
+    hyperbolic-pair pivot), or a zero-diagonal block beside a plain one."""
+    n = draw(st.integers(0, 8))
+    entry = st.one_of(st.integers(-6, 6), st.integers(-10 ** 9, 10 ** 9))
+    kind = draw(st.sampled_from(["plain", "singular", "zero_diagonal", "mixed"]))
+    if kind == "singular":
+        k = draw(st.integers(0, max(0, n - 1)))
+        rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                             min_size=k, max_size=k))
+        signs = draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=k, max_size=k))
+        return [[sum(s * b[i] * b[j] for s, b in zip(signs, rows)) for j in range(n)]
+                for i in range(n)]
+    upper = draw(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    m = [[0] * n for _ in range(n)]
+    cells = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = next(cells)
+    zeros = {"zero_diagonal": n, "mixed": n // 2}.get(kind, 0)
+    for i in range(zeros):
+        m[i][i] = 0
+    return m
+
+
+@given(symmetric_matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+@example([[0, 0], [0, 0]])
+@example([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 3], [0, 0, 3, 0]])
+@example([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+def test_inertia_against_fraction_diagonalization(m):
+    """The fraction-free elimination against the Fraction one, singular and
+    all-zero-diagonal matrices included (test_inertia_sylvester skips
+    them)."""
+    assert rational_inertia(m) == fraction_inertia(m)
+
+
+def test_inertia_input_checks():
+    with pytest.raises(ValueError, match="not symmetric"):
+        rational_inertia([[0, 1], [2, 0]])
+    with pytest.raises(TypeError):
+        rational_inertia([[Fraction(1, 2)]])
+    assert rational_inertia([]) == (0, 0, 0)
+
+
 def approx(z1, z2, tol=1e-10):
     return abs(z1 - z2) < tol
 

@@ -242,6 +242,35 @@ def test_m_lattice_gram():
     assert M10.signature() == (1, 9)
 
 
+def test_det_computed_once(monkeypatch):
+    """The constructor's determinant is the one det() returns: det() runs
+    no second elimination."""
+    import k3lat.lattice as lattice_module
+
+    calls = []
+    real = lattice_module.det
+
+    def counting(m):
+        calls.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(lattice_module, "det", counting)
+    L = parse_lattice("U(2) + E8(2)")
+    built = len(calls)
+    assert L.det() == real(L.gram) == -1024
+    assert L.det() == -1024 and len(calls) == built
+
+
+def test_signature_rejects_a_zero_part(monkeypatch):
+    """A nonsingular gram has no zero eigenvalue; if the inertia kernel
+    ever reports one, signature() raises rather than drop it."""
+    import k3lat.lattice as lattice_module
+
+    monkeypatch.setattr(lattice_module, "rational_inertia", lambda m: (1, 0, 1))
+    with pytest.raises(ArithmeticError):
+        parse_lattice("U").signature()
+
+
 def test_rescale_det():
     L = parse_lattice("U")
     assert rescale(L, 2).det() == -4

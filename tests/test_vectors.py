@@ -128,6 +128,48 @@ def test_fincke_pohst_against_brute_force():
     assert len(short_vectors(e7_lattice(), 2)) == 63  # 126 roots
 
 
+def fraction_lagrange_integers(q):
+    """Oracle: Lagrange's decomposition norm = sum_i q[i][i] (x_i +
+    sum_{j>i} q[i][j] x_j)^2 over the rationals, put over the integers as
+    D_i = lcm of row i's denominators, N_ij = D_i q[i][j] and
+    K_i = scale q[i][i] / D_i^2."""
+    n = len(q)
+    q = [[Fraction(x) for x in row] for row in q]
+    for i in range(n):
+        piv = q[i][i]
+        for j in range(i + 1, n):
+            q[i][j] = q[i][j] / piv
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] -= piv * q[i][k] * q[i][l]
+    dens = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    nums = [[(j, q[i][j].numerator * (dens[i] // q[i][j].denominator))
+             for j in range(i + 1, n) if q[i][j]] for i in range(n)]
+    ratios = [q[i][i] / (dens[i] * dens[i]) for i in range(n)]
+    scale = math.lcm(*(r.denominator for r in ratios))
+    return dens, nums, scale, [r.numerator * (scale // r.denominator) for r in ratios]
+
+
+def test_lagrange_integers_against_fractions():
+    """short_vectors' integers from the fraction-free elimination equal the
+    Fraction derivation, so the search and its node count are unchanged."""
+    rng = random.Random(31)
+    lattices = [e8_lattice(), rescale(e8_lattice(), 2), parse_lattice("<-2>^8"),
+                d4_lattice(), e7_lattice()]
+    lattices += [random_definite(rng, rng.randint(1, 8)) for _ in range(60)]
+    lattices += [Lattice(random_gram_a_t_a_plus_i(rng, rng.randint(2, 8))) for _ in range(40)]
+    for L in lattices:
+        sign = 1 if L.signature()[1] == 0 else -1
+        q = [[sign * x for x in row] for row in L.gram]
+        assert vectors._lagrange_integers(q) == fraction_lagrange_integers(q), L.gram
+
+
+def test_lagrange_integers_reject_indefinite():
+    for g in ([[2, 1], [1, -2]], [[0, 1], [1, 0]], [[-2]]):
+        with pytest.raises(NotDefinite):
+            vectors._lagrange_integers(g)
+
+
 def test_e8_root_count():
     roots = short_vectors(e8_lattice(), 2)
     assert len(roots) == 120  # 240 roots, up to sign

@@ -17,6 +17,7 @@ from k3lat.finiteform import (
 )
 from k3lat.geography import fixture_catalog
 from k3lat.lattice import parse_lattice, discriminant_form
+from k3lat.qseries import psi_m, split_congruence
 from k3lat.weil import (
     MAX_DENSE_A,
     CycMatrix,
@@ -216,6 +217,34 @@ def test_lift_component_shapes():
             assert lead >= Fraction(1, 4)
         if k == 3 and x != one_element(q):
             assert lead >= Fraction(3, 4)
+
+
+def _fields(f):
+    return (f.lead, f.step, f.coeffs, f.den, f.prec_units)
+
+
+def test_lift_shares_class_series():
+    """One series per class k, shared by the class's other elements; e_0
+    and e_{1_L} get their own sums.  Every component equals the
+    per-element formula, and the lift keeps the psi_m it was built from."""
+    for r, prec in [(5, 8), (8, 6), (11, 4)]:
+        q = discriminant_form(parse_lattice(f"<2>^2 + <-2>^{r - 2}"))
+        B = lift_B(q, milgram_signature(q), r, r, prec)
+        m = 12 - r
+        big = psi_m(m, 4 * prec + 4)
+        assert _fields(B.psi) == _fields(big)
+        zero, one = (0,) * q.a, one_element(q)
+        shared = {}
+        for x, k in zip(q.elements(), q.qh_table()):
+            expect = split_congruence(big, k).truncate(prec)
+            if x == zero:
+                expect = expect + big.truncate(prec)
+            if x == one:
+                expect = expect + psi_m_slash_V(m, prec)
+            comp = B.components[x]
+            assert _fields(comp) == _fields(expect), (r, x)
+            if x not in (zero, one):
+                assert shared.setdefault(k, comp) is comp
 
 
 def test_lift_e1l_vanishing_order():
