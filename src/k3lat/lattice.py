@@ -36,7 +36,8 @@ class Lattice:
 
     gram: symmetric integer matrix with det != 0.
     labels: optional basis names.
-    A dense gram can meet smith_normal_form's entry growth; parsed ones cannot.
+    Parsed lattices are block sums; only a dense gram given here can make
+    the entries of smith_normal_form's transforms grow with the rank.
     """
 
     def __init__(self, gram, labels=None, expr=None):
@@ -444,8 +445,8 @@ def k3_lattice():
 
 # The largest rank parse_lattice builds.  Building checks det != 0 at
 # O(rank^3) big-integer cost: `lat info` on E8(2)^12 or U(2)^48 (rank 96)
-# takes about 0.7 s as a fresh process on a 2-vCPU Xeon VM, <2>^160 about
-# 1.3 s.  LambdaK3 (rank 22) is the largest lattice the package works with.
+# takes 0.17-0.24 s as a fresh process on a 2-vCPU Xeon VM, against 0.11 s
+# for LambdaK3 (rank 22), the largest lattice the package works with.
 MAX_RANK = 96
 
 
