@@ -157,8 +157,7 @@ def _qexp_psi(args):
 
 
 def _weil_form(expr):
-    L = parse_lattice(expr)
-    q = discriminant_form(L)
+    q = discriminant_form(parse_lattice(expr))
     return q, milgram_signature(q)
 
 

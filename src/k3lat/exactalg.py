@@ -40,24 +40,36 @@ def transpose(a):
 
 def det(m):
     """Exact determinant of an integer matrix by fraction-free (Bareiss)
-    elimination: every division by the previous pivot is exact.
-    """
+    elimination: every division by the previous pivot is exact.  As in
+    `_symmetric_bareiss`, a row with a 0 in the pivot column is rescaled by
+    piv / prev only when next read, so a block sum costs what its blocks cost."""
     n = len(m)
     a = [list(row) for row in m]
-    sign, prev = 1, 1
+    scale, sign, prev = [1] * n, 1, 1  # scale[r]: the pivot row r was last brought up to
+
+    def fresh(r):
+        if scale[r] != prev:
+            a[r] = [x * prev // scale[r] for x in a[r]]
+            scale[r] = prev
+        return a[r]
+
     for k in range(n - 1):
-        if not a[k][k]:
+        if not a[k][k]:  # a stale row has the zero pattern of its fresh self
             swap = next((r for r in range(k + 1, n) if a[r][k]), None)
             if swap is None:
                 return 0
             a[k], a[swap] = a[swap], a[k]
+            scale[k], scale[swap] = scale[swap], scale[k]
             sign = -sign
-        piv, pivot_row = a[k][k], a[k]
+        pivot_row = fresh(k)
+        piv = pivot_row[k]
         for r in range(k + 1, n):
-            f = a[r][k]
-            a[r] = [(piv * x - f * y) // prev for x, y in zip(a[r], pivot_row)]
+            if a[r][k]:
+                f = fresh(r)[k]
+                a[r] = [(piv * x - f * y) // prev for x, y in zip(a[r], pivot_row)]
+                scale[r] = piv
         prev = piv
-    return sign * a[-1][-1] if n else 1
+    return sign * fresh(n - 1)[-1] if n else 1
 
 
 def rational_inverse(m):
@@ -313,14 +325,7 @@ class CycEight:
     @classmethod
     def zeta_power(cls, k):
         """z^k for any integer k."""
-        k %= 8
-        sign = 1
-        if k >= 4:
-            k -= 4
-            sign = -1
-        c = [0, 0, 0, 0]
-        c[k] = sign
-        return cls(c)
+        return cls(cls.integer(1).zeta_rows()[k % 8])
 
     @classmethod
     def sqrt2(cls):
@@ -344,28 +349,24 @@ class CycEight:
 
     def __mul__(self, other):
         other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
         c = [0] * 4
-        for i in range(4):
-            if not a[i]:
-                continue
-            for j in range(4):
-                if not b[j]:
-                    continue
-                k = i + j
-                if k >= 4:
-                    c[k - 4] -= a[i] * b[j]
-                else:
-                    c[k] += a[i] * b[j]
+        for x, row in zip(self.coeffs, other.zeta_rows()):  # sum_i x_i z^i other
+            c = [u + x * v for u, v in zip(c, row)]
         return CycEight(c, self.denom_exp + other.denom_exp)
 
     __rmul__ = __mul__
 
+    def zeta_rows(self):
+        """The coefficients of self z^j, j = 0..7, by plain rotations: z maps
+        (c0, c1, c2, c3) to (-c3, c0, c1, c2), over the same 2^e."""
+        c = self.coeffs
+        rows = [tuple(-x for x in c[4 - j:]) + c[:4 - j] for j in range(4)]
+        return rows + [tuple(-x for x in row) for row in rows]
+
     def conjugate(self):
         """Galois conjugation z -> z^-1 (complex conjugation)."""
         c0, c1, c2, c3 = self.coeffs
-        # z^-1 = -z^3, z^-2 = -z^2... careful: conj(z^k) = z^-k
-        # z^-1 = -z^3, z^-2 = -z^2 is wrong: z^-2 = z^6 = -z^2; z^-3 = z^5 = -z.
+        # z^-1 = z^7 = -z^3, z^-2 = -z^2, z^-3 = -z
         return CycEight((c0, -c3, -c2, -c1), self.denom_exp)
 
     def __eq__(self, other):

@@ -85,6 +85,51 @@ def test_det_against_fraction_elimination(m):
     assert det(m) == fraction_det(m)
 
 
+def block_sum(blocks):
+    n = sum(map(len, blocks))
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = row
+        at += len(b)
+    return out
+
+
+def test_det_on_block_sums_against_fraction_elimination():
+    """The lazily rescaled rows of `det` (a 0 in the pivot column) against
+    the Fraction elimination: lattice block sums, random block sums with
+    singular and zero-led blocks, their row and symmetric permutations (row
+    swaps on stale rows), and random dense matrices."""
+    from k3lat.lattice import parse_lattice
+
+    rng = random.Random(23)
+    cases = [parse_lattice(e).gram for e in
+             ("LambdaK3", "E8(2)^2 + U(2)", "<2>^2 + <-2>^9", "U(2)^3 + E8(2)", "U + M7 + A1")]
+    for _ in range(30):
+        blocks = [random_matrix(rng, rng.randint(1, 5), -9, 9) for _ in range(rng.randint(2, 6))]
+        for b in blocks:
+            if len(b) > 1 and rng.random() < 0.2:
+                b[0][0] = 0  # a row swap inside the block
+            if len(b) > 1 and rng.random() < 0.1:
+                b[-1] = list(b[0])  # a singular block
+        cases.append(block_sum(blocks))
+    # sparse: zeros left by cancellation swap a fresh row with a stale one
+    cases.append([[3, 0, 0, -1], [3, 0, 3, -1], [0, 1, 0, 2], [-1, 2, 3, 2]])
+    cases += [[[rng.choice((0, 0, 0, 1, -1, 2, 3)) for _ in range(n)] for _ in range(n)]
+              for n in [rng.randint(3, 7) for _ in range(100)]]
+    cases += [random_matrix(rng, rng.randint(1, 12), -50, 50) for _ in range(30)]
+    cases += [random_matrix(rng, rng.randint(1, 8), -10 ** 12, 10 ** 12) for _ in range(10)]
+    checked = set()
+    for m in cases:
+        perm = rng.sample(range(len(m)), len(m))
+        for variant in (m, [m[p] for p in perm], [[m[p][q] for q in perm] for p in perm]):
+            expect = fraction_det(variant)
+            assert det(variant) == expect, variant
+            checked.add(expect == 0)
+    assert checked == {True, False}
+
+
 def test_det_against_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(17)

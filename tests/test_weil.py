@@ -18,11 +18,13 @@ from k3lat.finiteform import (
 from k3lat.geography import fixture_catalog
 from k3lat.lattice import parse_lattice, discriminant_form
 from k3lat.qseries import psi_m, split_congruence
+from k3lat import weil as weil_module
 from k3lat.weil import (
     MAX_DENSE_A,
     CycMatrix,
     WeilAction,
     _coset_columns,
+    _s_eighth_is_identity,
     relation_checks,
     weil_T,
     weil_S,
@@ -515,3 +517,169 @@ def test_distinct_entries_both_key_paths():
     edge = CycMatrix(comps, 3)
     names, index = edge.distinct_entries()
     assert [names[k] for k in index[0]] == [str(edge.entry(0, j)) for j in range(3)]
+
+
+# ---------------------------------------------------------------------------
+# relation_checks against the literal words, also under wrong generators
+
+def zeta_diagonal_times(block, k):
+    """Row x of block times zeta^k[x], by the rule zeta^4 = -1 alone."""
+    import numpy as np
+
+    out = np.zeros_like(block.comps)
+    for j in range(4):  # zeta^k zeta^j = (-1)^(e // 4) zeta^(e % 4), e = j + (k mod 8)
+        e = j + k % 8
+        rows = block.comps[j] * np.where(e // 4 % 2, -1, 1)[:, None]
+        for t in range(4):
+            out[t][e % 4 == t] += rows[e % 4 == t]
+    return CycMatrix(out, block.denom_exp)
+
+
+def generic_t(exponent):
+    """A WeilAction._t that multiplies row x by zeta^exponent(act, sign)[x]."""
+    import numpy as np
+
+    def _t(self, block, sign):
+        return zeta_diagonal_times(block, exponent(self, sign, np.array(self.q.qh_table())))
+    return _t
+
+
+WRONG_GENERATORS = ("T sign flipped at odd a", "T uses zeta^qh", "scalar times zeta^2",
+                    "Bx is the identity")
+
+
+def install_wrong_generator(monkeypatch, wrong):
+    import numpy as np
+
+    if wrong == "T sign flipped at odd a":
+        monkeypatch.setattr(WeilAction, "_t", generic_t(
+            lambda act, sign, qh: 2 * sign * qh * (-1 if act.q.a % 2 else 1)))
+    elif wrong == "T uses zeta^qh":
+        monkeypatch.setattr(WeilAction, "_t", generic_t(lambda act, sign, qh: sign * qh))
+    elif wrong == "scalar times zeta^2":
+        scalar = weil_module.weil_scalar
+        monkeypatch.setattr(weil_module, "weil_scalar",
+                            lambda q, sigma: scalar(q, sigma) * CycEight.zeta_power(2))
+    else:
+        monkeypatch.setattr(WeilAction, "_bx", property(lambda self: np.arange(self.n)))
+
+
+def literal_verdicts(q, sigma):
+    """(ST)^3 = S^2 and S^8 = I as the literal words on the identity block."""
+    act = WeilAction(q, sigma)
+    ident = act.identity()
+    return (act.apply(["S", "T"] * 3, ident) == act.apply(["S", "S"], ident),
+            act.apply(["S"] * 8, ident) == ident)
+
+
+def test_generic_t_is_rho_t():
+    """The reference diagonal in the wrong-generator test is rho(T) itself
+    when its exponent is 2 sign qh."""
+    t = generic_t(lambda act, sign, qh: 2 * sign * qh)
+    for name, q in catalog_forms(max_a=6):
+        act = WeilAction(q, milgram_signature(q))
+        block = act.apply(["S", "T", "S"], act.identity())
+        for sign, tok in ((1, "T"), (-1, "T^-1")):
+            assert t(act, block, sign) == act.apply([tok], block), (name, tok)
+
+
+@pytest.mark.parametrize("wrong", (None,) + WRONG_GENERATORS)
+def test_relation_checks_against_literal_words(monkeypatch, wrong):
+    """S T S = T^-1 S T^-1 and the scalar S^2 give the verdicts of the
+    literal (ST)^3 = S^2 and S^8 = I, form by form, with the true generators
+    (all True) and with each wrong one (some False)."""
+    if wrong is not None:
+        install_wrong_generator(monkeypatch, wrong)
+    verdicts = []
+    for name, q in catalog_forms(max_a=8):
+        sigma = milgram_signature(q)
+        got = relation_checks(q, sigma)
+        expect = literal_verdicts(q, sigma)
+        assert (got["st_cubed_is_s_squared"], got["s_eighth_is_identity"]) == expect, name
+        verdicts += expect
+    assert len(verdicts) >= 2 * 16
+    assert all(verdicts) == (wrong is None)
+
+
+def test_s_eighth_fallback_against_literal_product():
+    """A block S^2 that is not scalar takes the literal S^6 S^2 = I; a
+    scalar block c I is decided by c^4 = 1.  Either way the verdict is the
+    literal one, on true and scrambled S."""
+    import numpy as np
+
+    def is_scalar(block):
+        d = np.diagonal(block.comps, axis1=1, axis2=2)
+        return (d == d[:, :1]).all() and np.count_nonzero(block.comps) == np.count_nonzero(d)
+
+    seen = set()
+    for name, q in catalog_forms(max_a=6):
+        act = WeilAction(q, milgram_signature(q))
+        ident = act.identity()
+        s2 = act.apply(["S", "S"], ident)
+        off = s2.comps.copy()
+        off[:, 0, -1] = off[:, 0, 0]  # a constant diagonal, one entry off it
+        blocks = [s2, CycMatrix(2 * s2.comps, s2.denom_exp), CycMatrix(off, s2.denom_exp),
+                  act.apply(["S"], ident), act.apply(["T"], s2)]
+        for k, block in enumerate(blocks):
+            literal = act.apply(["S"] * 6, block) == ident
+            assert _s_eighth_is_identity(act, block) == literal, (name, k)
+            seen.add((is_scalar(block), literal))
+    # U(2) with Bx read through a permutation that is not 2b: S^2 is not
+    # scalar, yet S^8 = I
+    q = discriminant_form(parse_lattice("U(2)"))
+    act = WeilAction(q, milgram_signature(q))
+    act._bx = np.array([1, 0, 3, 2])
+    s2 = act.apply(["S", "S"], act.identity())
+    assert not is_scalar(s2) and _s_eighth_is_identity(act, s2)
+    assert act.apply(["S"] * 8, act.identity()) == act.identity()
+    seen.add((False, True))
+    assert seen == {(True, True), (True, False), (False, False), (False, True)}
+
+
+def test_zeta_rows_against_products():
+    """c zeta^j by rotation, for every j and the Weil scalars of a = 1..8
+    and their conjugates, against the schoolbook product with zeta^4 = -1;
+    the tables of every WeilAction at a <= 6 are read from the same rows."""
+    import numpy as np
+
+    def schoolbook(a, b):
+        c = [0] * 4
+        for i in range(4):
+            for j in range(4):
+                sign = -1 if i + j >= 4 else 1
+                c[(i + j) % 4] += sign * a[i] * b[j]
+        return tuple(c)
+
+    def zeta_coeffs(j):
+        c = [0] * 4
+        c[j % 4] = -1 if j % 8 >= 4 else 1
+        return c
+
+    scalars = []
+    for a in range(1, 9):
+        for sigma in range(8):
+            s = CycEight(zeta_coeffs(-sigma)) * CycEight.half_power((a + 1) // 2)
+            if a % 2:
+                s = s * CycEight.sqrt2()
+            scalars += [s, s.conjugate()]
+    for s in scalars:
+        rows = s.zeta_rows()
+        assert len(rows) == 8
+        for j in range(8):
+            assert rows[j] == schoolbook(s.coeffs, zeta_coeffs(j)), (s, j)
+            assert CycEight.zeta_power(j).coeffs == tuple(zeta_coeffs(j))
+            assert (s * CycEight.zeta_power(j)).coeffs == schoolbook(s.coeffs, zeta_coeffs(j))
+    for name, q in catalog_forms(max_a=6):
+        act = WeilAction(q, milgram_signature(q))
+        for conj, (mix, _, denom_exp) in act._s_tables.items():
+            scalar = act.scalar.conjugate() if conj else act.scalar
+            assert denom_exp == scalar.denom_exp
+            assert mix.T.tolist() == [list(schoolbook(scalar.coeffs, zeta_coeffs(j)))
+                                      for j in range(4)], name
+        scalar = act.scalar.conjugate()
+        for l, col in enumerate(act._coset_rhs):
+            for x, k in enumerate(q.qh_table()):
+                expect = CycEight(schoolbook(scalar.coeffs, zeta_coeffs(-2 * l * k)),
+                                  scalar.denom_exp)
+                assert col.entry(x, 0) == expect, (name, l, x)
+        assert np.array_equal(act._s_tables[False][0].T[0], act.scalar.coeffs)
