@@ -39,9 +39,9 @@ from .qseries import (
 
 # Largest a for which a word is built as a full 2^a x 2^a matrix; words
 # acting on a few columns, such as e_0, have no cap.  At a = 10
-# (n = 1024) `weil check` takes about 1.1 s and peaks near 157 MB on a 2-vCPU
-# Xeon VM; each step up in a quadruples both (one dense block at a = 12 holds
-# 4 x 4096^2 int64, 512 MB).
+# (n = 1024) `weil check` takes about 0.4-0.7 s and peaks at 141-149 MB on a
+# 2-vCPU Xeon VM; each step up in a roughly quadruples both (one dense block
+# at a = 12 holds 4 x 4096^2 int64, 512 MB).
 MAX_DENSE_A = 10
 
 _TOKENS = ("S", "T", "S^-1", "T^-1")
