@@ -3,11 +3,12 @@ Hermite normal forms, rational inverses, inertia by fraction-free symmetric
 elimination, and arithmetic in the ring generated by a primitive 8th root of
 unity with 2-power denominators.
 
-Everything but `rational_inverse` (Fractions) runs on Python ints.  No
-floats except in the explicit `complex()` conversions used by numeric
-cross-checks.
+Every elimination runs on Python ints; `rational_inverse` only hands its
+result back as Fractions.  No floats except in the explicit `complex()`
+conversions used by numeric cross-checks.
 """
 
+import math
 from fractions import Fraction
 from operator import index
 
@@ -20,7 +21,7 @@ def identity_matrix(n):
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
         ai = a[i]
@@ -40,55 +41,23 @@ def transpose(a):
 
 def det(m):
     """Exact determinant of an integer matrix by fraction-free (Bareiss)
-    elimination: every division by the previous pivot is exact.  As in
-    `_symmetric_bareiss`, a row with a 0 in the pivot column is rescaled by
-    piv / prev only when next read, so a block sum costs what its blocks cost."""
+    elimination with row swaps: every division by the previous pivot is exact."""
     n = len(m)
     a = [list(row) for row in m]
-    scale, sign, prev = [1] * n, 1, 1  # scale[r]: the pivot row r was last brought up to
-
-    def fresh(r):
-        if scale[r] != prev:
-            a[r] = [x * prev // scale[r] for x in a[r]]
-            scale[r] = prev
-        return a[r]
-
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if not a[k][k]:  # a stale row has the zero pattern of its fresh self
+        if not a[k][k]:
             swap = next((r for r in range(k + 1, n) if a[r][k]), None)
             if swap is None:
                 return 0
             a[k], a[swap] = a[swap], a[k]
-            scale[k], scale[swap] = scale[swap], scale[k]
             sign = -sign
-        pivot_row = fresh(k)
-        piv = pivot_row[k]
+        piv, pivot_row = a[k][k], a[k]
         for r in range(k + 1, n):
-            if a[r][k]:
-                f = fresh(r)[k]
-                a[r] = [(piv * x - f * y) // prev for x, y in zip(a[r], pivot_row)]
-                scale[r] = piv
+            f = a[r][k]
+            a[r] = [(piv * x - f * y) // prev for x, y in zip(a[r], pivot_row)]
         prev = piv
-    return sign * fresh(n - 1)[-1] if n else 1
-
-
-def rational_inverse(m):
-    """Exact inverse of a nonsingular matrix, entries as Fractions."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    return sign * a[-1][-1] if n else 1
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +160,21 @@ def smith_normal_form(m):
     return d, u, v
 
 
+def rational_inverse(m):
+    """Exact inverse of a nonsingular matrix, entries as Fractions, from the
+    Smith form: with c clearing the denominators of m, u (c m) v = d gives
+    m^-1 = c v d^-1 u, computed over the last invariant factor d_n."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    c = math.lcm(*(x.denominator for row in a for x in row))
+    d, u, v = smith_normal_form([[int(c * x) for x in row] for row in a])
+    last = d[-1][-1] if n else 1
+    if not last:
+        raise ZeroDivisionError("matrix is singular")
+    w = mat_mul(v, [[last // d[i][i] * x for x in u[i]] for i in range(n)])
+    return [[Fraction(c * x, last) for x in row] for row in w]
+
+
 def hermite_normal_form_columns(m):
     """Column-style HNF of an integer matrix whose columns generate a rank-n
     subgroup of Z^n (n = number of rows).  Returns an n x n lower-triangular
@@ -278,15 +262,24 @@ def _symmetric_bareiss(m):
         prev = p
 
 
+def _det_and_inertia(m):
+    """(det m, (n_plus, n_minus, n_zero)) of a symmetric integer matrix from
+    one `_symmetric_bareiss` pass: its congruences (symmetric swaps, the
+    hyperbolic row_i += row_j, col_i += col_j) have det +-1, so det m is the
+    last of n pivots, else 0; the signs of M_k / M_(k-1) give the inertia."""
+    pivots = [p for _, p, _ in _symmetric_bareiss(m)]
+    signs = [p > 0 for p in pivots]
+    n_plus = sum(s == t for s, t in zip([True] + signs, signs))  # M_(k-1) M_k > 0
+    det_m = ([1] + pivots)[-1] if len(pivots) == len(m) else 0
+    return det_m, (n_plus, len(signs) - n_plus, len(m) - len(signs))
+
+
 def rational_inertia(m):
-    """Signature (n_plus, n_minus, n_zero) of a symmetric integer matrix:
-    the signs of the LDL^T diagonal M_k / M_(k-1) of `_symmetric_bareiss`."""
+    """Signature (n_plus, n_minus, n_zero) of a symmetric integer matrix."""
     n = len(m)
     if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix is not symmetric")
-    signs = [p > 0 for _, p, _ in _symmetric_bareiss(m)]
-    n_plus = sum(s == t for s, t in zip([True] + signs, signs))  # M_(k-1) M_k > 0
-    return n_plus, len(signs) - n_plus, n - len(signs)
+    return _det_and_inertia(m)[1]
 
 
 # ---------------------------------------------------------------------------

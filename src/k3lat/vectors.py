@@ -7,7 +7,7 @@ the dual.
 import math
 from fractions import Fraction
 
-from .errors import NotDefinite, BoundExceeded, InvalidInput
+from .errors import NotDefinite, BoundExceeded, InvalidInput, NotInDual
 from .exactalg import _symmetric_bareiss
 
 # Nodes (coordinate choices) a witness search or a Fincke-Pohst enumeration
@@ -143,7 +143,7 @@ def disc_class_of_vector(L, lam):
     """(class of lam/2 in D_L, flag) where the flag says lam/2 is in the
     dual.  When the flag is False the class is None.
     """
-    half = [Fraction(c, 2) for c in lam]
-    if not L.in_dual(half):
+    try:
+        return L.disc_class([Fraction(c, 2) for c in lam]), True
+    except NotInDual:
         return None, False
-    return L.disc_class(half), True

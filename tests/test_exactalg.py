@@ -15,6 +15,7 @@ from k3lat.exactalg import (
     det,
     rational_inverse,
     rational_inertia,
+    _det_and_inertia,
     mat_mul,
     identity_matrix,
     CycEight,
@@ -97,10 +98,9 @@ def block_sum(blocks):
 
 
 def test_det_on_block_sums_against_fraction_elimination():
-    """The lazily rescaled rows of `det` (a 0 in the pivot column) against
-    the Fraction elimination: lattice block sums, random block sums with
-    singular and zero-led blocks, their row and symmetric permutations (row
-    swaps on stale rows), and random dense matrices."""
+    """`det` against the Fraction elimination: lattice block sums, random
+    block sums with singular and zero-led blocks, their row and symmetric
+    permutations (row swaps), and random dense matrices."""
     from k3lat.lattice import parse_lattice
 
     rng = random.Random(23)
@@ -198,6 +198,19 @@ def test_rational_inverse_round_trip():
         assert mat_mul(m, inv) == identity_matrix(n)
 
 
+def test_rational_inverse_edges():
+    """The Smith-form inverse: empty and singular matrices, and rational
+    entries, whose denominators are cleared before the integer Smith form."""
+    assert rational_inverse([]) == []
+    for singular in ([[0]], [[1, 2], [2, 4]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]]):
+        with pytest.raises(ZeroDivisionError, match="singular"):
+            rational_inverse(singular)
+    m = [[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(-3, 4)]]
+    inv = rational_inverse(m)
+    assert all(isinstance(x, Fraction) for row in inv for x in row)
+    assert mat_mul(m, inv) == identity_matrix(2)
+
+
 def test_inertia_sylvester():
     """Inertia of G agrees with the signs of numpy eigenvalues."""
     import numpy as np
@@ -291,8 +304,9 @@ def symmetric_matrices(draw):
 def test_inertia_against_fraction_diagonalization(m):
     """The fraction-free elimination against the Fraction one, singular and
     all-zero-diagonal matrices included (test_inertia_sylvester skips
-    them)."""
+    them); the same pass's last pivot is the determinant."""
     assert rational_inertia(m) == fraction_inertia(m)
+    assert _det_and_inertia(m)[0] == fraction_det(m)
 
 
 def test_inertia_input_checks():

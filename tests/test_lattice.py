@@ -14,6 +14,7 @@ from k3lat.errors import (
     NotGraph,
     NotIsometry,
 )
+from k3lat.exactalg import mat_mul
 from k3lat.finiteform import _decode, iter_isotropic_subgroups
 from k3lat.geography import fixture_catalog
 from k3lat.lattice import (
@@ -242,33 +243,64 @@ def test_m_lattice_gram():
     assert M10.signature() == (1, 9)
 
 
-def test_det_computed_once(monkeypatch):
-    """The constructor's determinant is the one det() returns: det() runs
-    no second elimination."""
-    import k3lat.lattice as lattice_module
+def test_one_symmetric_elimination_per_lattice(monkeypatch):
+    """Each Lattice() runs exactly one `_symmetric_bareiss` pass, which gives
+    det and signature together; det() and signature() run none."""
+    import k3lat.exactalg as exactalg_module
 
-    calls = []
-    real = lattice_module.det
+    passes, built = [], []
+    real_pass, real_init = exactalg_module._symmetric_bareiss, Lattice.__init__
 
-    def counting(m):
-        calls.append(len(m))
-        return real(m)
+    def counting_pass(m):
+        passes.append(len(m))
+        return real_pass(m)
 
-    monkeypatch.setattr(lattice_module, "det", counting)
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(exactalg_module, "_symmetric_bareiss", counting_pass)
+    monkeypatch.setattr(Lattice, "__init__", counting_init)
     L = parse_lattice("U(2) + E8(2)")
-    built = len(calls)
-    assert L.det() == real(L.gram) == -1024
-    assert L.det() == -1024 and len(calls) == built
+    assert len(passes) == len(built) > 1
+    assert L.det() == -1024 and L.signature() == (1, 9)
+    assert len(passes) == len(built)
 
 
-def test_signature_rejects_a_zero_part(monkeypatch):
-    """A nonsingular gram has no zero eigenvalue; if the inertia kernel
-    ever reports one, signature() raises rather than drop it."""
-    import k3lat.lattice as lattice_module
+def test_singular_gram_rejected_at_construction():
+    """Singular grams, one past the hyperbolic pivot and one with no pivot
+    at all, raise at construction: signature() never sees a zero part."""
+    for gram in ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], [[0, 0], [0, 0]], [[1, 2], [2, 4]]):
+        with pytest.raises(ValueError, match="nonsingular"):
+            Lattice(gram)
 
-    monkeypatch.setattr(lattice_module, "rational_inertia", lambda m: (1, 0, 1))
-    with pytest.raises(ArithmeticError):
-        parse_lattice("U").signature()
+
+def test_gram_entries_must_be_integral():
+    """Non-integral entries raise instead of being truncated; integral
+    values of any numeric type are accepted."""
+    with pytest.raises(ValueError, match="must be integers"):
+        Lattice([[2.7, 1], [1, -2]])
+    with pytest.raises(ValueError, match="must be integers"):
+        lattice_from_json('{"gram":[[2.5,0],[0,-2]]}')
+    with pytest.raises(ValueError, match="must be integers"):
+        Lattice([[Fraction(1, 2), 0], [0, 2]])
+    for two in (2, 2.0, Fraction(4, 2)):
+        L = Lattice([[two, 1], [1, -2]])
+        assert L.gram == [[2, 1], [1, -2]] and L.det() == -5
+        assert all(type(x) is int for row in L.gram for x in row)
+    assert lattice_from_json('{"gram":[[2.0,0],[0,-2]]}').det() == -4
+
+
+def test_dual_rescaled_is_twice_the_inverse():
+    """G times the dual(2) gram is 2 I on every fixture, however the dual
+    is computed; a lattice that is not 2-elementary has no dual(2)."""
+    for fix in fixture_catalog():
+        L = fix.lattice
+        n = L.rank
+        prod = mat_mul(L.gram, dual_rescaled(L).gram)
+        assert prod == [[2 * (i == j) for j in range(n)] for i in range(n)], fix.name
+    with pytest.raises(NotTwoElementary):
+        dual_rescaled(parse_lattice("U(3)"))
 
 
 def test_rescale_det():
