@@ -34,16 +34,16 @@ class Lattice:
 
     gram: symmetric matrix of integers (2.0 or Fraction(4, 2) pass), det != 0.
     labels: optional basis names.
-    One symmetric Bareiss pass gives det and signature, the Smith form D_L
-    and dual(2).  Parsed lattices are block sums; only a dense gram given
-    here can make the entries of smith_normal_form's transforms grow with
-    the rank.
+    One symmetric Bareiss pass gives det and signature; the Smith form gives
+    D_L and dual(2), and only a dense gram (parsed ones are block sums) can
+    make the entries of its transforms grow with the rank.
     """
 
     def __init__(self, gram, labels=None, expr=None):
-        if any(int(x) != x for row in gram for x in row):
+        rows = [list(row) for row in gram]
+        gram = [list(map(int, row)) for row in rows]
+        if gram != rows:
             raise ValueError("gram entries must be integers")
-        gram = [[int(x) for x in row] for row in gram]
         n = len(gram)
         for row in gram:
             if len(row) != n:
@@ -434,10 +434,10 @@ def k3_lattice():
 # ---------------------------------------------------------------------------
 # parsing / serialization
 
-# The largest rank parse_lattice builds.  Building runs one fraction-free
-# symmetric elimination (det != 0 and the signature) at O(rank^3) cost: `lat info` on E8(2)^12 or U(2)^48 (rank 96)
-# takes 0.17-0.24 s as a fresh process on a 2-vCPU Xeon VM, against 0.11 s
-# for LambdaK3 (rank 22), the largest lattice the package works with.
+# The largest rank parse_lattice builds.  Building runs one symmetric
+# Bareiss pass (det != 0, signature) at O(rank^3) cost: `lat info` on
+# E8(2)^12 or U(2)^48 (rank 96) takes about 0.1 s more than on LambdaK3
+# (rank 22), the largest lattice the package works with (2-vCPU Xeon VM).
 MAX_RANK = 96
 
 
