@@ -268,8 +268,9 @@ def test_one_symmetric_elimination_per_lattice(monkeypatch):
 
 
 def test_singular_gram_rejected_at_construction():
-    """Singular grams, one past the hyperbolic pivot and one with no pivot
-    at all, raise at construction: signature() never sees a zero part."""
+    """Singular grams (one past the hyperbolic pivot, one with no pivot at
+    all, one of rank 1) raise at construction, so signature() never sees a
+    zero part."""
     for gram in ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], [[0, 0], [0, 0]], [[1, 2], [2, 4]]):
         with pytest.raises(ValueError, match="nonsingular"):
             Lattice(gram)
