@@ -4,6 +4,7 @@ r + a = 22, evaluated through the Gritsenko low-weight-cusp-form criterion
 with explicit weight and divisor ledgers.
 """
 
+import functools
 from fractions import Fraction
 
 from .errors import NotRealizable, OutOfFamily, UnsupportedInvariant
@@ -72,9 +73,15 @@ def gritsenko_verdict(k, nu, n, strict_weight, nonzero_slack):
     return VERDICT_INCONCLUSIVE
 
 
-def _m7_partner():
-    """U(2) + M7, the transcendental lattice forced at (r, a) = (13, 9)."""
-    return direct_sum(rescale(hyperbolic_plane(), 2), rescale(m_lattice(7), -1))
+@functools.cache
+def _m7_witness():
+    """A norm -4 vector of U(2) + M7, the lattice forced at (r, a) = (13, 9),
+    and whether half of it is in the dual; a fixed search, run once."""
+    partner = direct_sum(rescale(hyperbolic_plane(), 2), rescale(m_lattice(7), -1))
+    lam = witness_vector(partner, -4, box=2)
+    if lam is None:
+        raise NotRealizable("no norm -4 vector found in U(2) + M7")
+    return lam, disc_class_of_vector(partner, lam)[1]
 
 
 def case1_report(r, a, delta):
@@ -98,11 +105,7 @@ def case1_report(r, a, delta):
     elif d_prime_zero:
         # r = 13 boundary: L_- = U(2) + M7; a reflective -4-wall outside D
         # supplies the slack.  The witness carries the whole argument.
-        partner = _m7_partner()
-        lam = witness_vector(partner, -4, box=2)
-        if lam is None:
-            raise NotRealizable("no norm -4 vector found in U(2) + M7")
-        _, half_in_dual = disc_class_of_vector(partner, lam)
+        lam, half_in_dual = _m7_witness()
         special = True
         slack = True
         report["witness"] = list(lam)

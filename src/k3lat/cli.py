@@ -103,9 +103,7 @@ def _vec_short(args):
             "vectors": [{"v": list(v), "norm": n} for v, n in vs],
         })
         return 0
-    for v, n in vs:
-        print(f"{n:>5}  {list(v)}")
-    print(f"{len(vs)} vectors up to sign")
+    print("\n".join([f"{n:>5}  {list(v)}" for v, n in vs] + [f"{len(vs)} vectors up to sign"]))
     return 0
 
 

@@ -301,7 +301,8 @@ def quotient_form(q, G):
     table = q.qh_table()
     if any(table[g] for g in G._span):
         raise NotIsotropic("q does not vanish on the subgroup")
-    perp = [x for x in range(len(table)) if not any(q.b2(g, x) for g in G._gens)]
+    bg = [q.bvec(g) for g in G._gens]
+    perp = [x for x in range(len(table)) if not any((m & x).bit_count() & 1 for m in bg)]
     reps, _ = _xor_span(perp, G._span)
     # q descends: check independence of coset representative
     for r in reps:

@@ -5,14 +5,15 @@ the dual.
 """
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 from .errors import NotDefinite, BoundExceeded, InvalidInput, NotInDual
 from .exactalg import _symmetric_bareiss
 
 # Nodes (coordinate choices) a witness search or a Fincke-Pohst enumeration
-# may visit before it gives up; about a second of search.  The searches the
-# Kodaira audit runs need at most 16,421 nodes; short_vectors on E8 needs
+# may visit before it gives up; about a second of search.  The Kodaira audit's
+# one search, 16,421 nodes, runs once per process; short_vectors on E8 needs
 # 9,196 at bound 6 and 49,464 at bound 10, and exceeds the budget at bound 24.
 WITNESS_NODE_BUDGET = 1_000_000
 
@@ -27,39 +28,45 @@ def short_vectors(L, bound):
     sign = -1 if n and L.gram[0][0] < 0 else 1  # the sign of a definite form
     dens, nums, scale, ks = _lagrange_integers([[sign * x for x in row] for row in L.gram])
     budget = math.floor(bound) * scale  # norms are integers
-    out = []
+    out = defaultdict(list)  # scale |norm| -> [v], v's first nonzero coordinate positive
     coords = [0] * n
     left = WITNESS_NODE_BUDGET
 
-    def descend(i, remaining, half):
-        """Choose coords[i] given the budget left for levels <= i; while
-        every higher coordinate is zero (half), only x_i >= 0, so each +-v
-        pair is met once."""
+    def descend(i, remaining, first):
+        """Choose coords[i] given the budget left for levels <= i; first is
+        the first nonzero higher coordinate.  While there is none, only
+        x_i >= 0, so each +-v pair is met once.  Level 0 emits in place."""
         nonlocal left
-        if i < 0:
-            if not half:
-                out.append((tuple(coords), sign * ((budget - remaining) // scale)))
-            return
         d, k = dens[i], ks[i]
         s = sum(c * coords[j] for j, c in nums[i])
         t = math.isqrt(remaining // k)  # |d x + s| <= t
-        lo = 0 if half else -((s + t) // d)
+        lo = -((s + t) // d) if first else 0
         hi = (t - s) // d + 1
         left -= hi - lo  # this node's children, counted in one step
         if left < 0:
             raise BoundExceeded(
                 f"Fincke-Pohst passed {WITNESS_NODE_BUDGET} nodes; use a smaller bound")
+        if i:
+            for x in range(lo, hi):
+                coords[i] = x
+                val = d * x + s
+                descend(i - 1, remaining - k * val * val, x or first)
+            coords[i] = 0
+            return
+        tail = tuple(coords[1:])
+        neg = tuple(-c for c in tail) if lo < 0 or first < 0 else None
+        used = budget - remaining
         for x in range(lo, hi):
-            coords[i] = x
             val = d * x + s
-            descend(i - 1, remaining - k * val * val, half and not x)
-        coords[i] = 0
+            f = x or first  # the sign of (x, tail); 0 at the zero vector
+            if f > 0:
+                out[used + k * val * val].append((x,) + tail)
+            elif f:
+                out[used + k * val * val].append((-x,) + neg)
 
-    if budget >= 0:
-        descend(n - 1, budget, True)
-    result = [(max(v, tuple(-c for c in v)), norm) for v, norm in out]
-    result.sort(key=lambda t: (abs(t[1]), t[0]))
-    return result
+    if budget >= 0 and n:
+        descend(n - 1, budget, 0)
+    return [(v, sign * (m // scale)) for m in sorted(out) for v in sorted(out[m])]
 
 
 def _lagrange_integers(q):
@@ -98,45 +105,51 @@ def witness_vector(L, target_norm, box):
     gram = L.gram
     # setting coords[i] = x adds x (2 sum_{j<i} G_ij x_j + G_ii x) to the norm
     lower = [[(j, 2 * gram[i][j]) for j in range(i) if gram[i][j]] for i in range(n)]
+    if not n:
+        return None  # only the zero vector
     coords = [0] * n
     left = WITNESS_NODE_BUDGET
+    # the values of each shell: 0, 1, -1, ..., shell, -shell, small ones first
+    shells = [sum(((v, -v) for v in range(1, k + 1)), (0,)) for k in range(box + 1)]
 
-    def dfs(i, shell, norm):
+    def spend(nodes):
         nonlocal left
-        left -= 1
+        left -= nodes
         if left < 0:
             raise BoundExceeded(
                 f"witness search passed {WITNESS_NODE_BUDGET} nodes; use a smaller box")
-        if i == n:
-            # no sup-norm test: a vector inside a smaller shell missed there
-            if norm == target_norm and any(coords):
-                return tuple(coords)
-            return None
+
+    def dfs(i, values, norm):
         s = sum(c * coords[j] for j, c in lower[i])
         g = gram[i][i]
-        for x in _shell_range(shell):
-            coords[i] = x
-            hit = dfs(i + 1, shell, norm + x * (s + g * x))
-            if hit:
-                return hit
-        coords[i] = 0
+        if i < n - 1:
+            spend(1)
+            for x in values:
+                coords[i] = x
+                hit = dfs(i + 1, values, norm + x * (s + g * x))
+                if hit:
+                    return hit
+            coords[i] = 0
+            return None
+        # the last coordinate: this node and one node per value tried, no
+        # sup-norm test (a vector inside a smaller shell was missed there)
+        want = target_norm - norm
+        nonzero = any(coords)
+        for p, x in enumerate(values):
+            if x * (s + g * x) == want and (x or nonzero):
+                spend(p + 2)
+                coords[i] = x
+                return tuple(coords)
+        spend(len(values) + 1)
         return None
 
-    for shell in range(box + 1):
-        hit = dfs(0, shell, 0)
+    for values in shells:
+        hit = dfs(0, values, 0)
         if hit:
             # canonical sign: first nonzero coordinate positive
             first = next(c for c in hit if c)
             return hit if first > 0 else tuple(-c for c in hit)
     return None
-
-
-def _shell_range(shell):
-    # 0, 1, -1, ..., shell, -shell: deterministic, small values first
-    yield 0
-    for v in range(1, shell + 1):
-        yield v
-        yield -v
 
 
 def disc_class_of_vector(L, lam):

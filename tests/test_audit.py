@@ -3,6 +3,7 @@ and lift consistency."""
 
 import pytest
 
+from k3lat import audit
 from k3lat.errors import NotRealizable, OutOfFamily, UnsupportedInvariant
 from k3lat.audit import (
     DivisorLedger,
@@ -14,6 +15,7 @@ from k3lat.audit import (
     lift_consistency,
 )
 from k3lat.geography import geography_table
+from k3lat.vectors import witness_vector
 
 
 def test_gritsenko_verdict_table():
@@ -44,6 +46,26 @@ def test_case1_spot_rows():
     assert r["special_flag"]
     assert r["verdict"] == "-infinity"
     assert "witness" in r
+
+
+def test_m7_witness_searched_once(monkeypatch):
+    """The (13, 9, 1) witness search has fixed input, so the whole coverage
+    table and repeated reports run it once; each report owns its list."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return witness_vector(*args, **kwargs)
+
+    audit._m7_witness.cache_clear()
+    monkeypatch.setattr(audit, "witness_vector", counting)
+    theorem1_coverage()
+    first = case1_report(13, 9, 1)
+    expected = list(first["witness"])
+    first["witness"][0] += 1
+    second = case1_report(13, 9, 1)
+    assert len(calls) == 1
+    assert second["witness"] == expected
 
 
 def test_case1_symbolic_margin_identity():

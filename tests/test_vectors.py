@@ -192,6 +192,34 @@ def test_fincke_pohst_node_budget(monkeypatch):
         short_vectors(e8_lattice(), 6)
 
 
+def u2_m7():
+    """U(2) + M7(-1), the lattice of the audit's norm -4 witness."""
+    return direct_sum(rescale(hyperbolic_plane(), 2), rescale(m_lattice(7), -1))
+
+
+@pytest.mark.parametrize("lattice, norm, box, nodes", [
+    (u2_m7, -4, 2, 16421),
+    (lambda: parse_lattice("LambdaK3"), -2, 2, 47),
+    (lambda: parse_lattice("U(2) + <-2>"), -2, 3, 9),
+    (hyperbolic_plane, -4, 3, 29),
+])
+def test_witness_node_budget(monkeypatch, lattice, norm, box, nodes):
+    """Each search finds its witness in exactly `nodes` nodes (one per
+    coordinate value tried); one node less of budget and it raises."""
+    L = lattice()
+    monkeypatch.setattr(vectors, "WITNESS_NODE_BUDGET", nodes)
+    v = witness_vector(L, norm, box)
+    assert v is not None and L.norm(v) == norm
+    monkeypatch.setattr(vectors, "WITNESS_NODE_BUDGET", nodes - 1)
+    with pytest.raises(BoundExceeded):
+        witness_vector(L, norm, box)
+
+
+def test_rank_zero_searches():
+    assert short_vectors(Lattice([]), 4) == []
+    assert witness_vector(Lattice([]), 0, 1) is None
+
+
 def test_indefinite_rejected():
     with pytest.raises(NotDefinite):
         short_vectors(hyperbolic_plane(), 2)
@@ -206,7 +234,7 @@ def test_witness_vector_hyperbolic():
 
 
 def test_witness_vector_u2_m7():
-    L = direct_sum(rescale(hyperbolic_plane(), 2), rescale(m_lattice(7), -1))
+    L = u2_m7()
     v = witness_vector(L, -4, 2)
     assert v is not None
     assert L.norm(v) == -4
