@@ -103,7 +103,8 @@ def _vec_short(args):
             "vectors": [{"v": list(v), "norm": n} for v, n in vs],
         })
         return 0
-    print("\n".join([f"{n:>5}  {list(v)}" for v, n in vs] + [f"{len(vs)} vectors up to sign"]))
+    sys.stdout.writelines(f"{n:>5}  {list(v)}\n" for v, n in vs)
+    print(f"{len(vs)} vectors up to sign")
     return 0
 
 

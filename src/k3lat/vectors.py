@@ -109,8 +109,6 @@ def witness_vector(L, target_norm, box):
         return None  # only the zero vector
     coords = [0] * n
     left = WITNESS_NODE_BUDGET
-    # the values of each shell: 0, 1, -1, ..., shell, -shell, small ones first
-    shells = [sum(((v, -v) for v in range(1, k + 1)), (0,)) for k in range(box + 1)]
 
     def spend(nodes):
         nonlocal left
@@ -138,12 +136,13 @@ def witness_vector(L, target_norm, box):
         for p, x in enumerate(values):
             if x * (s + g * x) == want and (x or nonzero):
                 spend(p + 2)
-                coords[i] = x
-                return tuple(coords)
+                return (*coords[:i], x)
         spend(len(values) + 1)
         return None
 
-    for values in shells:
+    values = ()  # shell k: 0, 1, -1, ..., k, -k; grown as reached, so the budget bounds any box
+    for k in range(box + 1):
+        values += (k, -k) if k else (0,)
         hit = dfs(0, values, 0)
         if hit:
             # canonical sign: first nonzero coordinate positive

@@ -166,6 +166,7 @@ def test_domain_error_exit_2(capsys):
     ("qexp", "eta", "1^-1,100000^-23"),
     ("qexp", "psi", "1000000", "--prec", "1998"),
     ("qexp", "psi", "1000000000", "--prec", "1000"),
+    ("vec", "witness", "U", "--norm", "3", "--box", "1000000000"),
 ])
 def test_bad_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -215,6 +215,16 @@ def test_witness_node_budget(monkeypatch, lattice, norm, box, nodes):
         witness_vector(L, norm, box)
 
 
+def test_witness_huge_box_is_lazy():
+    """Shells are built only when the search reaches them: a witness in a
+    small shell is found at once, and a box with none exhausts the node
+    budget instead of building every shell first."""
+    U = hyperbolic_plane()
+    assert witness_vector(U, -4, 10**9) == witness_vector(U, -4, 3)
+    with pytest.raises(BoundExceeded):
+        witness_vector(U, 3, 10**9)  # odd norms unreachable in U
+
+
 def test_rank_zero_searches():
     assert short_vectors(Lattice([]), 4) == []
     assert witness_vector(Lattice([]), 0, 1) is None
