@@ -4,7 +4,6 @@ r + a = 22, evaluated through the Gritsenko low-weight-cusp-form criterion
 with explicit weight and divisor ledgers.
 """
 
-import functools
 from fractions import Fraction
 
 from .errors import NotRealizable, OutOfFamily, UnsupportedInvariant
@@ -18,7 +17,7 @@ from .lattice import (
     direct_sum,
 )
 from .finiteform import milgram_signature
-from .vectors import witness_vector, disc_class_of_vector
+from .vectors import disc_class_of_vector
 from .weil import lift_B, principal_part
 
 VERDICT_NEG_INFINITY = "-infinity"
@@ -73,17 +72,6 @@ def gritsenko_verdict(k, nu, n, strict_weight, nonzero_slack):
     return VERDICT_INCONCLUSIVE
 
 
-@functools.cache
-def _m7_witness():
-    """A norm -4 vector of U(2) + M7, the lattice forced at (r, a) = (13, 9),
-    and whether half of it is in the dual; a fixed search, run once."""
-    partner = direct_sum(rescale(hyperbolic_plane(), 2), rescale(m_lattice(7), -1))
-    lam = witness_vector(partner, -4, box=2)
-    if lam is None:
-        raise NotRealizable("no norm -4 vector found in U(2) + M7")
-    return lam, disc_class_of_vector(partner, lam)[1]
-
-
 def case1_report(r, a, delta):
     """The 13 <= r <= 17 family: quasi-pullback weights k = (r-6)(2^g+1)."""
     if not k3_triplet_realizable(r, a, delta):
@@ -104,12 +92,16 @@ def case1_report(r, a, delta):
         slack = False  # not needed
     elif d_prime_zero:
         # r = 13 boundary: L_- = U(2) + M7; a reflective -4-wall outside D
-        # supplies the slack.  The witness carries the whole argument.
-        lam, half_in_dual = _m7_witness()
+        # supplies the slack.  The witness carries the whole argument: the
+        # certificate u - v of the U(2) summand, checked to have norm -4.
+        partner = direct_sum(rescale(hyperbolic_plane(), 2), rescale(m_lattice(7), -1))
+        lam = [1, -1] + [0] * 7
+        if partner.norm(lam) != -4:
+            raise NotRealizable("u - v is not a norm -4 vector of U(2) + M7")
         special = True
         slack = True
-        report["witness"] = list(lam)
-        report["witness_half_in_dual"] = half_in_dual
+        report["witness"] = lam
+        report["witness_half_in_dual"] = disc_class_of_vector(partner, lam)[1]
     else:
         # D' is nonzero, so div(Psi) = D' + nu D'' leaves nu R - D' - nu D''
         # short of nu R along D' itself.
@@ -211,9 +203,8 @@ def lift_consistency(r_minus, prec=8):
     zero = tuple([0] * q.a)
     if poles.get(zero) != [(Fraction(-2), Fraction(1))]:
         return False
-    for x in q.elements():
-        klass = int(2 * q.q(x)) % 4
-        expect = [(Fraction(-1, 2), Fraction(1))] if klass == 2 else []
+    for x, qh in zip(q.elements(), q.qh_table()):  # element ints index the table
+        expect = [(Fraction(-1, 2), Fraction(1))] if qh == 2 else []
         got = poles.get(x, []) if x != zero else []
         if got != expect:
             return False

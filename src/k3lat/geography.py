@@ -10,11 +10,7 @@ import functools
 from fractions import Fraction
 
 from .errors import NotRealizable
-from .finiteform import (
-    form_invariants,
-    iter_isotropic_subgroups,
-    quotient_form,
-)
+from .finiteform import form_invariants, iter_isotropic_subgroups
 from .lattice import (
     direct_sum,
     discriminant_form,
@@ -128,20 +124,22 @@ def find_isogeny_glue(L, a_target, delta_target):
     """An isotropic subgroup G of D_L whose quotient form has invariants
     (a_target, delta_target), together with the overlattice realizing it.
     Returns (G, M) or None.
+
+    The overlattice M of G has D_M = Gperp/G (Nikulin, "Integral symmetric
+    bilinear forms and some of their applications", 1979, Prop. 1.4.1), so
+    a rank-k G gives a = a_L - 2k.  Its delta is 0 exactly when the
+    characteristic element gamma of D_L (b(gamma, y) = q(y) mod 1 for all y)
+    lies in G: q is integral on Gperp iff gamma is in Gperp-perp = G.
     """
     form = discriminant_form(L)
-    a = form.a
-    drop = a - a_target
-    if drop < 0 or drop % 2:
+    drop = form.a - a_target
+    gamma, _ = form.characteristic_solve()
+    if drop < 0 or drop % 2 or (gamma == 0 and delta_target == 1):
         return None
     rank_needed = drop // 2
     lifts = L.disc_generator_lifts()
     for G in iter_isotropic_subgroups(form, 2 ** rank_needed):
-        if G.rank != rank_needed:
-            continue
-        qq = quotient_form(form, G)
-        a2, d2, _ = form_invariants(qq)
-        if (a2, d2) != (a_target, delta_target):
+        if G.rank != rank_needed or int(gamma not in G._span) != delta_target:
             continue
         # each generator lifts to the sum of the lifts of its nonzero coordinates
         vectors = [[sum(col) for col in zip(*(lifts[i] for i, bit in enumerate(gen) if bit))]

@@ -216,7 +216,7 @@ def discriminant_form(L):
     # W = V^T G V holds 4 q on the diagonal and 4 b off it
     d, u, v, nontrivial = L._snf_data()
     cols = [[row[i] for row in v] for i in nontrivial]
-    w = [[_dot(c, gc) for c in cols] for gc in (_mat_vec(L.gram, c) for c in cols)]
+    w = mat_mul(cols, mat_mul(L.gram, transpose(cols)))
     return FiniteQuadraticForm.from_lift_gram(w)
 
 

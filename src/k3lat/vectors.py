@@ -12,9 +12,9 @@ from .errors import NotDefinite, BoundExceeded, InvalidInput, NotInDual
 from .exactalg import _symmetric_bareiss
 
 # Nodes (coordinate choices) a witness search or a Fincke-Pohst enumeration
-# may visit before it gives up; about a second of search.  The Kodaira audit's
-# one search, 16,421 nodes, runs once per process; short_vectors on E8 needs
-# 9,196 at bound 6 and 49,464 at bound 10, and exceeds the budget at bound 24.
+# may visit before it gives up; about a second of search.  short_vectors on E8
+# needs 9,196 at bound 6 and 49,464 at bound 10, and exceeds the budget at
+# bound 24.
 WITNESS_NODE_BUDGET = 1_000_000
 
 

@@ -3,7 +3,6 @@ and lift consistency."""
 
 import pytest
 
-from k3lat import audit
 from k3lat.errors import NotRealizable, OutOfFamily, UnsupportedInvariant
 from k3lat.audit import (
     DivisorLedger,
@@ -48,24 +47,28 @@ def test_case1_spot_rows():
     assert "witness" in r
 
 
-def test_m7_witness_searched_once(monkeypatch):
-    """The (13, 9, 1) witness search has fixed input, so the whole coverage
-    table and repeated reports run it once; each report owns its list."""
-    calls = []
+def test_m7_witness_is_a_checked_certificate(monkeypatch):
+    """The (13, 9, 1) witness is u - v of the U(2) summand, checked rather
+    than searched: the coverage table and repeated reports run with the
+    search disabled, and the search, run here, finds the same vector."""
+    from k3lat import vectors
+    from k3lat.lattice import direct_sum, hyperbolic_plane, m_lattice, rescale
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return witness_vector(*args, **kwargs)
+    partner = direct_sum(rescale(hyperbolic_plane(), 2), rescale(m_lattice(7), -1))
+    searched = list(witness_vector(partner, -4, 2))
 
-    audit._m7_witness.cache_clear()
-    monkeypatch.setattr(audit, "witness_vector", counting)
+    def no_search(*args, **kwargs):
+        raise AssertionError("the audit must not search for its witness")
+
+    monkeypatch.setattr(vectors, "witness_vector", no_search)
     theorem1_coverage()
     first = case1_report(13, 9, 1)
-    expected = list(first["witness"])
+    assert first["witness"] == searched
+    assert partner.norm(first["witness"]) == -4
+    assert first["witness_half_in_dual"] is True
     first["witness"][0] += 1
     second = case1_report(13, 9, 1)
-    assert len(calls) == 1
-    assert second["witness"] == expected
+    assert second["witness"] == searched
 
 
 def test_case1_symbolic_margin_identity():

@@ -279,6 +279,24 @@ def test_isotropic_subgroups_against_brute_force():
         H for H in brute_isotropic_subgroups(q) if len(H) <= 2}
 
 
+def test_quotient_delta_is_characteristic_membership():
+    """Gperp/G for an isotropic G has a = a - 2 rank and delta 0 exactly
+    when the characteristic element gamma lies in G, the criterion that
+    find_isogeny_glue reads instead of building the quotient."""
+    seen = set()
+    for name, q in catalog_forms(8):
+        gamma, rank = q.characteristic_solve()
+        assert rank == q.a, name
+        # every order up to a = 6; past it order 4, or 2 when gamma = 0 lies
+        # in every G and only a is checked
+        for G in isotropic_subgroups(q, 1 << q.a if q.a <= 6 else 4 if gamma else 2):
+            quot = quotient_form(q, G)
+            delta = int(gamma not in G._span)
+            assert (quot.a, quot.delta()) == (q.a - 2 * G.rank, delta), (name, G)
+            seen.add((G.rank, delta))
+    assert {(1, 0), (1, 1), (2, 0), (2, 1)} <= seen
+
+
 def test_isometry_witness_table_preserves_q_and_b():
     from k3lat.lattice import d4_lattice
 

@@ -26,7 +26,7 @@ from k3lat.lattice import (
     overlattice,
     discriminant_form,
 )
-from k3lat.finiteform import form_invariants
+from k3lat.finiteform import form_invariants, iter_isotropic_subgroups, quotient_form
 
 
 def test_count_is_75():
@@ -228,9 +228,58 @@ def test_find_isogeny_glue_round_trip():
         assert M.signature() == L.signature()
 
 
+def quotient_glue(L, a_target, delta_target):
+    """The former find_isogeny_glue: the invariants of every candidate's
+    quotient form Gperp/G, then the overlattice confirmation."""
+    form = discriminant_form(L)
+    drop = form.a - a_target
+    if drop < 0 or drop % 2:
+        return None
+    lifts = L.disc_generator_lifts()
+    for G in iter_isotropic_subgroups(form, 2 ** (drop // 2)):
+        if G.rank != drop // 2:
+            continue
+        if form_invariants(quotient_form(form, G))[:2] != (a_target, delta_target):
+            continue
+        vectors = [[sum(col) for col in zip(*(lifts[i] for i, bit in enumerate(gen) if bit))]
+                   for gen in G.generators]
+        M, _index = overlattice(L, vectors)
+        if main_invariant(M).as_tuple()[2:] == (a_target, delta_target):
+            return G, M
+    return None
+
+
+def test_find_isogeny_glue_against_quotient_invariants():
+    """The characteristic-element criterion picks the same first G and M as
+    the quotient-form invariants, for every target on the catalog, a <= 6."""
+    hits = misses = 0
+    for fix in fixture_catalog():
+        L = fix.lattice
+        if not L.is_even() or discriminant_form(L).a > 6:
+            continue
+        for a_t in range(discriminant_form(L).a + 1):
+            for d_t in (0, 1):
+                want = quotient_glue(L, a_t, d_t)
+                got = find_isogeny_glue(L, a_t, d_t)
+                if want is None:
+                    assert got is None, (fix.name, a_t, d_t)
+                    misses += 1
+                else:
+                    assert got is not None, (fix.name, a_t, d_t)
+                    assert (got[0]._span, got[1].gram) == (want[0]._span, want[1].gram)
+                    hits += 1
+    assert hits >= 20 and misses >= 20
+
+
 def test_find_isogeny_glue_can_fail():
     L = parse_lattice("U(2)")
     assert find_isogeny_glue(L, 2, 1) is None
+    # delta(L) = 0 puts gamma = 0 in every G: no quotient has delta 1
+    for expr, a_t, d_t in [("U(2) + E8(2)", 6, 1), ("U(2)^2 + E8(2)", 8, 1)]:
+        L = parse_lattice(expr)
+        start = time.perf_counter()
+        assert find_isogeny_glue(L, a_t, d_t) is None, expr
+        assert time.perf_counter() - start < 1, expr
 
 
 def test_geography_runtime():
