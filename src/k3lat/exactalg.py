@@ -1,7 +1,7 @@
-"""Exact linear-algebra kernel: integer Bareiss determinants, Smith and
-Hermite normal forms, rational inverses, inertia by fraction-free symmetric
-elimination, and arithmetic in the ring generated by a primitive 8th root of
-unity with 2-power denominators.
+"""Exact linear-algebra kernel: Smith and Hermite normal forms, rational
+inverses, determinant and inertia of a symmetric matrix by fraction-free
+symmetric elimination, and arithmetic in the ring generated by a primitive
+8th root of unity with 2-power denominators.
 
 Every elimination runs on Python ints; `rational_inverse` only hands its
 result back as Fractions.  No floats except in the explicit `complex()`
@@ -37,27 +37,6 @@ def mat_mul(a, b):
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-def det(m):
-    """Exact determinant of an integer matrix by fraction-free (Bareiss)
-    elimination with row swaps: every division by the previous pivot is exact."""
-    n = len(m)
-    a = [list(row) for row in m]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        piv, pivot_row = a[k][k], a[k]
-        for r in range(k + 1, n):
-            f = a[r][k]
-            a[r] = [(piv * x - f * y) // prev for x, y in zip(a[r], pivot_row)]
-        prev = piv
-    return sign * a[-1][-1] if n else 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ q takes values in (1/2)Z mod 2Z, b in (1/2)Z mod Z.  Inside the package an
 element of D is a Python int: coordinate i sits in bit a-1-i, so the int of
 an element equals its index in ``elements()`` and int order is the tuple
 order.  q is kept in half-units mod 4 and 2b as one bitmask row per
-generator; b(x, y) is the parity of popcount(Bx & y).  The public methods
-take and return coordinate tuples and Fractions, converting at the edge.
+generator; b(x, y) is the parity of popcount(Bx & y).  A subspace, such as
+a subgroup or a kernel, is kept as its reduced echelon basis.  The public
+methods take and return coordinate tuples and Fractions, converting at the
+edge.
 """
 
 from fractions import Fraction
@@ -18,7 +20,9 @@ HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
-# the F2 kernel on int-encoded elements
+# the F2 kernel on int-encoded elements.  A subspace is kept as its reduced
+# echelon basis, unique to it: a dict {leading bit: vector} whose keys are the
+# top bits of their vectors, each set in its own vector only.
 
 def _encode(bits):
     """The int of a coordinate vector (entries taken mod 2)."""
@@ -49,38 +53,37 @@ def _apply(cols, x):
     return out
 
 
-def _xor_span(vectors, start=(0,)):
-    """Grow the set ``start`` by each vector not yet in its span, in order.
-
-    Returns the vectors that were added and the final span.
-    """
-    added, span = [], set(start)
-    for v in vectors:
-        if v not in span:
-            added.append(v)
-            span |= {v ^ s for s in span}
-    return added, span
+def _reduce(basis, v):
+    """v with every leading bit of the basis cleared: 0 iff v lies in the
+    span, and otherwise the least element of the coset v + span."""
+    for lead, b in basis.items():
+        if v & lead:
+            v ^= b
+    return v
 
 
-def _solve(cols, target):
-    """(x, rank): some x with _apply(cols, x) == target, or None if there is
-    none, and the rank of the columns.  Gaussian elimination on bitmasks."""
-    width = len(cols)
-    basis = []  # (vector, combination), leading bits distinct, descending
+def _insert(basis, v):
+    """Add v to the basis unless it lies in the span; returns v reduced, so
+    0 when nothing was added."""
+    v = _reduce(basis, v)
+    if v:
+        lead = 1 << (v.bit_length() - 1)
+        for k, b in basis.items():
+            if b & lead:
+                basis[k] = b ^ v
+        basis[lead] = v
+    return v
 
-    def reduce(v, x):
-        for bv, bx in basis:
-            if v ^ bv < v:
-                v, x = v ^ bv, x ^ bx
-        return v, x
 
+def _eliminate(cols):
+    """The reduced basis of the vectors col_i with e_i appended below them
+    (n = len(cols) bits, coordinate i in bit n-1-i).  Its rows < 2^n are the
+    kernel's reduced basis; for the others, row >> n is the image's reduced
+    basis and row & (2^n - 1) a combination of columns giving it."""
+    n, basis = len(cols), {}
     for i, col in enumerate(cols):
-        v, x = reduce(col, 1 << (width - 1 - i))
-        if v:
-            basis.append((v, x))
-            basis.sort(reverse=True)
-    rest, x = reduce(target, 0)
-    return (None if rest else x), len(basis)
+        _insert(basis, (col << n) | (1 << (n - 1 - i)))
+    return basis
 
 
 class FiniteQuadraticForm:
@@ -161,9 +164,11 @@ class FiniteQuadraticForm:
 
     def characteristic_solve(self):
         """(gamma, rank): a solution of B gamma = diag(B), or None, and the
-        rank of B.  Such gamma satisfy b(gamma, y) = q(y) mod 1 for all y."""
-        diag = _encode(h & 1 for h in self.qh_gen)
-        return _solve(self.rows, diag)
+        rank of B.  Such gamma satisfy b(gamma, y) = q(y) mod 1 for all y;
+        there is exactly one when B has full rank."""
+        a, basis = self.a, _eliminate(self.rows)  # B is symmetric: rows = columns
+        rest = _reduce(basis, _encode(h & 1 for h in self.qh_gen) << a)
+        return (None if rest >> a else rest), sum(1 for v in basis.values() if v >> a)
 
     # the tuple and Fraction boundary --------------------------------------
     def elements(self):
@@ -200,20 +205,34 @@ class FiniteQuadraticForm:
 
 
 class SubgroupSpec:
-    """A subgroup of (Z/2)^a given by generators; the span is stored reduced."""
+    """A subgroup of (Z/2)^a.  ``generators`` keeps, in order, each given one
+    outside the span of those before it; equality compares the reduced
+    bases, so it holds exactly for equal subgroups; ``elements()`` lists the
+    subgroup in increasing order."""
 
     def __init__(self, generators, a=None):
         self.a = a if a is not None else (len(generators[0]) if generators else 0)
-        gens, span = _xor_span(_encode(g) for g in generators)
-        self._gens = gens
-        self._span = frozenset(span)
+        self._basis = {}
+        self._gens = [g for g in map(_encode, generators) if _insert(self._basis, g)]
 
     @classmethod
-    def _of(cls, a, gens, span):
-        """From independent int generators and their span."""
+    def _of(cls, a, gens, basis):
+        """From independent int generators and the reduced basis of their span."""
         G = cls.__new__(cls)
-        G.a, G._gens, G._span = a, gens, span
+        G.a, G._gens, G._basis = a, gens, basis
         return G
+
+    @cached_property
+    def _span(self):
+        """Every element, as a frozenset of ints."""
+        span = [0]
+        for v in self._basis.values():
+            span += [v ^ s for s in span]
+        return frozenset(span)
+
+    def _has(self, x):
+        """Whether the element int x lies in the subgroup."""
+        return not _reduce(self._basis, x)
 
     @property
     def generators(self):
@@ -227,7 +246,7 @@ class SubgroupSpec:
         return [_decode(x, self.a) for x in sorted(self._span)]
 
     def __eq__(self, other):
-        return isinstance(other, SubgroupSpec) and self._span == other._span
+        return isinstance(other, SubgroupSpec) and self._basis == other._basis
 
     def __repr__(self):
         return f"SubgroupSpec(rank={self.rank}, a={self.a})"
@@ -254,10 +273,6 @@ def milgram_signature(q):
     return _GAUSS_DIRECTIONS[(re > 0) - (re < 0), (im > 0) - (im < 0)]
 
 
-def parity_delta(q):
-    return q.delta()
-
-
 def form_invariants(q):
     if not q.is_nondegenerate():
         raise DegenerateForm("bilinear form is degenerate")
@@ -271,43 +286,43 @@ def forms_isometric(q1, q2):
 
 def iter_isotropic_subgroups(q, max_order):
     """Subgroups on which q vanishes identically, of order <= max_order,
-    in a deterministic order (each subgroup yielded once via its greedy basis).
-    """
+    each yielded once, depth first, with generators taken in increasing
+    order from the isotropic elements: c extends G when it is orthogonal to
+    G and least in its coset c + G, i.e. has none of G's leading bits."""
     table = q.qh_table()
     candidates = [x for x in range(1, len(table)) if table[x] == 0]
 
-    def extend(gens, span, start):
-        yield SubgroupSpec._of(q.a, gens, span)
-        if 2 * len(span) > max_order:
+    def extend(gens, basis, bgens, start):
+        yield SubgroupSpec._of(q.a, gens, basis)
+        if 2 << len(gens) > max_order:
             return
+        # Bg of each generator, once, and only for a G that is extended
+        bgens = bgens + [q.bvec(g) for g in gens[len(bgens):]]
+        leads = sum(basis)
         for i in range(start, len(candidates)):
             c = candidates[i]
-            if c in span or any(q.b2(g, c) for g in gens):
+            if c & leads or any((m & c).bit_count() & 1 for m in bgens):
                 continue
-            coset = [c ^ s for s in span]
-            if min(coset) != c:
-                continue
-            yield from extend(gens + [c], span.union(coset), i + 1)
+            grown = dict(basis)
+            _insert(grown, c)
+            yield from extend(gens + [c], grown, bgens, i + 1)
 
-    yield from extend([], frozenset([0]), 0)
-
-
-def isotropic_subgroups(q, max_order):
-    return list(iter_isotropic_subgroups(q, max_order))
+    yield from extend([], {}, [], 0)
 
 
 def quotient_form(q, G):
-    """The induced form on Gperp/G for an isotropic subgroup G."""
-    table = q.qh_table()
-    if any(table[g] for g in G._span):
+    """The induced form on Gperp/G for an isotropic subgroup G.  Its
+    generators are the vectors of Gperp's reduced basis, least first, that
+    are independent modulo G and those before them: the ones a greedy pass
+    over Gperp in increasing order picks."""
+    table, gens = q.qh_table(), G._gens
+    # column j of the matrix (2b(g_i, e_j))_ij, whose kernel is Gperp
+    cols = [_encode((row & g).bit_count() for g in gens) for row in q.rows]
+    # q vanishes on G iff it does on each g_i and G lies in Gperp
+    if any(table[g] or _apply(cols, g) for g in gens):
         raise NotIsotropic("q does not vanish on the subgroup")
-    bg = [q.bvec(g) for g in G._gens]
-    perp = [x for x in range(len(table)) if not any((m & x).bit_count() & 1 for m in bg)]
-    reps, _ = _xor_span(perp, G._span)
-    # q descends: check independence of coset representative
-    for r in reps:
-        if any(table[r ^ g] != table[r] for g in G._span):
-            raise NotIsotropic("q does not descend to the quotient")
+    basis = dict(G._basis)
+    reps = [v for v in sorted(_eliminate(cols).values()) if v >> q.a == 0 and _insert(basis, v)]
     return FiniteQuadraticForm._of(
         len(reps), [table[r] for r in reps],
         [_encode(q.b2(r, s) for s in reps) for r in reps])
@@ -319,20 +334,22 @@ def _isometries(q1, q2):
     a = q1.a
     table = q2.qh_table()
 
-    def place(i, images, span):
+    def place(i, images, basis):
         if i == a:
             yield images
             return
         row = q1.rows[i]
         for x in range(len(table)):
-            if table[x] != q1.qh_gen[i] or x in span:
+            if table[x] != q1.qh_gen[i] or not _reduce(basis, x):
                 continue
             if any(q2.b2(y, x) != (row >> (a - 1 - j)) & 1
                    for j, y in enumerate(images)):
                 continue
-            yield from place(i + 1, images + [x], span | {x ^ s for s in span})
+            grown = dict(basis)
+            _insert(grown, x)
+            yield from place(i + 1, images + [x], grown)
 
-    return place(0, [], {0})
+    return place(0, [], {})
 
 
 def orthogonal_group_order(q, bound=8):

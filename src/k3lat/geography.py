@@ -134,12 +134,16 @@ def find_isogeny_glue(L, a_target, delta_target):
     form = discriminant_form(L)
     drop = form.a - a_target
     gamma, _ = form.characteristic_solve()
-    if drop < 0 or drop % 2 or (gamma == 0 and delta_target == 1):
+    # M is even 2-elementary with L's signature, so Milgram's sigma of q_M is
+    # t_plus - t_minus mod 8; this also rules out an odd drop
+    t_plus, t_minus = L.signature()
+    if (drop < 0 or (gamma == 0 and delta_target == 1) or not _lattice_exists(
+            t_plus, t_minus, a_target, delta_target, (t_plus - t_minus) % 8)):
         return None
     rank_needed = drop // 2
     lifts = L.disc_generator_lifts()
     for G in iter_isotropic_subgroups(form, 2 ** rank_needed):
-        if G.rank != rank_needed or int(gamma not in G._span) != delta_target:
+        if G.rank != rank_needed or int(not G._has(gamma)) != delta_target:
             continue
         # each generator lifts to the sum of the lifts of its nonzero coordinates
         vectors = [[sum(col) for col in zip(*(lifts[i] for i, bit in enumerate(gen) if bit))]

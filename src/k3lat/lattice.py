@@ -15,7 +15,7 @@ from .exactalg import (
     transpose,
     _det_and_inertia,
 )
-from .finiteform import FiniteQuadraticForm, _apply, _cols, _encode, _xor_span
+from .finiteform import FiniteQuadraticForm, _apply, _cols, _encode, _insert
 from .errors import (
     NotTwoElementary,
     OddLattice,
@@ -318,26 +318,25 @@ def glue_map_from_embedding(L, M, glue):
     a_L = len(L.disc_orders())
     a_M = len(M.disc_orders())
     nL = L.rank
-    gens = [_encode(tuple(L.disc_class(g[:nL])) + tuple(M.disc_class(g[nL:])))
-            for g in glue]
-    _, span = _xor_span(gens)
-    if len(span) != 2 ** a_L or a_L != a_M:
+    basis = {}
+    for g in glue:
+        _insert(basis, _encode(tuple(L.disc_class(g[:nL])) + tuple(M.disc_class(g[nL:]))))
+    if len(basis) != a_L or a_L != a_M:
         raise NotGraph("glue group is not the graph of a bijection D_L -> D_M")
-    # an element of the span is x_L in the high a_L bits, x_M in the low a_M
-    lut = {}
-    for v in sorted(span):
-        key, image = v >> a_M, v & ((1 << a_M) - 1)
-        if lut.setdefault(key, image) != image:
-            raise NotGraph("glue group projects non-injectively to D_L")
-    cols = [lut[1 << (a_L - 1 - j)] for j in range(a_L)]
+    # an element is x_L in the high a_L bits and x_M in the low a_M bits; the
+    # projection to D_L is injective iff every leading bit is an x_L bit, and
+    # then the basis vector led by the bit of e_j is e_j + lambda(e_j)
+    mask = (1 << a_M) - 1
+    if any(lead <= mask for lead in basis):
+        raise NotGraph("glue group projects non-injectively to D_L")
+    cols = [basis[1 << (a_M + a_L - 1 - j)] & mask for j in range(a_L)]
     matrix = [[(c >> (a_M - 1 - i)) & 1 for c in cols] for i in range(a_M)]
     lam = GlueMap(matrix, a_L, a_M)
     # defining property: q_M(lambda x) = -q_L(x)
     qL = discriminant_form(L).qh_table()
     qM = discriminant_form(M).qh_table()
-    for x, image in lut.items():
-        if qM[image] != -qL[x] % 4:
-            raise NotGraph("glue map fails the anti-isometry relation")
+    if any(qM[_apply(cols, x)] != -qL[x] % 4 for x in range(1 << a_L)):
+        raise NotGraph("glue map fails the anti-isometry relation")
     return lam
 
 

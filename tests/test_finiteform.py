@@ -3,25 +3,31 @@ quotients, isometries, and induced actions."""
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from k3lat.errors import DegenerateForm, NotIsotropic
 from k3lat.exactalg import CycEight
 from k3lat.finiteform import (
     FiniteQuadraticForm,
     milgram_signature,
-    parity_delta,
     form_invariants,
     forms_isometric,
-    isotropic_subgroups,
+    iter_isotropic_subgroups,
     quotient_form,
     orthogonal_group_order,
     isometry_witness,
     induced_disc_action,
     matrix_group_order,
     SubgroupSpec,
+    _apply,
+    _decode,
+    _eliminate,
+    _encode,
+    _insert,
+    _reduce,
 )
 from k3lat.lattice import (
     parse_lattice,
@@ -117,15 +123,15 @@ def test_milgram_additivity():
 
 
 def test_parity_delta():
-    assert parity_delta(form_of("U(2)")) == 0
-    assert parity_delta(form_of("<2>")) == 1
-    assert parity_delta(form_of("E8(2)")) == 0
+    assert form_of("U(2)").delta() == 0
+    assert form_of("<2>").delta() == 1
+    assert form_of("E8(2)").delta() == 0
 
 
 def test_isotropic_subgroups_quotient_invariant():
     """Quotient by an isotropic F2^k drops a by 2k and keeps sigma."""
     q = form_of("U(2) + U(2)")
-    subs = isotropic_subgroups(q, max_order=2)
+    subs = list(iter_isotropic_subgroups(q, max_order=2))
     nontrivial = [G for G in subs if len(G.generators) == 1]
     assert nontrivial
     for G in nontrivial[:4]:
@@ -269,12 +275,12 @@ def test_isotropic_subgroups_against_brute_force():
     for expr in exprs:
         q = form_of(expr)
         assert q.a <= 6
-        got = [frozenset(G.elements()) for G in isotropic_subgroups(q, 1 << q.a)]
+        got = [frozenset(G.elements()) for G in iter_isotropic_subgroups(q, 1 << q.a)]
         assert len(got) == len(set(got)), expr
         assert set(got) == brute_isotropic_subgroups(q), expr
     # the order bound cuts the list to the subgroups of order <= 2
     q = form_of("U(2) + U(2)")
-    small = [G for G in isotropic_subgroups(q, 2)]
+    small = list(iter_isotropic_subgroups(q, 2))
     assert {frozenset(G.elements()) for G in small} == {
         H for H in brute_isotropic_subgroups(q) if len(H) <= 2}
 
@@ -289,7 +295,7 @@ def test_quotient_delta_is_characteristic_membership():
         assert rank == q.a, name
         # every order up to a = 6; past it order 4, or 2 when gamma = 0 lies
         # in every G and only a is checked
-        for G in isotropic_subgroups(q, 1 << q.a if q.a <= 6 else 4 if gamma else 2):
+        for G in iter_isotropic_subgroups(q, 1 << q.a if q.a <= 6 else 4 if gamma else 2):
             quot = quotient_form(q, G)
             delta = int(gamma not in G._span)
             assert (quot.a, quot.delta()) == (q.a - 2 * G.rank, delta), (name, G)
@@ -322,3 +328,150 @@ def test_isometry_witness_table_preserves_q_and_b():
             assert oracle_q(q2, image(x)) == oracle_q(q1, x)
             for y in elems:
                 assert oracle_b(q2, image(x), image(y)) == oracle_b(q1, x, y)
+
+
+# ---------------------------------------------------------------------------
+# the F2 kernel: reduced echelon bases against set spans and 2^a scans
+
+def xor_span(vectors, start=(0,)):
+    """Grow the set ``start`` by each vector not yet in its span, in order;
+    the vectors added and the final span."""
+    added, span = [], set(start)
+    for v in vectors:
+        if v not in span:
+            added.append(v)
+            span |= {v ^ s for s in span}
+    return added, span
+
+
+def scan_isotropic_subgroups(q, max_order):
+    """The set-span search: yields (generator ints, span) in the order
+    iter_isotropic_subgroups must keep.  bg holds Bg of each generator."""
+    table = q.qh_table()
+    candidates = [x for x in range(1, len(table)) if table[x] == 0]
+
+    def extend(gens, bg, span, start):
+        yield gens, span
+        if 2 * len(span) > max_order:
+            return
+        for i in range(start, len(candidates)):
+            c = candidates[i]
+            if c in span or any((m & c).bit_count() & 1 for m in bg):
+                continue
+            coset = [c ^ s for s in span]
+            if min(coset) != c:
+                continue
+            yield from extend(gens + [c], bg + [q.bvec(c)], span.union(coset), i + 1)
+
+    yield from extend([], [], frozenset([0]), 0)
+
+
+def scan_quotient_form(q, gens, span):
+    """Gperp by testing all 2^a elements against the generators of G; the
+    quotient's generators picked greedily from it in increasing order,
+    modulo the span of G."""
+    table = q.qh_table()
+    bg = [q.bvec(g) for g in gens]
+    perp = [x for x in range(len(table)) if not any((m & x).bit_count() & 1 for m in bg)]
+    reps, _ = xor_span(perp, span)
+    return FiniteQuadraticForm._of(
+        len(reps), [table[r] for r in reps],
+        [_encode(q.b2(r, s) for s in reps) for r in reps])
+
+
+def distinct_catalog_forms(max_a):
+    seen = {}
+    for name, q in catalog_forms(max_a):
+        seen.setdefault((tuple(q.qh_gen), tuple(q.rows)), (name, q))
+    return list(seen.values())
+
+
+def test_subgroups_and_quotients_against_span_scans():
+    """The same subgroups, in the same order and with the same generators,
+    as the set-span search, and the same quotient forms as the 2^a scan:
+    every order for a <= 6 and order <= 4 up to a = 10; quotients of every
+    subgroup up to a = 6 and of every 100th past it, where the scan is slow."""
+    checked = 0
+    for name, q in distinct_catalog_forms(10):
+        order = 1 << q.a if q.a <= 6 else 4
+        got = list(iter_isotropic_subgroups(q, order))
+        want = list(scan_isotropic_subgroups(q, order))
+        # G.generators decodes G._gens, the generator ints
+        assert [G._gens for G in got] == [gens for gens, _ in want], name
+        for k, (G, (gens, span)) in enumerate(zip(got, want)):
+            if q.a <= 6 or k % 100 == 0:
+                assert G.generators == [_decode(g, q.a) for g in gens]
+                assert G._span == span
+                assert quotient_form(q, G) == scan_quotient_form(q, gens, span), (name, k)
+                checked += 1
+    assert checked > 300
+
+
+@given(st.integers(1, 8).flatmap(lambda a: st.tuples(
+    st.just(a), st.lists(st.integers(0, (1 << a) - 1), max_size=10))))
+def test_reduce_and_insert_against_set_spans(case):
+    a, vectors = case
+    basis, span = {}, {0}
+    for v in vectors:
+        added = _insert(basis, v)
+        assert bool(added) == (v not in span)
+        span |= {v ^ s for s in span}
+    # reduced: each key is the top bit of its vector and set in no other one
+    for lead, b in basis.items():
+        assert lead == 1 << (b.bit_length() - 1)
+        assert all(not c & lead for k, c in basis.items() if k != lead)
+    assert len(span) == 1 << len(basis)
+    # in increasing order, the first element of each coset is its least
+    least = {}
+    for x in range(1 << a):
+        if x not in least:
+            least.update((x ^ s, x) for s in span)
+        assert _reduce(basis, x) == least[x]
+        assert (_reduce(basis, x) == 0) == (x in span)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.integers(0, 255), min_size=n, max_size=n)))
+def test_eliminate_against_brute_kernels_and_images(cols):
+    n = len(cols)
+    basis = _eliminate(cols)
+    kernel = [v for v in basis.values() if v < 1 << n]
+    image = [v for v in basis.values() if v >= 1 << n]
+    apply_all = [_apply(cols, x) for x in range(1 << n)]
+    _, kspan = xor_span(kernel)
+    assert kspan == {x for x in range(1 << n) if apply_all[x] == 0}
+    _, ispan = xor_span(v >> n for v in image)
+    assert ispan == set(apply_all)
+    assert len(kspan) * len(ispan) == 1 << n
+    for v in image:
+        assert _apply(cols, v & ((1 << n) - 1)) == v >> n
+
+
+def test_quotient_form_isotropy_check_against_every_subgroup():
+    """Over every subgroup of (Z/2)^4: quotient_form raises NotIsotropic
+    exactly when q takes a nonzero value on the subgroup."""
+    q = form_of("U(2) + <2> + <-2>")
+    subgroups = {}
+    for k in range(5):
+        for gens in combinations(range(1, 16), k):
+            _, span = xor_span(gens)
+            subgroups.setdefault(frozenset(span), gens)
+    assert len(subgroups) == 67
+    isotropic = 0
+    for span, gens in subgroups.items():
+        G = SubgroupSpec([_decode(g, 4) for g in gens], 4)
+        if any(q.qh_table()[x] for x in span):
+            with pytest.raises(NotIsotropic):
+                quotient_form(q, G)
+        else:
+            assert quotient_form(q, G) == scan_quotient_form(q, G._gens, span)
+            isotropic += 1
+    assert isotropic == len(brute_isotropic_subgroups(q))
+
+
+def test_subgroup_spec_equality_is_equality_of_element_sets():
+    specs = [SubgroupSpec([_decode(g, 3) for g in gens], 3)
+             for k in range(4) for gens in combinations(range(1, 8), k)]
+    for G in specs:
+        for H in specs:
+            assert (G == H) == (set(G.elements()) == set(H.elements()))

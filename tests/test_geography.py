@@ -280,6 +280,18 @@ def test_find_isogeny_glue_can_fail():
         assert time.perf_counter() - start < 1, expr
 
 
+def test_impossible_glue_targets_fail_fast():
+    """No even 2-elementary lattice of signature (2, n) with delta = 0 exists
+    when 2 - n is not 0 mod 4 (Nikulin 1979, Thm 3.6.2), so these return
+    None before any subgroup is enumerated."""
+    for expr, a_t, d_t in [("<2>^2 + <-2>^8", 0, 0), ("<2>^2 + <-2>^8", 2, 0),
+                           ("<2>^2 + <-2>^8", 4, 0), ("<2>^2 + <-2>^12", 4, 0)]:
+        L = parse_lattice(expr)
+        start = time.perf_counter()
+        assert find_isogeny_glue(L, a_t, d_t) is None, (expr, a_t)
+        assert time.perf_counter() - start < 1, (expr, a_t)
+
+
 def test_geography_runtime():
     start = time.time()
     geography_table()

@@ -212,6 +212,29 @@ def test_glue_map_anti_isometry():
     assert lam.matrix == [[1, 0], [0, 1]]
 
 
+def test_glue_map_rejects_non_graphs():
+    """Even unimodular gluings whose glue group is not the graph of a map
+    D_L -> D_M raise NotGraph, each with its own message."""
+    h = Fraction(1, 2)
+    L = parse_lattice("U(2)")
+    # e/2 in each factor: (e, 0) and (0, e') span a group of order 2^a_L
+    # whose projection to D_L sends (0, e') to 0
+    with pytest.raises(NotGraph, match="projects non-injectively to D_L"):
+        glue_map_from_embedding(L, parse_lattice("U(2)"),
+                                [[h, 0, 0, 0], [0, 0, h, 0]])
+    # e/2 in each of the three U(2): a glue group of order 8 != 2^a_L
+    M = parse_lattice("U(2) + U(2)")
+    glue = [[h, 0, 0, 0, 0, 0], [0, 0, h, 0, 0, 0], [0, 0, 0, 0, h, 0]]
+    with pytest.raises(NotGraph, match="not the graph of a bijection D_L -> D_M"):
+        glue_map_from_embedding(L, M, glue)
+
+
+def test_glue_map_of_unimodular_factors_is_empty():
+    """U with U and no glue: a_L = a_M = 0 and the map has no columns."""
+    lam = glue_map_from_embedding(parse_lattice("U"), parse_lattice("U"), [])
+    assert (lam.matrix, lam.a_L, lam.a_M) == ([], 0, 0)
+
+
 def test_glues_to_isometry():
     L = parse_lattice("U(2)")
     M = parse_lattice("U(2)")
