@@ -1,5 +1,6 @@
 """Finite quadratic forms on F2 vector spaces: Milgram signatures, isotropy,
-quotients, isometries, and induced actions."""
+quotients, isometries, induced actions, and the reduced-echelon F2 kernel
+against set spans and 2^a scans."""
 
 from fractions import Fraction
 from functools import cache
