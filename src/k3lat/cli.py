@@ -96,14 +96,13 @@ def _geo_list(args):
 def _vec_short(args):
     L = parse_lattice(args.expr)
     vs = short_vectors(L, args.bound)
-    if args.json:
-        _emit_json({
-            "schema": SCHEMA,
-            "count": len(vs),
-            "vectors": [{"v": list(v), "norm": n} for v, n in vs],
-        })
+    if args.json:  # the bytes of _emit_json, written with one format per vector
+        item = '{"v":[' + ",".join(["%d"] * L.rank) + '],"norm":%d}'
+        print(f'{{"schema":{SCHEMA},"count":{len(vs)},"vectors":['
+              + ",".join([item % (*v, n) for v, n in vs]) + "]}")
         return 0
-    sys.stdout.writelines(f"{n:>5}  {list(v)}\n" for v, n in vs)
+    fmt = "%5d  [" + ", ".join(["%d"] * L.rank) + "]\n"
+    sys.stdout.writelines(fmt % (n, *v) for v, n in vs)
     print(f"{len(vs)} vectors up to sign")
     return 0
 

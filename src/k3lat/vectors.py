@@ -1,72 +1,93 @@
-"""Short-vector machinery: Fincke-Pohst enumeration on definite lattices in
-exact integer arithmetic, bounded witness search on indefinite ones, and the
-D'/D'' classification of norm -2 vectors by whether half of them lies in
-the dual.
+"""Short-vector machinery: Fincke-Pohst enumeration on definite lattices,
+level by level on exact integer arrays (int64 where a bound allows it, else
+Python ints), bounded witness search on indefinite ones, and the D'/D''
+classification of norm -2 vectors by whether half of them lies in the dual.
 """
 
 import math
-from collections import defaultdict
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import NotDefinite, BoundExceeded, InvalidInput, NotInDual
 from .exactalg import _symmetric_bareiss
 
-# Nodes (coordinate choices) a witness search or a Fincke-Pohst enumeration
-# may visit before it gives up; about a second of search.  short_vectors on E8
-# needs 9,196 at bound 6 and 49,464 at bound 10, and exceeds the budget at
-# bound 24.
+# Nodes (coordinate choices) a witness search (about a second of it) or a
+# Fincke-Pohst enumeration (E8: 9,196 at bound 6, 49,464 at bound 10, past the
+# budget at bound 24, each well under a second) may visit before it gives up.
 WITNESS_NODE_BUDGET = 1_000_000
 
 
 def short_vectors(L, bound):
     """All nonzero vectors of |norm| <= bound in a definite lattice, up to
-    sign.  Returns (vector, norm) pairs sorted by (|norm|, vector); norms
-    carry the sign of the lattice.  Raises BoundExceeded after
-    WITNESS_NODE_BUDGET search nodes.
+    sign: (vector, norm) pairs sorted by (|norm|, vector), each vector's first
+    nonzero coordinate positive, norms with the lattice's sign.  Raises
+    BoundExceeded after WITNESS_NODE_BUDGET search nodes.
+
+    Level by level from x_(n-1), a row of X is a partial vector with budget
+    rem left; row 0, the zero prefix, takes x >= 0 only, so each +-v pair is met once.
     """
     n = L.rank
     sign = -1 if n and L.gram[0][0] < 0 else 1  # the sign of a definite form
     dens, nums, scale, ks = _lagrange_integers([[sign * x for x in row] for row in L.gram])
     budget = math.floor(bound) * scale  # norms are integers
-    out = defaultdict(list)  # scale |norm| -> [v], v's first nonzero coordinate positive
-    coords = [0] * n
+    if budget < 0 or not n:
+        return []
+    X, rem = np.zeros((1, n), np.int8), np.array([budget], object)
+    top = [0] * n  # max |x_j| over the rows, to bound each level's integers
     left = WITNESS_NODE_BUDGET
-
-    def descend(i, remaining, first):
-        """Choose coords[i] given the budget left for levels <= i; first is
-        the first nonzero higher coordinate.  While there is none, only
-        x_i >= 0, so each +-v pair is met once.  Level 0 emits in place."""
-        nonlocal left
+    for i in reversed(range(n)):
         d, k = dens[i], ks[i]
-        s = sum(c * coords[j] for j, c in nums[i])
-        t = math.isqrt(remaining // k)  # |d x + s| <= t
-        lo = -((s + t) // d) if first else 0
-        hi = (t - s) // d + 1
-        left -= hi - lo  # this node's children, counted in one step
+        T = math.isqrt(budget // k)  # |d x + s| <= T, so |x| <= (T + S) / d + 1
+        S = sum(abs(c) * top[j] for j, c in nums[i])  # |s| <= S
+        big = max([k * (T + 2 * S + d) ** 2, *(abs(c) for _, c in nums[i])])
+        dt = object if big >> 63 else np.int64  # no int64 value below can wrap
+        X = X.astype(np.min_scalar_type(-max(*top, (T + S) // d + 1) - 1), copy=False)
+        rem = rem.astype(dt, copy=False)  # X keeps the narrowest type that holds x
+        s = (X[:, [j for j, _ in nums[i]]] * np.array([c for _, c in nums[i]], dt)).sum(1)
+        t = _isqrt(rem // k, budget)
+        lo = -((s + t) // d)
+        lo[0] = 0
+        counts = ((t - s) // d + 1 - lo).astype(np.int64)
+        left -= int(counts.sum())  # this level's nodes, counted before they exist
         if left < 0:
             raise BoundExceeded(
                 f"Fincke-Pohst passed {WITNESS_NODE_BUDGET} nodes; use a smaller bound")
-        if i:
-            for x in range(lo, hi):
-                coords[i] = x
-                val = d * x + s
-                descend(i - 1, remaining - k * val * val, x or first)
-            coords[i] = 0
-            return
-        tail = tuple(coords[1:])
-        neg = tuple(-c for c in tail) if lo < 0 or first < 0 else None
-        used = budget - remaining
-        for x in range(lo, hi):
-            val = d * x + s
-            f = x or first  # the sign of (x, tail); 0 at the zero vector
-            if f > 0:
-                out[used + k * val * val].append((x,) + tail)
-            elif f:
-                out[used + k * val * val].append((-x,) + neg)
+        x = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        x += np.arange(len(x))
+        val = d * x + np.repeat(s, counts)
+        X, rem = np.repeat(X, counts, axis=0), np.repeat(rem, counts) - k * val * val
+        X[:, i] = x
+        top[i] = max(-int(x.min()), int(x.max()))
+        del s, t, lo, counts, x, val
+    X, used = X[1:], budget - rem[1:]  # row 0 is the zero vector
+    X *= np.where(X[np.arange(len(X)), (X != 0).argmax(1)] < 0, -1, 1)[:, None]
+    # sort by (scale |norm|, x_0, ..., x_(n-1)), read as one mixed-radix key
+    key = used.astype(object if (budget + 1) * math.prod(2 * m + 1 for m in top) >> 63
+                      else np.int64)
+    for j, m in enumerate(top):
+        key = key * (2 * m + 1) + X[:, j] + m
+    order = np.argsort(key, kind="stable")
+    # narrow arrays and tuples built by blocks keep the peak near the output's size
+    X = X[order]
+    norms = (sign * (used[order] // scale)).astype(np.min_scalar_type(-(budget // scale) - 1))
+    del rem, used, key, order
+    out = []
+    for a in range(0, len(X), 1024):
+        out += zip(zip(*X[a:a + 1024].T.tolist()), norms[a:a + 1024].tolist())
+    return out
 
-    if budget >= 0 and n:
-        descend(n - 1, budget, 0)
-    return [(v, sign * (m // scale)) for m in sorted(out) for v in sorted(out[m])]
+
+def _isqrt(r, most):
+    """Floor square roots of an integer array r, 0 <= r <= most; on int64,
+    (isqrt(most) + 1)^2 < 2^63.  The float root is exact below 2^52; past
+    it, rounding can lift it by one but never lower it."""
+    if r.dtype == object:
+        return np.array([math.isqrt(v) for v in r], object)
+    t = np.sqrt(r).astype(np.int64)
+    if most >> 52:
+        t -= t * t > r
+    return t
 
 
 def _lagrange_integers(q):

@@ -11,6 +11,7 @@ from k3lat import cli
 from k3lat.cli import main
 from k3lat.finiteform import milgram_signature
 from k3lat.lattice import discriminant_form, parse_lattice
+from k3lat.vectors import short_vectors
 from k3lat.weil import weil_word
 
 
@@ -63,6 +64,32 @@ def test_vec_short_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["count"] == 120
+
+
+def fstring_rendering(vs, as_json):
+    """The renderings `vec short` had before its format strings: an f-string
+    per line, and json.dumps of the payload.  Kept as the byte oracle."""
+    if as_json:
+        payload = {"schema": 1, "count": len(vs),
+                   "vectors": [{"v": list(v), "norm": n} for v, n in vs]}
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+    return "".join(f"{n:>5}  {list(v)}\n" for v, n in vs) + f"{len(vs)} vectors up to sign\n"
+
+
+@pytest.mark.parametrize("expr, bound, as_json", [
+    ("E8", 4, False), ("E8(2)", 8, True), ("<-2>^8", 6, False), ("<-2>^8", 6, True),
+    ("<2>", 2, False), ("<2>", 2, True), ("<2>", 0, False), ("<2>", 0, True),
+])
+def test_vec_short_bytes_against_fstring_rendering(capsys, expr, bound, as_json):
+    vs = short_vectors(parse_lattice(expr), bound)
+    argv = ["vec", "short", expr, "--bound", str(bound)] + ["--json"] * as_json
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    want = fstring_rendering(vs, as_json)
+    # the first difference in context, not pytest's diff of two large strings
+    at = next((i for i, (a, b) in enumerate(zip(out, want)) if a != b), min(len(out), len(want)))
+    window = slice(max(at - 40, 0), at + 40)
+    assert (len(out), out[window]) == (len(want), want[window])
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])
@@ -167,6 +194,7 @@ def test_domain_error_exit_2(capsys):
     ("qexp", "psi", "1000000", "--prec", "1998"),
     ("qexp", "psi", "1000000000", "--prec", "1000"),
     ("vec", "witness", "U", "--norm", "3", "--box", "1000000000"),
+    ("vec", "short", "E8", "--bound", "24"),
 ])
 def test_bad_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

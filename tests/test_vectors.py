@@ -3,6 +3,7 @@ counts, witness search, and dual-class flags."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -170,6 +171,83 @@ def test_lagrange_integers_reject_indefinite():
             vectors._lagrange_integers(g)
 
 
+def recursive_short_vectors(L, bound):
+    """Reference: the depth-first Fincke-Pohst that short_vectors replaced,
+    on Python ints, one call per node.  Returns (list, nodes visited)."""
+    n = L.rank
+    sign = -1 if n and L.gram[0][0] < 0 else 1
+    dens, nums, scale, ks = vectors._lagrange_integers([[sign * x for x in row] for row in L.gram])
+    budget = math.floor(bound) * scale
+    out, coords, nodes = [], [0] * n, 0
+
+    def descend(i, remaining, first):
+        nonlocal nodes
+        d, k = dens[i], ks[i]
+        s = sum(c * coords[j] for j, c in nums[i])
+        t = math.isqrt(remaining // k)
+        lo = -((s + t) // d) if first else 0
+        hi = (t - s) // d + 1
+        nodes += hi - lo
+        for x in range(lo, hi):
+            coords[i] = x
+            val = d * x + s
+            if i:
+                descend(i - 1, remaining - k * val * val, x or first)
+            elif x or first:
+                v = tuple(coords) if (x or first) > 0 else tuple(-c for c in coords)
+                out.append((budget - remaining + k * val * val, v))
+        coords[i] = 0
+
+    if budget >= 0 and n:
+        descend(n - 1, budget, 0)
+    return [(v, sign * (m // scale)) for m, v in sorted(out)], nodes
+
+
+def test_short_vectors_against_the_recursive_search(monkeypatch):
+    """Same list and order as the depth-first search, and the same node
+    count: with that budget it returns, with one node less it raises."""
+    rng = random.Random(17)
+    cases = [(e8_lattice(), 6), (rescale(e8_lattice(), -2), 8), (parse_lattice("<-2>^8"), 6),
+             (d4_lattice(), 6), (e7_lattice(), 4), (Lattice([[2, -1], [-1, 2]]), 14)]
+    cases += [(random_definite(rng, rng.randint(1, 8)), rng.randint(0, 10)) for _ in range(40)]
+    cases += [(Lattice(random_gram_a_t_a_plus_i(rng, rng.randint(2, 8))), rng.randint(0, 40))
+              for _ in range(40)]
+    for L, bound in cases:
+        want, nodes = recursive_short_vectors(L, bound)
+        monkeypatch.setattr(vectors, "WITNESS_NODE_BUDGET", nodes)
+        assert short_vectors(L, bound) == want, (L.gram, bound)
+        if nodes:
+            monkeypatch.setattr(vectors, "WITNESS_NODE_BUDGET", nodes - 1)
+            with pytest.raises(BoundExceeded):
+                short_vectors(L, bound)
+
+
+def test_isqrt_against_math_isqrt():
+    """_isqrt is math.isqrt next to squares: the bare float root below 2^52,
+    the float root less its overshoot up to the largest int64 `most` with
+    (isqrt(most) + 1)^2 < 2^63, and on Python ints."""
+    def near_squares(roots, limit):
+        return [m * m + j for m in roots for j in range(-300, 301) if 0 <= m * m + j < limit]
+    most = 3037000499**2 - 1  # 3037000500^2 > 2^63 - 1
+    low = near_squares([0, 1, 2, 10**6, 2**25 + 1, 2**26 - 1], 2**52)
+    high = low + near_squares([2**26, 2**26 + 1, 94906267, 2**31 + 12345, 3037000498,
+                               3037000499], most + 1)
+    assert vectors._isqrt(np.array(low, np.int64), 2**52 - 1).tolist() == list(map(math.isqrt, low))
+    assert vectors._isqrt(np.array(high, np.int64), most).tolist() == list(map(math.isqrt, high))
+    huge = [v << 80 for v in high]
+    assert vectors._isqrt(np.array(huge, object), huge[-1]).tolist() == list(map(math.isqrt, huge))
+
+
+@pytest.mark.parametrize("g, top", [(2, 8), (1, 127), (1, 128), (2, 128), (1, 32768)])
+def test_short_vectors_at_the_edges_of_narrow_dtypes(g, top):
+    """<g> at bound g top^2 has the vectors x = 1..top of norm g x^2: the
+    coordinates and norms reach 127/128 and 32767/32768 exactly, where a
+    narrow integer type too small by one would wrap."""
+    want = [((x,), g * x * x) for x in range(1, top + 1)]
+    assert short_vectors(Lattice([[g]]), g * top * top) == want
+    assert short_vectors(Lattice([[-g]]), g * top * top) == [(v, -n) for v, n in want]
+
+
 def test_e8_root_count():
     roots = short_vectors(e8_lattice(), 2)
     assert len(roots) == 120  # 240 roots, up to sign
@@ -182,14 +260,64 @@ def test_rescaled_roots():
     assert all(n == -4 for _, n in roots)
 
 
-def test_fincke_pohst_node_budget(monkeypatch):
-    """E8 at bound 6 visits 9,196 nodes, far under WITNESS_NODE_BUDGET; one
-    node less of budget and the enumeration raises instead of truncating."""
-    monkeypatch.setattr(vectors, "WITNESS_NODE_BUDGET", 9196)
-    assert len(short_vectors(e8_lattice(), 6)) == 4560
-    monkeypatch.setattr(vectors, "WITNESS_NODE_BUDGET", 9195)
+@pytest.mark.parametrize("lattice, bound, nodes, count", [
+    pytest.param(e8_lattice, 2, 369, 120, id="E8-2"),
+    pytest.param(e8_lattice, 4, 2723, 1200, id="E8-4"),
+    pytest.param(e8_lattice, 6, 9196, 4560, id="E8-6"),
+    pytest.param(e8_lattice, 10, 49464, 28440, id="E8-10"),
+    pytest.param(lambda: rescale(e8_lattice(), 2), 8, 2723, 1200, id="E8(2)-8"),
+    pytest.param(lambda: parse_lattice("<-2>^8"), 6, 716, 288, id="<-2>^8-6"),
+    pytest.param(d4_lattice, 6, 116, 72, id="D4-6"),
+    pytest.param(e7_lattice, 4, 963, 441, id="E7-4"),
+])
+def test_fincke_pohst_node_budget(monkeypatch, lattice, bound, nodes, count):
+    """The enumeration visits exactly `nodes` nodes (the counts of the
+    depth-first search it replaced): with that budget it returns the same
+    list, and with one node less it raises instead of truncating."""
+    L = lattice()
+    full = short_vectors(L, bound)
+    assert len(full) == count
+    monkeypatch.setattr(vectors, "WITNESS_NODE_BUDGET", nodes)
+    assert short_vectors(L, bound) == full
+    monkeypatch.setattr(vectors, "WITNESS_NODE_BUDGET", nodes - 1)
     with pytest.raises(BoundExceeded):
-        short_vectors(e8_lattice(), 6)
+        short_vectors(L, bound)
+
+
+@pytest.mark.parametrize("bound, limit_mib", [(24, 45), (100, 100)])
+def test_fincke_pohst_raises_before_the_level_past_the_budget(bound, limit_mib):
+    """E8 passes the node budget at bound 24 on a level of 802,201 nodes and
+    at bound 100 on one of 4,553,992; that level's table alone would take
+    49 and 278 MiB.  It raises before building it."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceeded):
+            short_vectors(e8_lattice(), bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
+
+
+def overflow_cases():
+    rng = random.Random(62)
+    cases = [(Lattice([[2, -1], [-1, 2]]), 14), (d4_lattice(), 6), (e8_lattice(), 4)]
+    cases += [(Lattice(random_gram_a_t_a_plus_i(rng, rng.randint(2, 6))), rng.randint(1, 10))
+              for _ in range(8)]
+    return cases
+
+
+@pytest.mark.parametrize("k", [0, 31, 56, 58, 62, 100])
+def test_short_vectors_exact_at_every_scale(k):
+    """On L(2^k) at bound 2^k b the search meets integers 2^k times larger
+    and must return short_vectors(L, b) with norms times 2^k.  Across these
+    k its levels run on int64 with float square roots exact below 2^52, on
+    int64 with corrected roots, and on Python ints, often mixed in one call
+    (A2, D4 and E8 mix them at 56 and 58); a wrapped int64 anywhere would
+    change the list."""
+    for L, b in overflow_cases():
+        want = [(v, 2**k * n) for v, n in short_vectors(L, b)]
+        assert short_vectors(rescale(L, 2**k), 2**k * b) == want, (L.gram, b, k)
 
 
 def u2_m7():
@@ -295,6 +423,39 @@ def test_witness_vector_first_hit_against_brute_force():
         assert witness_vector(L, target, box) == expected, (L.gram, target, box)
         hits += expected is not None
     assert hits >= 30
+
+
+@pytest.mark.parametrize("N", [3, 2**20, 2**33])
+@pytest.mark.parametrize("skew", ["U", "U^-1"])
+def test_short_vectors_in_a_skewed_basis(N, skew):
+    """Z^4 in the basis of the columns of B = U = I + N (superdiagonal) or of
+    B = U^-1, whose entries are (-N)^(j - i).  A vector y of Z^4 has the
+    coordinates B^-1 y: near N |y| for U and up to N^3 |y| for U^-1, past
+    2^63 at N = 2^33, while every norm stays small.  The list must be the
+    image of Z^4's, whatever integers the search meets."""
+    n, b = 4, 3
+    U = [[1 if i == j else N if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+    V = [[(-N) ** (j - i) if j >= i else 0 for j in range(n)] for i in range(n)]  # U^-1
+    B, inv = (U, V) if skew == "U" else (V, U)
+    gram = [[sum(B[k][i] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    want = set()
+    for y in product(range(-1, 2), repeat=n):
+        if 0 < sum(c * c for c in y) <= b:
+            x = tuple(sum(inv[i][j] * y[j] for j in range(n)) for i in range(n))
+            first = next(c for c in x if c)
+            want.add((x if first > 0 else tuple(-c for c in x), sum(c * c for c in y)))
+    assert short_vectors(Lattice(gram), b) == sorted(want, key=lambda p: (p[1], p[0]))
+
+
+def test_short_vectors_levels_that_hold_huge_integers_they_do_not_use():
+    """A level whose own bounds are small can still hold integers past 2^63:
+    a coefficient 2^70 on a coordinate that is 0 on every short vector
+    (det 2^140), or coordinates near 2^70 that its center does not use
+    (norm = x_0^2 + (x_1 + 2^70 x_2)^2 + x_2^2).  Both need Python ints."""
+    assert short_vectors(Lattice([[1, 2**70], [2**70, 2**141]]), 4) == [((1, 0), 1), ((2, 0), 4)]
+    M = 2**70
+    L = Lattice([[1, 0, 0], [0, 1, M], [0, M, M * M + 1]])
+    assert short_vectors(L, 1) == [((0, 1, 0), 1), ((0, M, -1), 1), ((1, 0, 0), 1)]
 
 
 def test_disc_class_flags():
