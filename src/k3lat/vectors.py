@@ -22,10 +22,9 @@ def short_vectors(L, bound):
     """All nonzero vectors of |norm| <= bound in a definite lattice, up to
     sign: (vector, norm) pairs sorted by (|norm|, vector), each vector's first
     nonzero coordinate positive, norms with the lattice's sign.  Raises
-    BoundExceeded after WITNESS_NODE_BUDGET search nodes.
-
-    Level by level from x_(n-1), a row of X is a partial vector with budget
-    rem left; row 0, the zero prefix, takes x >= 0 only, so each +-v pair is met once.
+    BoundExceeded after WITNESS_NODE_BUDGET search nodes.  Level by level from
+    x_(n-1), a row of X is a partial vector with budget rem left; row 0, the
+    zero prefix, takes x >= 0 only, so each +-v pair is met once.
     """
     n = L.rank
     sign = -1 if n and L.gram[0][0] < 0 else 1  # the sign of a definite form
@@ -34,17 +33,18 @@ def short_vectors(L, bound):
     if budget < 0 or not n:
         return []
     X, rem = np.zeros((1, n), np.int8), np.array([budget], object)
-    top = [0] * n  # max |x_j| over the rows, to bound each level's integers
-    left = WITNESS_NODE_BUDGET
+    top, left = [0] * n, WITNESS_NODE_BUDGET  # top[j]: max |x_j| over the rows
     for i in reversed(range(n)):
         d, k = dens[i], ks[i]
         T = math.isqrt(budget // k)  # |d x + s| <= T, so |x| <= (T + S) / d + 1
+        js, cs = [j for j, _ in nums[i]], [c for _, c in nums[i]]
         S = sum(abs(c) * top[j] for j, c in nums[i])  # |s| <= S
-        big = max([k * (T + 2 * S + d) ** 2, *(abs(c) for _, c in nums[i])])
+        # bounds rem and t^2, k val, d x + s, lo - cumsum(counts) and the c_j
+        big = max([budget + 2 * T + 1, k * (T + 1), T + 2 * S + d + left, *map(abs, cs)])
         dt = object if big >> 63 else np.int64  # no int64 value below can wrap
         X = X.astype(np.min_scalar_type(-max(*top, (T + S) // d + 1) - 1), copy=False)
-        rem = rem.astype(dt, copy=False)  # X keeps the narrowest type that holds x
-        s = (X[:, [j for j, _ in nums[i]]] * np.array([c for _, c in nums[i]], dt)).sum(1)
+        rem = rem.astype(dt, copy=False)  # X: the narrowest type that holds every x
+        s = (X[:, js] * np.array(cs, dt)).sum(1)
         t = _isqrt(rem // k, budget)
         lo = -((s + t) // d)
         lo[0] = 0

@@ -312,9 +312,8 @@ def test_short_vectors_exact_at_every_scale(k):
     """On L(2^k) at bound 2^k b the search meets integers 2^k times larger
     and must return short_vectors(L, b) with norms times 2^k.  Across these
     k its levels run on int64 with float square roots exact below 2^52, on
-    int64 with corrected roots, and on Python ints, often mixed in one call
-    (A2, D4 and E8 mix them at 56 and 58); a wrapped int64 anywhere would
-    change the list."""
+    int64 with corrected roots, and on Python ints; a wrapped int64 anywhere
+    would change the list."""
     for L, b in overflow_cases():
         want = [(v, 2**k * n) for v, n in short_vectors(L, b)]
         assert short_vectors(rescale(L, 2**k), 2**k * b) == want, (L.gram, b, k)
@@ -431,8 +430,9 @@ def test_short_vectors_in_a_skewed_basis(N, skew):
     """Z^4 in the basis of the columns of B = U = I + N (superdiagonal) or of
     B = U^-1, whose entries are (-N)^(j - i).  A vector y of Z^4 has the
     coordinates B^-1 y: near N |y| for U and up to N^3 |y| for U^-1, past
-    2^63 at N = 2^33, while every norm stays small.  The list must be the
-    image of Z^4's, whatever integers the search meets."""
+    2^63 at N = 2^33, while every norm stays small (there the first two
+    levels run on int64 and the last two on Python ints).  The list must be
+    the image of Z^4's, whatever integers the search meets."""
     n, b = 4, 3
     U = [[1 if i == j else N if j == i + 1 else 0 for j in range(n)] for i in range(n)]
     V = [[(-N) ** (j - i) if j >= i else 0 for j in range(n)] for i in range(n)]  # U^-1
