@@ -23,55 +23,51 @@ def short_vectors(L, bound):
     sign: (vector, norm) pairs sorted by (|norm|, vector), each vector's first
     nonzero coordinate positive, norms with the lattice's sign.  Raises
     BoundExceeded after WITNESS_NODE_BUDGET search nodes.  Level by level from
-    x_(n-1), a row of X is a partial vector with budget rem left; row 0, the
-    zero prefix, takes x >= 0 only, so each +-v pair is met once.
+    x_(n-1), a row of X is a partial vector with rem = e (b - its norm) left;
+    row 0, the zero prefix, takes x >= 0 only, so each +-v pair is met once.
     """
     n = L.rank
     sign = -1 if n and L.gram[0][0] < 0 else 1  # the sign of a definite form
-    dens, nums, scale, ks = _lagrange_integers([[sign * x for x in row] for row in L.gram])
-    budget = math.floor(bound) * scale  # norms are integers
-    if budget < 0 or not n:
+    levels = _lagrange_integers([[sign * x for x in row] for row in L.gram])
+    b = math.floor(bound)  # norms are integers
+    if b < 0 or not n:
         return []
-    X, rem = np.zeros((1, n), np.int8), np.array([budget], object)
+    X, rem, most = np.zeros((1, n), np.int8), np.array([b], object), b  # most: e b
     top, left = [0] * n, WITNESS_NODE_BUDGET  # top[j]: max |x_j| over the rows
-    for i in reversed(range(n)):
-        d, k = dens[i], ks[i]
-        T = math.isqrt(budget // k)  # |d x + s| <= T, so |x| <= (T + S) / d + 1
-        js, cs = [j for j, _ in nums[i]], [c for _, c in nums[i]]
-        S = sum(abs(c) * top[j] for j, c in nums[i])  # |s| <= S
+    for i, (d, nums, k, mul, div) in zip(reversed(range(n)), levels):
+        most *= mul  # rem's units e_i -> u_i
+        T = math.isqrt(most // k)  # |d x + s| <= T, so |x| <= (T + S) / d + 1
+        js, cs = [j for j, _ in nums], [c for _, c in nums]
+        S = sum(abs(c) * top[j] for j, c in nums)  # |s| <= S
         # bounds rem and t^2, k val, d x + s, lo - cumsum(counts) and the c_j
-        big = max([budget + 2 * T + 1, k * (T + 1), T + 2 * S + d + left, *map(abs, cs)])
+        big = max([most + 2 * T + 1, k * (T + 1), T + 2 * S + d + left, *map(abs, cs)])
         dt = object if big >> 63 else np.int64  # no int64 value below can wrap
         X = X.astype(np.min_scalar_type(-max(*top, (T + S) // d + 1) - 1), copy=False)
-        rem = rem.astype(dt, copy=False)  # X: the narrowest type that holds every x
+        rem = rem.astype(dt, copy=False) * mul  # X: the narrowest type that holds every x
         s = (X[:, js] * np.array(cs, dt)).sum(1)
-        t = _isqrt(rem // k, budget)
+        t = _isqrt(rem // k, most)
         lo = -((s + t) // d)
         lo[0] = 0
-        counts = ((t - s) // d + 1 - lo).astype(np.int64)
-        left -= int(counts.sum())  # this level's nodes, counted before they exist
+        counts = (t - s) // d + 1 - lo
+        left -= int(counts.sum())  # this level's nodes before they exist; exact sum
         if left < 0:
             raise BoundExceeded(
                 f"Fincke-Pohst passed {WITNESS_NODE_BUDGET} nodes; use a smaller bound")
+        counts = counts.astype(np.int64)  # each at most the nodes left
         x = np.repeat(lo - np.cumsum(counts) + counts, counts)
         x += np.arange(len(x))
         val = d * x + np.repeat(s, counts)
-        X, rem = np.repeat(X, counts, axis=0), np.repeat(rem, counts) - k * val * val
+        X, rem = np.repeat(X, counts, axis=0), (np.repeat(rem, counts) - k * val * val) // div
+        most //= div
         X[:, i] = x
         top[i] = max(-int(x.min()), int(x.max()))
         del s, t, lo, counts, x, val
-    X, used = X[1:], budget - rem[1:]  # row 0 is the zero vector
+    X, norms = X[1:], b - rem[1:]  # row 0 is the zero vector; e is 1 here
     X *= np.where(X[np.arange(len(X)), (X != 0).argmax(1)] < 0, -1, 1)[:, None]
-    # sort by (scale |norm|, x_0, ..., x_(n-1)), read as one mixed-radix key
-    key = used.astype(object if (budget + 1) * math.prod(2 * m + 1 for m in top) >> 63
-                      else np.int64)
-    for j, m in enumerate(top):
-        key = key * (2 * m + 1) + X[:, j] + m
-    order = np.argsort(key, kind="stable")
+    order = np.lexsort([*X.T[::-1], norms])  # by (|norm|, x_0, ..., x_(n-1))
     # narrow arrays and tuples built by blocks keep the peak near the output's size
-    X = X[order]
-    norms = (sign * (used[order] // scale)).astype(np.min_scalar_type(-(budget // scale) - 1))
-    del rem, used, key, order
+    X, norms = X[order], (sign * norms[order]).astype(np.min_scalar_type(-b - 1))
+    del rem, order
     out = []
     for a in range(0, len(X), 1024):
         out += zip(zip(*X[a:a + 1024].T.tolist()), norms[a:a + 1024].tolist())
@@ -91,25 +87,29 @@ def _isqrt(r, most):
 
 
 def _lagrange_integers(q):
-    """(dens, nums, scale, ks) of a positive definite integer gram q, with
-    scale * norm(x) = sum_i ks[i] (dens[i] x_i + sum_{(j, c) in nums[i]} c x_j)^2.
-    From the pivots M_i and rows a_ij of `_symmetric_bareiss`, with g_i =
-    gcd(M_i, a_i,i+1..n): D_i = M_i / g_i, N_ij = a_ij / g_i and level
-    weight g_i^2 / (M_i M_(i-1)); scale clears the weights' denominators.
+    """Per level of a positive definite integer gram q, from the last, (d,
+    nums, k, mul, div): norm(x) = sum_i k_i val_i^2 / u_i, val_i = d x_i + sum
+    of c x_j over (j, c) in nums.  From the pivots M_i and rows a_ij of
+    `_symmetric_bareiss`, g_i = gcd(M_i, a_i,i+1..n): d = M_i / g_i, c = a_ij
+    / g_i, k_i / u_i = g_i^2 / (M_i M_(i-1)), u_i = lcm(e_i, its denominator)
+    = mul_i e_i and e_(i-1) = gcd(M_(i-1), u_i) = u_i / div_i, e_(n-1) = 1:
+    the terms of levels >= i sum to an integer over u_i and, as the norm of
+    x's projection away from the first i basis vectors, over M_(i-1).
     """
-    dens, nums, weights = [], [], []
-    prev = 1
+    rows, prev = [], 1
     for i, p, row in _symmetric_bareiss(q):
-        if i != len(dens) or p <= 0:  # Sylvester: every M_i > 0
+        if i != len(rows) or p <= 0:  # Sylvester: every M_i > 0
             raise NotDefinite("Fincke-Pohst needs a definite lattice")
         g = math.gcd(p, *row)
-        dens.append(p // g)
-        nums.append([(j, x // g) for j, x in enumerate(row, i + 1) if x])
-        h = math.gcd(g * g, p * prev)
-        weights.append((g * g // h, p * prev // h))
+        nums = [(j, x // g) for j, x in enumerate(row, i + 1) if x]
+        rows.append((p // g, nums, Fraction(g * g, p * prev), prev))
         prev = p
-    scale = math.lcm(*(d for _, d in weights))
-    return dens, nums, scale, [k * (scale // d) for k, d in weights]
+    levels, e = [], 1
+    for d, nums, w, m in reversed(rows):
+        u = math.lcm(e, w.denominator)
+        levels.append((d, nums, w.numerator * (u // w.denominator), u // e, u // math.gcd(m, u)))
+        e = math.gcd(m, u)
+    return levels
 
 
 def witness_vector(L, target_norm, box):

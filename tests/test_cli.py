@@ -195,6 +195,7 @@ def test_domain_error_exit_2(capsys):
     ("qexp", "psi", "1000000000", "--prec", "1000"),
     ("vec", "witness", "U", "--norm", "3", "--box", "1000000000"),
     ("vec", "short", "E8", "--bound", "24"),
+    ("vec", "short", "<2>", "--bound", str(10**39)),
 ])
 def test_bad_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

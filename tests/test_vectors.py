@@ -151,9 +151,36 @@ def fraction_lagrange_integers(q):
     return dens, nums, scale, [r.numerator * (scale // r.denominator) for r in ratios]
 
 
+def fraction_levels(q):
+    """Oracle for _lagrange_integers, from the last level: the Fraction
+    decomposition's D_i and N_ij, its weights w_i = K_i / scale, the leading
+    minors M_i as products of its pivots w_i D_i^2, and the units u_i =
+    lcm(e_i, den w_i), e_(i-1) = gcd(M_(i-1), u_i) from e_(n-1) = 1.
+    Returns the levels and [M_-1 = 1, M_0, ..., M_(n-1)]."""
+    dens, nums, scale, ks = fraction_lagrange_integers(q)
+    weights = [Fraction(k, scale) for k in ks]
+    minors = [Fraction(1)]
+    for w, d in zip(weights, dens):
+        minors.append(minors[-1] * w * d * d)
+    assert all(m.denominator == 1 for m in minors)
+    minors = [m.numerator for m in minors]
+    levels, e = [], 1
+    for i in reversed(range(len(q))):
+        u = math.lcm(e, weights[i].denominator)
+        e_next = math.gcd(minors[i], u)
+        levels.append((dens[i], nums[i], weights[i].numerator * (u // weights[i].denominator),
+                       u // e, u // e_next))
+        e = e_next
+    return levels, minors
+
+
 def test_lagrange_integers_against_fractions():
     """short_vectors' integers from the fraction-free elimination equal the
-    Fraction derivation, so the search and its node count are unchanged."""
+    Fraction derivation, so the search and its node count are unchanged.
+    Each level's unit u_i divides M_i M_(i-1), so the level's integers stay
+    below M_i M_(i-1) b whatever the other levels' denominators; and on any
+    integer x, e (b - the norm of the levels so far) stays an integer from
+    level to level and ends at b - norm(x)."""
     rng = random.Random(31)
     lattices = [e8_lattice(), rescale(e8_lattice(), 2), parse_lattice("<-2>^8"),
                 d4_lattice(), e7_lattice()]
@@ -162,7 +189,21 @@ def test_lagrange_integers_against_fractions():
     for L in lattices:
         sign = 1 if L.signature()[1] == 0 else -1
         q = [[sign * x for x in row] for row in L.gram]
-        assert vectors._lagrange_integers(q) == fraction_lagrange_integers(q), L.gram
+        levels, minors = fraction_levels(q)
+        assert vectors._lagrange_integers(q) == levels, L.gram
+        n = len(q)
+        for _ in range(5):
+            x = [rng.randint(-3, 3) for _ in range(n)]
+            b = rng.randint(-5, 60)
+            rem, e = b, 1
+            for i, (d, nums, k, mul, div) in zip(reversed(range(n)), levels):
+                assert minors[i + 1] * minors[i] % (e * mul) == 0
+                val = d * x[i] + sum(c * x[j] for j, c in nums)
+                rem = rem * mul - k * val * val
+                assert rem % div == 0, (L.gram, x, i)
+                rem, e = rem // div, e * mul // div
+            norm = sum(q[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+            assert (rem, e) == (b - norm, 1), (L.gram, x)
 
 
 def test_lagrange_integers_reject_indefinite():
@@ -176,7 +217,8 @@ def recursive_short_vectors(L, bound):
     on Python ints, one call per node.  Returns (list, nodes visited)."""
     n = L.rank
     sign = -1 if n and L.gram[0][0] < 0 else 1
-    dens, nums, scale, ks = vectors._lagrange_integers([[sign * x for x in row] for row in L.gram])
+    q = [[sign * x for x in row] for row in L.gram]
+    dens, nums, scale, ks = fraction_lagrange_integers(q)
     budget = math.floor(bound) * scale
     out, coords, nodes = [], [0] * n, 0
 
@@ -220,6 +262,23 @@ def test_short_vectors_against_the_recursive_search(monkeypatch):
             monkeypatch.setattr(vectors, "WITNESS_NODE_BUDGET", nodes - 1)
             with pytest.raises(BoundExceeded):
                 short_vectors(L, bound)
+
+
+def test_short_vectors_generic_grams_run_on_int64(monkeypatch):
+    """Each level counts in its own units, which divide M_i M_(i-1): rank 8
+    grams A^T A + I, whose weights' common denominator passes 2^88, run every
+    level on int64 at bounds 10-40, as E8 does at bound 10.  (The third gram
+    of the six has a level unit near 2^61, too large for these bounds.)"""
+    rng = random.Random(8)
+    grams = [random_gram_a_t_a_plus_i(rng, 8) for _ in range(6)]
+    dtypes = []
+    isqrt = vectors._isqrt
+    monkeypatch.setattr(vectors, "_isqrt", lambda r, most: dtypes.append(r.dtype) or isqrt(r, most))
+    for r in (0, 1, 3, 4, 5):
+        assert fraction_lagrange_integers(grams[r])[2] >> 88
+        short_vectors(Lattice(grams[r]), 10 + 6 * r)
+    short_vectors(e8_lattice(), 10)
+    assert dtypes == [np.dtype(np.int64)] * 48
 
 
 def test_isqrt_against_math_isqrt():
@@ -350,6 +409,16 @@ def test_witness_huge_box_is_lazy():
     assert witness_vector(U, -4, 10**9) == witness_vector(U, -4, 3)
     with pytest.raises(BoundExceeded):
         witness_vector(U, 3, 10**9)  # odd norms unreachable in U
+
+
+def test_short_vectors_huge_bounds_raise():
+    """Bounds far past the node budget raise BoundExceeded however many
+    nodes the level would have: one row of about 2^130 nodes, and two rows
+    of about 2^62 and 2^62.5 nodes, each an int64, whose int64 sum wraps."""
+    with pytest.raises(BoundExceeded):
+        short_vectors(Lattice([[2]]), 2**130)
+    with pytest.raises(BoundExceeded):
+        short_vectors(Lattice([[1, 0], [0, 2**123]]), 2**124)
 
 
 def test_rank_zero_searches():
