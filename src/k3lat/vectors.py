@@ -32,7 +32,7 @@ def short_vectors(L, bound):
     b = math.floor(bound)  # norms are integers
     if b < 0 or not n:
         return []
-    X, rem, most = np.zeros((1, n), np.int8), np.array([b], object), b  # most: e b
+    X, rem, most = np.zeros((1, n), np.int8), np.array([b], object), b  # rem <= most = e b
     top, left = [0] * n, WITNESS_NODE_BUDGET  # top[j]: max |x_j| over the rows
     for i, (d, nums, k, mul, div) in zip(reversed(range(n)), levels):
         most *= mul  # rem's units e_i -> u_i
