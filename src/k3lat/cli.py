@@ -8,6 +8,8 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from .errors import K3LatError, InvalidInput
 from .lattice import parse_lattice, discriminant_form, main_invariant
 from .finiteform import milgram_signature
@@ -180,14 +182,17 @@ def _weil_matrix(args):
     q, sigma = _weil_form(args.expr)
     mat = weil_word(q, sigma, args.word.split(","))
     names, index = mat.distinct_entries()
-    if args.json:
-        rows = [[names[k] for k in row] for row in index]
-        _emit_json({"schema": SCHEMA, "n": mat.n, "entries": rows})
+    if args.json:  # the bytes of _emit_json, each distinct entry dumped once
+        rows = np.array([json.dumps(s) for s in names], dtype=object).take(index).tolist()
+        print(f'{{"schema":{SCHEMA},"n":{mat.n},"entries":['
+              + ",".join(["[" + ",".join(row) + "]" for row in rows]) + "]}")
         return 0
+    # a byte table of padded names, each with a two-space gap; a row's last gap is its newline
     width = max(map(len, names))
-    padded = [s.rjust(width) for s in names]
-    for row in index:
-        print("  ".join([padded[k] for k in row]))
+    table = np.frombuffer("".join([s.rjust(width) + "  " for s in names]).encode(), np.uint8)
+    text = table.reshape(len(names), -1).take(index, axis=0).reshape(len(index), -1)[:, :-1]
+    text[:, -1] = ord("\n")
+    sys.stdout.write(text.tobytes().decode())
     return 0
 
 

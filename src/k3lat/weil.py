@@ -8,7 +8,8 @@ zeta-components) over a common power-of-two denominator.  Words in S and T
 act on such blocks without dense generator matrices: rho(T) is a diagonal of
 8th roots of unity, and rho(S) is a character sum, one fast Walsh-Hadamard
 transform over the 2^a axis (Scheithauer, IMRN 2009; Stromberg, Math. Z.
-2013), so each generator costs O(a 2^a) per column.  rho(S)^-1 is the same
+2013), so each generator costs O(a 2^a) per column; its scalar places each
+transformed layer with a sign, no product mixes them.  rho(S)^-1 is the same
 transform times the conjugate scalar; the Gauss sum behind that scalar is
 what certifies rho(S) unitary (see weil_scalar), so no dense product checks
 it.  Only full matrices are capped in a (MAX_DENSE_A).
@@ -39,7 +40,7 @@ from .qseries import (
 
 # Largest a for which a word is built as a full 2^a x 2^a matrix; words
 # acting on a few columns, such as e_0, have no cap.  At a = 10
-# (n = 1024) `weil check` takes about 0.4-0.7 s and peaks at 141-149 MB on a
+# (n = 1024) `weil check` takes about 0.24-0.31 s and peaks at 130 MB on a
 # 2-vCPU Xeon VM; each step up in a roughly quadruples both (one dense block
 # at a = 12 holds 4 x 4096^2 int64, 512 MB).
 MAX_DENSE_A = 10
@@ -155,19 +156,18 @@ class CycMatrix:
 
     def distinct_entries(self):
         """(names, index): str of each distinct entry, built once, and the
-        n x m nested list of positions in names, so entry (i, j) renders as
-        names[index[i][j]]."""
+        n x m int array of positions in names, so entry (i, j) renders as
+        names[index[i, j]]."""
         n, m = self.comps.shape[1:]
-        c = self.comps.reshape(4, n * m)
-        if self.max_abs < 1 << 15:
-            # one int64 key per entry: c0 signed in the top 16 bits, c1..c3 + 2^15 below
-            key = c[0] << 48 | (c[1] + 32768) << 32 | (c[2] + 32768) << 16 | c[3] + 32768
-        else:
-            # one 32-byte key per entry: a 1-D unique, much faster than axis=0
-            key = np.ascontiguousarray(c.T).view(np.dtype((np.void, 32))).ravel()
-        _, first, index = np.unique(key, return_index=True, return_inverse=True)
-        names = [str(CycEight(e, self.denom_exp)) for e in c[:, first].T.tolist()]
-        return names, index.reshape(n, m).tolist()
+        # one key per entry, its coefficients side by side (four int16 in an int64
+        # below 2^15, else 32 bytes: a 1-D unique, much faster than axis=0), so the
+        # distinct keys read back as the distinct entries' coefficients
+        small = self.max_abs < 1 << 15
+        c = np.ascontiguousarray(self.comps.reshape(4, n * m).T, np.int16 if small else None)
+        key = c.view(np.int64 if small else np.dtype((np.void, 32))).ravel()
+        keys, index = np.unique(key, return_inverse=True)
+        coeffs = keys.view(c.dtype).reshape(-1, 4).tolist()
+        return [str(CycEight(e, self.denom_exp)) for e in coeffs], index.reshape(n, m)
 
     def __eq__(self, other):
         return (self.denom_exp == other.denom_exp
@@ -181,12 +181,12 @@ class CycMatrix:
 # the matrix-free action
 
 def _walsh_hadamard(x):
-    """In place over axis 1 of a contiguous (k, n, m) stack: row y of each
-    layer becomes sum_x (-1)^popcount(x & y) row x."""
+    """In place over axis 1 of a (k, n, m) stack of contiguous layers, such as
+    a strided slice: row y of each layer becomes sum_x (-1)^popcount(x & y) row x."""
     k, n, m = x.shape
     h = 1
     while h < n:
-        view = x.reshape(k, n // (2 * h), 2, h, m)
+        view = np.reshape(x, (k, n // (2 * h), 2, h, m), copy=False)
         lo, hi = view[:, :, 0], view[:, :, 1]
         # (lo, hi) -> (lo + hi, lo - hi) in place; |2 hi| <= n max|x|, so no int64 wrap
         lo += hi
@@ -209,10 +209,11 @@ def weil_scalar(q, sigma):
     if sigma % 8 != milgram_signature(q):
         raise SignatureMismatch(
             f"sigma = {sigma} mod 8 does not match the Gauss sum")
-    a = q.a
-    # i^(-sigma/2) = zeta^(-sigma); 1/sqrt(2^a) needs a sqrt2 numerator for odd a
-    scalar = CycEight.zeta_power(-sigma) * (CycEight.sqrt2() if a % 2 else 1)
-    return scalar * CycEight.half_power((a + 1) // 2)
+    # i^(-sigma/2) = zeta^(-sigma), times sqrt2 = z - z^3 for odd a; zeta^4 = -1
+    coeffs = [0] * 4
+    for e, c in [(-sigma, 1)] if q.a % 2 == 0 else [(1 - sigma, 1), (3 - sigma, -1)]:
+        coeffs[e % 4] = c if e % 8 < 4 else -c
+    return CycEight(coeffs, (q.a + 1) // 2)
 
 
 class WeilAction:
@@ -222,12 +223,13 @@ class WeilAction:
     rho(T) e_x = zeta^(2 qh(x)) e_x with qh = 2q(x) mod 4, and
     (rho(S) X)[x] = scalar * sum_y (-1)^(2b(x, y)) X[y] = scalar * H(X)[Bx],
     with H the Walsh-Hadamard transform over the bits of the element ints
-    and B the F2 matrix of 2b (read at Bx after the transform, so a singular
-    B needs no inverse).  rho(S)^-1 applies the conjugate scalar: S is
-    symmetric, and unitary whenever weil_scalar accepts the form.  sigma is
-    read only by S; None serves words in T alone.  Each generator costs
-    O(a 2^a) per column; a block of m columns costs O(m a 2^a), and only the
-    full identity block is capped at a <= MAX_DENSE_A.
+    and B the F2 matrix of 2b, invertible once weil_scalar accepts the form;
+    so H(X)[Bx] = H(X')[x] with X'[w] = X[B^-1 w], gathered straight into
+    the result.  rho(S)^-1 applies the conjugate scalar: S is symmetric, and
+    unitary whenever weil_scalar accepts the form.  sigma is read only by S;
+    None serves words in T alone.  Each generator costs O(a 2^a) per column;
+    a block of m columns costs O(m a 2^a), and only the full identity block
+    is capped at a <= MAX_DENSE_A.
     The tables the generators read are built once per action.
     """
 
@@ -268,15 +270,20 @@ class WeilAction:
 
     @cached_property
     def _s_tables(self):
-        """conj -> (mix, weight, denom_exp) for rho(S) or rho(S)^-1: layer j
-        of H(X) adds mix[t, j] times itself to layer t, as the scalar times
-        zeta^j does, and weight = sum |coeffs| bounds the growth."""
-        tables = {}
-        for conj in (False, True):
-            scalar = self.scalar.conjugate() if conj else self.scalar
-            mix = np.array(scalar.zeta_rows()[:4]).T
-            tables[conj] = (mix, sum(map(abs, scalar.coeffs)), scalar.denom_exp)
-        return tables
+        """conj -> (k, r): the scalar of rho(S) is zeta^k (1 + r zeta^2) over
+        2^e, read from its coefficients c, with r = 0 for even a and r = +-1
+        for odd a, where sqrt2 = z (1 - z^2); its conjugate, the scalar of
+        rho(S)^-1, is zeta^-k (1 - r zeta^2)."""
+        c = self.scalar.coeffs
+        ks = [k for k in range(4) if c[k]]
+        if [abs(c[k]) for k in ks] not in ([1], [1, 1]) or ks[-1] - ks[0] not in (0, 2):
+            raise ValueError(f"{self.scalar!r} is not a Weil scalar")
+        k, r = ks[0] + 4 * (c[ks[0]] < 0), c[ks[0]] * c[ks[-1]] * (len(ks) - 1)
+        return {False: (k, r), True: (-k % 8, -r)}
+
+    @cached_property
+    def _bx_inverse(self):
+        return np.argsort(self._bx)  # B^-1 w at w: Bx is a permutation once S has a scalar
 
     def _t(self, block, sign):
         """Row x times zeta^(2 sign qh(x)): a signed layer rotation, so comps stay canonical."""
@@ -286,20 +293,29 @@ class WeilAction:
         return CycMatrix._of(comps, block.denom_exp, block.max_abs)
 
     def _s(self, block, conj):
-        mix, weight, denom_exp = self._s_tables[conj]
+        k, r = self._s_tables[conj]
         comps = block.comps
-        # transform only the nonzero layers, all of them stacked at once
-        nonzero = np.flatnonzero(comps.reshape(4, -1).any(axis=1))
-        h = comps[nonzero]
-        # |entries of scalar H(X)| <= n max_abs weight; past int64, use Python ints
-        if self.n * block.max_abs * weight >> 63:
-            h, mix = h.astype(object), mix.astype(object)
-        _walsh_hadamard(h)
-        h = h.take(self._bx, axis=1)
-        out = mix[:, nonzero] @ h.reshape(len(nonzero), comps[0].size)  # no -1: k may be 0
-        # reduce the fresh result in place; a copy adds 16 MB to `weil check` at a = 10
-        out = np.asarray(out.reshape(comps.shape), dtype=np.int64)
-        return CycMatrix._of(*_canonical(out, block.denom_exp + denom_exp, True))
+        nonzero = np.flatnonzero(comps.reshape(4, -1).any(axis=1)).tolist()
+        # |entries of scalar H(X)| <= n max_abs (1 + |r|); past int64, use Python ints
+        if self.n * block.max_abs * (1 + abs(r)) >> 63:
+            comps = comps.astype(object)
+        out = np.zeros(comps.shape, comps.dtype)
+        # zeta^k X at the rows B^-1 w: layer j lands on (j + k) mod 4, negated
+        # where (j + k) mod 8 >= 4 as zeta^4 = -1; then one strided transform
+        ts = [(j + k) % 4 for j in nonzero]
+        for j, t in zip(nonzero, ts):
+            np.take(comps[j], self._bx_inverse, axis=0, out=out[t], mode="clip")
+            if (j + k) % 8 >= 4:
+                np.negative(out[t], out=out[t])
+        lo, hi = min(ts, default=0), max(ts, default=0)
+        _walsh_hadamard(out[lo:hi + 1:hi - lo if len(ts) == 2 else 1])
+        # times 1 + r zeta^2: (u, v) -> (u - r v, v + r u) on the layers t, t + 2
+        for u, v in [(out[t], out[t + 2]) for t in (0, 1) if r and {t, t + 2} & set(ts)]:
+            (np.subtract if r > 0 else np.add)(u, v, out=u)
+            v *= 2
+            (np.add if r > 0 else np.subtract)(v, u, out=v)
+        out = np.asarray(out, dtype=np.int64)  # an object result past int64 raises OverflowError
+        return CycMatrix._of(*_canonical(out, block.denom_exp + self.scalar.denom_exp, True))
 
     @cached_property
     def _coset_rhs(self):

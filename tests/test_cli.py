@@ -154,6 +154,64 @@ def test_weil_matrix_against_per_entry_rendering(capsys, expr, word):
     assert code == 0 and out == json.dumps(payload, separators=(",", ":")) + "\n"
 
 
+def former_weil_matrix_rendering(mat, as_json):
+    """What `weil matrix` printed before its byte table: a join of the padded
+    names per row, and json.dumps of the payload.  Kept as the byte oracle."""
+    names, index = mat.distinct_entries()
+    index = index.tolist()
+    if as_json:
+        payload = {"schema": 1, "n": mat.n, "entries": [[names[k] for k in row] for row in index]}
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+    width = max(map(len, names))
+    padded = [s.rjust(width) for s in names]
+    return "".join("  ".join([padded[k] for k in row]) + "\n" for row in index)
+
+
+def catalog_forms(max_a):
+    """name -> (q, sigma) for the even catalog lattices with a <= max_a."""
+    from k3lat.geography import fixture_catalog
+
+    forms = {}
+    for fix in fixture_catalog():
+        if fix.lattice.is_even():
+            q = discriminant_form(fix.lattice)
+            if q.a <= max_a:
+                forms.setdefault(fix.name, (q, milgram_signature(q)))
+    return forms
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("word", ["S", "T", "S^-1", "T^-1", "T,S", "S,T,S"])
+def test_weil_matrix_bytes_against_former_rendering(capsys, monkeypatch, word, as_json):
+    """The byte table and the per-row JSON join print what the former
+    renderer printed, for every catalog form with a <= 6 (a = 0 included),
+    read through the CLI with the form looked up by its catalog name."""
+    forms = catalog_forms(6)
+    assert len(forms) >= 12 and {q.a for q, _ in forms.values()} == set(range(7))
+    monkeypatch.setattr(cli, "_weil_form", forms.__getitem__)
+    for name, (q, sigma) in forms.items():
+        code, out, err = run(capsys, "weil", "matrix", name, "--word", word, *["--json"] * as_json)
+        want = former_weil_matrix_rendering(weil_word(q, sigma, word.split(",")), as_json)
+        assert (code, err) == (0, ""), name
+        assert out == want, name
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_weil_matrix_bytes_past_the_int64_key(capsys, monkeypatch, as_json):
+    """Entries past 2^15 take the 32-byte key of distinct_entries; the
+    rendering is still that of the former renderer."""
+    from k3lat.weil import CycMatrix
+
+    q = discriminant_form(parse_lattice("M5"))
+    small = weil_word(q, milgram_signature(q), ["S", "T", "S^-1"])
+    big = CycMatrix(small.comps * 3 ** 10, small.denom_exp)
+    assert big.max_abs >= 1 << 15
+    monkeypatch.setattr(cli, "weil_word", lambda *args: big)
+    code, out, err = run(capsys, "weil", "matrix", "M5", "--word", "S", *["--json"] * as_json)
+    assert (code, err) == (0, "")
+    assert out == former_weil_matrix_rendering(big, as_json)
+
+
 def test_audit_all_json(capsys):
     code, out, _ = run(capsys, "audit", "kodaira", "--all", "--json")
     assert code == 0

@@ -502,6 +502,7 @@ def test_distinct_entries_both_key_paths():
     assert big.max_abs >= 1 << 15
     for mat in (small, big):
         names, index = mat.distinct_entries()
+        assert index.shape == (mat.n, mat.comps.shape[2])
         assert len(names) == len(set(names))
         seen = set()
         for i in range(mat.n):
@@ -517,6 +518,114 @@ def test_distinct_entries_both_key_paths():
     edge = CycMatrix(comps, 3)
     names, index = edge.distinct_entries()
     assert [names[k] for k in index[0]] == [str(edge.entry(0, j)) for j in range(3)]
+
+
+# ---------------------------------------------------------------------------
+# the S step, gathered and placed by the scalar's signed terms, against the
+# defining character sum
+
+def s_by_definition(q, sigma, block, conj):
+    """scalar * sum_y (-1)^(2b(x, y)) X[y] in CycEight arithmetic, the scalar
+    i^(-sigma/2) 2^(-a/2) from its factors (conjugated for rho(S)^-1), the
+    sum over Python ints: a list of columns of CycEight entries."""
+    scalar = CycEight.zeta_power(-sigma) * CycEight.half_power((q.a + 1) // 2)
+    if q.a % 2:
+        scalar = scalar * CycEight.sqrt2()
+    if conj:
+        scalar = scalar.conjugate()
+    elems = q.elements()
+    signs = [[-1 if oracle_b(q, x, y) else 1 for y in elems] for x in elems]
+    comps = block.comps.tolist()
+    return [[scalar * CycEight([sum(s * c[y][j] for y, s in enumerate(row)) for c in comps],
+                               block.denom_exp)
+             for row in signs] for j in range(block.comps.shape[2])]
+
+
+S_EXACT_FORMS = ("<2>", "<-2>", "U(2)", "<2> + <-2>", "U(2) + <2>", "<-2>^3",
+                 "U(2)^2", "M4", "U(2)^2 + <-2>", "M5")
+
+
+@pytest.mark.parametrize("expr", S_EXACT_FORMS)
+def test_s_steps_against_the_character_sum(expr):
+    """S and S^-1 on seeded random blocks with all four layers nonzero, at
+    a = 1..5 (B = I and B a swap of coordinates): for odd a the scalar has
+    two terms, so two input layers land on each output layer."""
+    import numpy as np
+
+    q = discriminant_form(parse_lattice(expr))
+    sigma = milgram_signature(q)
+    act = WeilAction(q, sigma)
+    assert abs(act._s_tables[False][1]) == q.a % 2  # r: the scalar's second term
+    rng = np.random.default_rng(1800 + q.a)
+    for denom_exp in (0, 3):
+        block = CycMatrix(rng.integers(-10 ** 6, 10 ** 6, size=(4, act.n, 3)), denom_exp)
+        assert block.comps.reshape(4, -1).any(axis=1).all()
+        for tok, conj in (("S", False), ("S^-1", True)):
+            got = act.apply([tok], block)
+            want = s_by_definition(q, sigma, block, conj)
+            assert [[got.entry(i, j) for i in range(act.n)] for j in range(3)] == want, tok
+
+
+def test_s_step_on_python_ints_whose_result_fits_int64():
+    """A block past the int64 guard runs on Python ints, and a result that
+    fits int64 comes back as int64 layers, exact.  Its layers are multiples
+    of 2^40 over 2^44, so not canonical: the constructor caps canonical
+    entries at 2^45, and at a = 3 only larger ones reach the guard."""
+    import numpy as np
+
+    q = discriminant_form(parse_lattice("U(2) + <2>"))
+    sigma = milgram_signature(q)
+    act = WeilAction(q, sigma)
+    rng = np.random.default_rng(1803)
+    comps = rng.integers(-(1 << 10), 1 << 10, size=(4, act.n, 2))
+    comps[:, 0] = [[1 << 21, -(1 << 21)]] * 4  # one entry of 2^61 per column of each layer
+    comps <<= 40
+    block = CycMatrix._of(comps, 44, 1 << 61)
+    _, r = act._s_tables[False]
+    assert act.n * block.max_abs * (1 + abs(r)) >> 63
+    for tok, conj in (("S", False), ("S^-1", True)):
+        got = act.apply([tok], block)
+        assert got.comps.dtype == np.int64 and got.max_abs < 1 << 45
+        want = s_by_definition(q, sigma, block, conj)
+        assert [[got.entry(i, j) for i in range(act.n)] for j in range(2)] == want, tok
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 0, 0), (1, 0, 0, 1), (3, 0, 0, 0),
+                                    (1, 0, 2, 0), (1, 1, 1, 0), (0, 0, 0, 0)])
+def test_s_tables_refuse_what_is_not_a_weil_scalar(monkeypatch, coeffs):
+    """The S step places layers by the shape +-zeta^k (1 +- zeta^2); any
+    other scalar raises rather than being applied wrongly."""
+    monkeypatch.setattr(weil_module, "weil_scalar", lambda q, sigma: CycEight(coeffs, 1))
+    q = discriminant_form(parse_lattice("U(2)"))
+    act = WeilAction(q, milgram_signature(q))
+    with pytest.raises(ValueError, match="not a Weil scalar"):
+        act.apply(["S"], act.identity())
+
+
+def test_s_step_holds_only_its_input_and_output():
+    """One S step on a full odd-a block with two nonzero layers allocates its
+    result and next to nothing else: the layers are gathered into the result
+    and transformed and combined there."""
+    import tracemalloc
+
+    import numpy as np
+
+    q = discriminant_form(parse_lattice("<2>^2 + <-2>^7"))
+    act = WeilAction(q, milgram_signature(q))
+    assert q.a == 9
+    block = act.apply(["S"], act.identity())
+    assert np.flatnonzero(block.comps.reshape(4, -1).any(axis=1)).tolist() == [0, 2]
+    act.apply(["S"], act.apply(["S"], CycMatrix.basis_column(act.n, 0)))  # build the tables
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = act.apply(["S"], block)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out == act.apply(["S", "S"], act.identity())
+    # the result is as large as the input (8 MiB); one more layer would be 2 MiB
+    assert peak < block.comps.nbytes + (1 << 18), peak
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +748,9 @@ def test_s_eighth_fallback_against_literal_product():
 def test_zeta_rows_against_products():
     """c zeta^j by rotation, for every j and the Weil scalars of a = 1..8
     and their conjugates, against the schoolbook product with zeta^4 = -1;
-    the tables of every WeilAction at a <= 6 are read from the same rows."""
+    weil_scalar, the tables zeta^k (1 + r zeta^2) of rho(S) and rho(S)^-1
+    and the coset right-hand sides of every WeilAction at a <= 6 give the
+    same products."""
     import numpy as np
 
     def schoolbook(a, b):
@@ -669,17 +780,26 @@ def test_zeta_rows_against_products():
             assert rows[j] == schoolbook(s.coeffs, zeta_coeffs(j)), (s, j)
             assert CycEight.zeta_power(j).coeffs == tuple(zeta_coeffs(j))
             assert (s * CycEight.zeta_power(j)).coeffs == schoolbook(s.coeffs, zeta_coeffs(j))
+    def dense(table, j):
+        """The coefficients of zeta^(j + k) (1 + r zeta^2), term by term."""
+        k, r = table
+        return [x + r * y for x, y in zip(zeta_coeffs(j + k), zeta_coeffs(j + k + 2))]
+
     for name, q in catalog_forms(max_a=6):
         act = WeilAction(q, milgram_signature(q))
-        for conj, (mix, _, denom_exp) in act._s_tables.items():
+        sigma = milgram_signature(q)
+        product = CycEight(zeta_coeffs(-sigma)) * CycEight.half_power((q.a + 1) // 2)
+        assert act.scalar == (product * CycEight.sqrt2() if q.a % 2 else product), name
+        for conj, table in act._s_tables.items():
             scalar = act.scalar.conjugate() if conj else act.scalar
-            assert denom_exp == scalar.denom_exp
-            assert mix.T.tolist() == [list(schoolbook(scalar.coeffs, zeta_coeffs(j)))
-                                      for j in range(4)], name
+            assert act.scalar.denom_exp == scalar.denom_exp
+            assert 1 + abs(table[1]) == sum(map(abs, scalar.coeffs))
+            assert [dense(table, j) for j in range(4)] == [
+                list(schoolbook(scalar.coeffs, zeta_coeffs(j))) for j in range(4)], name
         scalar = act.scalar.conjugate()
         for l, col in enumerate(act._coset_rhs):
             for x, k in enumerate(q.qh_table()):
                 expect = CycEight(schoolbook(scalar.coeffs, zeta_coeffs(-2 * l * k)),
                                   scalar.denom_exp)
                 assert col.entry(x, 0) == expect, (name, l, x)
-        assert np.array_equal(act._s_tables[False][0].T[0], act.scalar.coeffs)
+        assert np.array_equal(dense(act._s_tables[False], 0), act.scalar.coeffs)
