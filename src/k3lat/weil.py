@@ -300,8 +300,8 @@ class WeilAction:
         if self.n * block.max_abs * (1 + abs(r)) >> 63:
             comps = comps.astype(object)
         out = np.zeros(comps.shape, comps.dtype)
-        # zeta^k X at the rows B^-1 w: layer j lands on (j + k) mod 4, negated
-        # where (j + k) mod 8 >= 4 as zeta^4 = -1; then one strided transform
+        # zeta^k X at the rows B^-1 w: layer j lands on (j + k) mod 4, negated where
+        # (j + k) mod 8 >= 4 as zeta^4 = -1 ("clip": take fills out unbuffered)
         ts = [(j + k) % 4 for j in nonzero]
         for j, t in zip(nonzero, ts):
             np.take(comps[j], self._bx_inverse, axis=0, out=out[t], mode="clip")
