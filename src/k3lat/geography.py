@@ -101,8 +101,14 @@ class GeographyEntry:
 
 def geography_table():
     """All realizable triplets, ordered by (r, a, delta); 75 entries."""
-    return [GeographyEntry(r, a, delta) for r in range(1, 21) for a in range(23)
-            for delta in (0, 1) if k3_triplet_realizable(r, a, delta)]
+    return list(_geography_entries())
+
+
+@functools.cache
+def _geography_entries():
+    """The table's entries, computed once per process."""
+    return tuple(GeographyEntry(r, a, delta) for r in range(1, 21) for a in range(23)
+                 for delta in (0, 1) if k3_triplet_realizable(r, a, delta))
 
 
 _FIXED_LOCUS_KIND = {(10, 10, 0): "empty", (10, 8, 0): "two-elliptic-curves"}

@@ -22,16 +22,28 @@ def short_vectors(L, bound):
     """All nonzero vectors of |norm| <= bound in a definite lattice, up to
     sign: (vector, norm) pairs sorted by (|norm|, vector), each vector's first
     nonzero coordinate positive, norms with the lattice's sign.  Raises
-    BoundExceeded after WITNESS_NODE_BUDGET search nodes.  Level by level from
-    x_(n-1), a row of X is a partial vector with rem = e (b - its norm) left;
-    row 0, the zero prefix, takes x >= 0 only, so each +-v pair is met once.
+    BoundExceeded after WITNESS_NODE_BUDGET search nodes.
+    """
+    X, norms = short_vector_arrays(L, bound)
+    out = []  # tuples built by blocks keep the peak near the output's size
+    for a in range(0, len(X), 1024):
+        out += zip(zip(*X[a:a + 1024].T.tolist()), norms[a:a + 1024].tolist())
+    return out
+
+
+def short_vector_arrays(L, bound):
+    """short_vectors as arrays (X, norms): row i of X is the i-th vector, and
+    norms[i] its norm.  Both take the narrowest dtype that holds their
+    values, object past int64.  Level by level from x_(n-1), a row of X is a
+    partial vector with rem = e (b - its norm) left; row 0, the zero prefix,
+    takes x >= 0 only, so each +-v pair is met once.
     """
     n = L.rank
     sign = -1 if n and L.gram[0][0] < 0 else 1  # the sign of a definite form
     levels = _lagrange_integers([[sign * x for x in row] for row in L.gram])
     b = math.floor(bound)  # norms are integers
     if b < 0 or not n:
-        return []
+        return np.zeros((0, n), np.int8), np.zeros(0, np.int8)
     X, rem, most = np.zeros((1, n), np.int8), np.array([b], object), b  # rem <= most = e b
     top, left = [0] * n, WITNESS_NODE_BUDGET  # top[j]: max |x_j| over the rows
     for i, (d, nums, k, mul, div) in zip(reversed(range(n)), levels):
@@ -65,13 +77,7 @@ def short_vectors(L, bound):
     X, norms = X[1:], b - rem[1:]  # row 0 is the zero vector; e is 1 here
     X *= np.where(X[np.arange(len(X)), (X != 0).argmax(1)] < 0, -1, 1)[:, None]
     order = np.lexsort([*X.T[::-1], norms])  # by (|norm|, x_0, ..., x_(n-1))
-    # narrow arrays and tuples built by blocks keep the peak near the output's size
-    X, norms = X[order], (sign * norms[order]).astype(np.min_scalar_type(-b - 1))
-    del rem, order
-    out = []
-    for a in range(0, len(X), 1024):
-        out += zip(zip(*X[a:a + 1024].T.tolist()), norms[a:a + 1024].tolist())
-    return out
+    return X[order], (sign * norms[order]).astype(np.min_scalar_type(-b - 1))
 
 
 def _isqrt(r, most):

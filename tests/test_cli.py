@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,7 @@ from k3lat import cli
 from k3lat.cli import main
 from k3lat.finiteform import milgram_signature
 from k3lat.lattice import discriminant_form, parse_lattice
-from k3lat.vectors import short_vectors
+from k3lat.vectors import short_vector_arrays, short_vectors
 from k3lat.weil import weil_word
 
 
@@ -76,20 +77,85 @@ def fstring_rendering(vs, as_json):
     return "".join(f"{n:>5}  {list(v)}\n" for v, n in vs) + f"{len(vs)} vectors up to sign\n"
 
 
+def assert_same_text(out, want):
+    """out == want, failing on the first difference in context, not on
+    pytest's diff of two large strings."""
+    if out != want:
+        at = next((i for i, (a, b) in enumerate(zip(out, want)) if a != b), min(len(out), len(want)))
+        window = slice(max(at - 40, 0), at + 40)
+        assert (len(out), out[window]) == (len(want), want[window])
+
+
+# the five vec short jobs of the lattice-audit benchmark come first
 @pytest.mark.parametrize("expr, bound, as_json", [
+    ("E8", 2, True), ("E8", 6, False),
     ("E8", 4, False), ("E8(2)", 8, True), ("<-2>^8", 6, False), ("<-2>^8", 6, True),
     ("<2>", 2, False), ("<2>", 2, True), ("<2>", 0, False), ("<2>", 0, True),
+    ("E8", 0, False), ("E8", 0, True),
+    # norms past int64, on an object array
+    ("<1180591620717411303424>^2", 2361183241434822606848, False),
+    ("<1180591620717411303424>^2", 2361183241434822606848, True),
 ])
 def test_vec_short_bytes_against_fstring_rendering(capsys, expr, bound, as_json):
     vs = short_vectors(parse_lattice(expr), bound)
     argv = ["vec", "short", expr, "--bound", str(bound)] + ["--json"] * as_json
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    want = fstring_rendering(vs, as_json)
-    # the first difference in context, not pytest's diff of two large strings
-    at = next((i for i, (a, b) in enumerate(zip(out, want)) if a != b), min(len(out), len(want)))
-    window = slice(max(at - 40, 0), at + 40)
-    assert (len(out), out[window]) == (len(want), want[window])
+    assert_same_text(out, fstring_rendering(vs, as_json))
+
+
+def test_vec_short_norms_past_int64_are_objects():
+    X, norms = short_vector_arrays(parse_lattice("<1180591620717411303424>^2"),
+                                   2361183241434822606848)
+    assert norms.dtype == object and X.dtype != object and len(X) == 4
+
+
+def traced_main(argv):
+    """(rc, stdout, tracemalloc peak in bytes) of one cli.main call, its output
+    kept in a StringIO as the benchmark's worker keeps it."""
+    sink = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, sink.getvalue(), peak
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_vec_short_cells_scale_with_distinct_values(monkeypatch, as_json):
+    """On a skewed gram the coordinates reach 2 * 10^6 beside small ones: the
+    bytes are the oracle's, and the cell tables hold the nine distinct values,
+    where a table over their range would take megabytes."""
+    from k3lat.lattice import Lattice
+
+    N = 10 ** 6
+    L = Lattice([[1, N], [N, N * N + 1]])  # norm (x + N y)^2 + y^2
+    monkeypatch.setattr(cli, "parse_lattice", lambda expr: L)
+    vs = short_vectors(L, 4)
+    assert max(abs(x) for v, _ in vs for x in v) == 2 * N and len(vs) == 6
+    argv = ["vec", "short", "skewed", "--bound", "4"] + ["--json"] * as_json
+    traced_main(argv)  # the parser and numpy's first calls, out of the measure
+    code, out, peak = traced_main(argv)
+    assert code == 0
+    assert_same_text(out, fstring_rendering(vs, as_json))
+    assert peak < 200_000, peak  # one byte per value of the range: 2 MB
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_vec_short_peak_below_seven_outputs(as_json):
+    """`vec short E8 --bound 22` (556,920 vectors, 18-20 MB of output) prints
+    the oracle's bytes with a traced peak below 7x the output's size: no
+    tuple or str per vector on the way (a tuple per vector took 7.4x for
+    text and 9.1x for JSON)."""
+    argv = ["vec", "short", "E8", "--bound", "22"] + ["--json"] * as_json
+    traced_main(["vec", "short", "E8", "--bound", "2"] + ["--json"] * as_json)
+    code, out, peak = traced_main(argv)
+    assert code == 0
+    assert peak < 7 * len(out), peak / len(out)
+    assert_same_text(out, fstring_rendering(short_vectors(parse_lattice("E8"), 22), as_json))
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])

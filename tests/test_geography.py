@@ -33,6 +33,26 @@ def test_count_is_75():
     assert len(geography_table()) == 75
 
 
+def test_table_built_once_and_returned_fresh(monkeypatch):
+    """The 75 entries are computed once per process; each call returns a new
+    list of them, so a caller's edit does not reach the next call."""
+    from k3lat import geography
+
+    tests = []
+    realizable = geography.k3_triplet_realizable
+    monkeypatch.setattr(geography, "k3_triplet_realizable",
+                        lambda *t: tests.append(t) or realizable(*t))
+    geography._geography_entries.cache_clear()
+    try:
+        first = geography_table()
+        first.clear()
+        second, third = geography_table(), geography_table()
+    finally:
+        geography._geography_entries.cache_clear()
+    assert len(tests) == 20 * 23 * 2
+    assert len(second) == 75 and second == third and second is not third
+
+
 def test_table_entries_unique_and_realizable():
     table = geography_table()
     triplets = [e.triplet for e in table]
