@@ -198,8 +198,8 @@ def _weil_form(expr):
 
 def _weil_check(args):
     q, sigma = _weil_form(args.expr)
-    checks = relation_checks(q, sigma)
     one = one_element(q)
+    checks = relation_checks(q, sigma, one)
     a, delta = q.a, q.delta()
     payload = {"schema": SCHEMA, "a": a, "delta": delta, "sigma": sigma,
                "one_element": list(one), "checks": checks}

@@ -8,13 +8,17 @@ zeta-components) over a common power-of-two denominator.  Words in S and T
 act on such blocks without dense generator matrices: rho(T) is a diagonal of
 8th roots of unity, and rho(S) is a character sum, one fast Walsh-Hadamard
 transform over the 2^a axis (Scheithauer, IMRN 2009; Stromberg, Math. Z.
-2013), so each generator costs O(a 2^a) per column; its scalar places each
-transformed layer with a sign, no product mixes them.  rho(S)^-1 is the same
-transform times the conjugate scalar; the Gauss sum behind that scalar is
-what certifies rho(S) unitary (see weil_scalar), so no dense product checks
-it.  Only full matrices are capped in a (MAX_DENSE_A).
+2013), so each generator costs O(a 2^a) per column: radix-2 butterflies in
+place on a large stack, and up to WHT_PRODUCT_MAX entries one 8 x 8 matmul
+per three bits (8 a 2^a / 3 operations in a/3 numpy calls where the
+butterflies make a few per bit).  Its scalar places each transformed layer
+with a sign, no product mixes them.  rho(S)^-1 is the same transform times
+the conjugate scalar; the Gauss sum behind that scalar is what certifies
+rho(S) unitary (see weil_scalar), so no dense product checks it.  Only full
+matrices are capped in a (MAX_DENSE_A).
 """
 
+import weakref
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -44,6 +48,14 @@ from .qseries import (
 # 2-vCPU Xeon VM; each step up in a roughly quadruples both (one dense block
 # at a = 12 holds 4 x 4096^2 int64, 512 MB).
 MAX_DENSE_A = 10
+
+# Largest stack, in entries k n m, that _walsh_hadamard runs as radix-8
+# products; larger ones run the radix-2 butterflies.  timeit on a 2-vCPU
+# Xeon VM, butterflies -> products: (1, 16, 1) 22-37 -> 5-8 us, (1, 32, 32)
+# 59-69 -> 24-27 us, (1, 64, 64) 65-110 -> 47-94 us; about even at 8,192
+# entries ((2, 64, 64) 110-117 -> 94-99 us, (1, 128, 64) 122 -> 120 us), and
+# the products lose from 16,384 ((1, 128, 128) 178-194 -> 224-244 us).
+WHT_PRODUCT_MAX = 4096
 
 _TOKENS = ("S", "T", "S^-1", "T^-1")
 
@@ -180,10 +192,39 @@ class CycMatrix:
 # ---------------------------------------------------------------------------
 # the matrix-free action
 
+def _hadamard(s):
+    """The s x s Walsh-Hadamard table: (-1)^popcount(x & y) at (y, x)."""
+    i = np.arange(s)
+    return 1 - 2 * (np.bitwise_count(i[:, None] & i) & 1).astype(np.int64)
+
+
+_HADAMARD = {s: _hadamard(s) for s in (2, 4, 8)}
+
+
 def _walsh_hadamard(x):
     """In place over axis 1 of a (k, n, m) stack of contiguous layers, such as
-    a strided slice: row y of each layer becomes sum_x (-1)^popcount(x & y) row x."""
+    a strided slice: row y of each layer becomes sum_x (-1)^popcount(x & y) row x.
+
+    Up to WHT_PRODUCT_MAX entries, H_n = H_8 (x) ... (x) H_(n/8^j): each
+    factor is one matmul of its table on the bits it owns, from x into one
+    temporary and back (numpy call overhead, not arithmetic, is the cost of
+    a small stack).  Larger stacks run the a radix-2 butterflies in x, with
+    no temporary.  Either way every entry met on the way is a signed sum of
+    at most n entries of x, so it stays within n max|x|."""
     k, n, m = x.shape
+    if x.size <= WHT_PRODUCT_MAX:
+        a = n.bit_length() - 1
+        src, dst = x, np.empty(x.shape, x.dtype)
+        h = n  # each factor acts on the row-index bits from h to h s
+        for s in [8] * (a // 3) + [1 << a % 3] * (a % 3 > 0):
+            h //= s
+            shape = (k, n // (s * h), s, h * m)
+            np.matmul(_HADAMARD[s], np.reshape(src, shape, copy=False),
+                      out=np.reshape(dst, shape, copy=False))
+            src, dst = dst, src
+        if src is not x:
+            np.copyto(x, src)
+        return
     h = 1
     while h < n:
         view = np.reshape(x, (k, n // (2 * h), 2, h, m), copy=False)
@@ -363,9 +404,23 @@ def weil_T(q):
     return WeilAction(q, None).matrix(["T"])
 
 
+# (id(q), sigma) -> a WeilAction that some caller still holds.  The entry
+# dies with the action, and the action holds q, so the id stays q's.
+_LIVE_ACTIONS = weakref.WeakValueDictionary()
+
+
+def _action(q, sigma):
+    """The live WeilAction of (q, sigma), so that calls inside one
+    relation_checks share its tables; else a new one."""
+    act = _LIVE_ACTIONS.get((id(q), sigma))
+    if act is None:
+        act = _LIVE_ACTIONS[id(q), sigma] = WeilAction(q, sigma)
+    return act
+
+
 def weil_S(q, sigma):
     """rho(S) e_gamma = i^(-sigma/2) |D|^(-1/2) sum_delta e^(-2 pi i <gamma,delta>) e_delta."""
-    return WeilAction(q, sigma).matrix(["S"])
+    return _action(q, sigma).matrix(["S"])
 
 
 def weil_word(q, sigma, word):
@@ -421,17 +476,19 @@ def _s_eighth_is_identity(act, s2):
     return act.apply(["S"] * 6, s2) == act.identity()
 
 
-def relation_checks(q, sigma):
+def relation_checks(q, sigma, one=None):
     """The four checks of `k3lat weil check`, in display order: (ST)^3 = S^2
     and S^8 = I on the identity block, V^-1 e_0 = e_{1_L}, and the coset
-    formula for l = 0..3.  The last two act on the column e_0 and use
-    rho(S)^-1, which needs no check of its own (see weil_scalar).
+    formula for l = 0..3; one is 1_L, one_element(q) if not given.  The
+    last two act on the column e_0 and use rho(S)^-1, which needs no check
+    of its own (see weil_scalar).
     (ST)^3 = S^2 is checked as S T S = T^-1 S T^-1: times S T on the left
     and T on the right, that gives (ST)^3 = S^2 for any S, so True is a
     proof; the converse holds as S is invertible (weil_scalar).  S^8 = I: as
     -x = x in D_L, S^2 = c I, and S^8 = I iff c^4 = 1; a non-scalar S^2 gets
-    the literal S^6 S^2 = I.  Three S steps act on a full block."""
-    act = WeilAction(q, sigma)
+    the literal S^6 S^2 = I.  Three S steps act on a full block; weil_S
+    shares this call's action, so its tables are built once."""
+    act = _action(q, sigma)
     s1 = weil_S(q, sigma)
     s_eighth = _s_eighth_is_identity(act, act.apply(["S"], s1))
     # X T^-1 = (T^-1 X^T)^T, as T is diagonal
@@ -439,7 +496,8 @@ def relation_checks(q, sigma):
     ts1 = act.apply(["T"], s1)
     del s1
     e0 = CycMatrix.basis_column(act.n, 0)
-    e_one = CycMatrix.basis_column(act.n, _encode(one_element(q)))
+    one = one_element(q) if one is None else one
+    e_one = CycMatrix.basis_column(act.n, _encode(one))
     return {
         "st_cubed_is_s_squared": act.apply(["S"], ts1) == rhs,
         "s_eighth_is_identity": s_eighth,

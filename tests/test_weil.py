@@ -524,46 +524,124 @@ def test_distinct_entries_both_key_paths():
 # the S step, gathered and placed by the scalar's signed terms, against the
 # defining character sum
 
-def s_by_definition(q, sigma, block, conj):
+def dense_hadamard(n):
+    """The n x n matrix (-1)^popcount(x & y), entry by entry."""
+    import numpy as np
+
+    i = np.arange(n)
+    return np.where(np.bitwise_count(i[:, None] & i) % 2, -1, 1)
+
+
+def test_walsh_hadamard_against_the_dense_matrix():
+    """_walsh_hadamard on (k, n, m) stacks, k = 1..3, n = 2^a for a = 0..10,
+    m = 1, 3 and n, given as strided layer slices with steps 1 and 2 (the
+    slices an S step passes) of a larger array, against the dense +-1
+    matrix: the slice's layers become H X, every other layer is untouched.
+    The stacks lie on both sides of WHT_PRODUCT_MAX, the cut between the
+    radix-8 products and the butterflies."""
+    import numpy as np
+
+    rng = np.random.default_rng(2000)
+    sides = set()
+    for a in range(11):
+        n = 1 << a
+        # exact in float64: every product and partial sum is an integer below 2^53
+        h = dense_hadamard(n).astype(float)
+        for k, m, step in product((1, 2, 3), sorted({1, 3, n}), (1, 2)):
+            base = rng.integers(-100, 100, size=(step * (k - 1) + 3, n, m))
+            layers = slice(1, 2 + step * (k - 1), step)
+            out = base.copy()
+            x = out[layers]
+            assert x.shape == (k, n, m)
+            weil_module._walsh_hadamard(x)
+            assert np.array_equal(x, np.matmul(h, base[layers])), (k, n, m, step)
+            rest = np.ones(len(base), bool)
+            rest[layers] = False
+            assert np.array_equal(out[rest], base[rest]), (k, n, m, step)
+            sides.add(x.size <= weil_module.WHT_PRODUCT_MAX)
+    assert sides == {True, False}
+
+
+def test_walsh_hadamard_on_python_ints_past_int64():
+    """An object stack with entries past 2^63, strided, on both sides of
+    WHT_PRODUCT_MAX, against the dense matrix summed over Python ints."""
+    import numpy as np
+
+    rng = np.random.default_rng(2001)
+    for k, a, m in ((2, 3, 2), (1, 5, 3), (2, 7, 20)):
+        n = 1 << a
+        base = np.empty((2 * k + 1, n, m), dtype=object)
+        base[...] = [[[int(v) << 70 | int(w) for v, w in zip(rv, rw)]
+                      for rv, rw in zip(lv, lw)]
+                     for lv, lw in zip(rng.integers(-50, 50, size=base.shape),
+                                       rng.integers(0, 1 << 30, size=base.shape))]
+        out = base.copy()
+        x = out[1:2 * k:2]
+        weil_module._walsh_hadamard(x)
+        h = dense_hadamard(n).astype(object)
+        want = base.copy()
+        want[1:2 * k:2] = np.matmul(h, base[1:2 * k:2])
+        assert out.dtype == object and (out == want).all(), (k, a, m)
+        assert max(abs(v) for v in want.flat) >> 63
+        assert (x.size <= weil_module.WHT_PRODUCT_MAX) == (a < 7)
+
+
+def character_signs(q):
+    """The n x n array (-1)^(2b(x, y)), from oracle_b."""
+    import numpy as np
+
+    elems = q.elements()
+    return np.array([[-1 if oracle_b(q, x, y) else 1 for y in elems] for x in elems])
+
+
+def s_by_definition(q, sigma, block, conj, signs=None):
     """scalar * sum_y (-1)^(2b(x, y)) X[y] in CycEight arithmetic, the scalar
-    i^(-sigma/2) 2^(-a/2) from its factors (conjugated for rho(S)^-1), the
-    sum over Python ints: a list of columns of CycEight entries."""
+    i^(-sigma/2) 2^(-a/2) from its factors (conjugated for rho(S)^-1), each
+    sum a dense product of the character signs, exact: on int64 where every
+    sum fits, else on Python ints; a list of columns of CycEight entries."""
+    import numpy as np
+
     scalar = CycEight.zeta_power(-sigma) * CycEight.half_power((q.a + 1) // 2)
     if q.a % 2:
         scalar = scalar * CycEight.sqrt2()
     if conj:
         scalar = scalar.conjugate()
-    elems = q.elements()
-    signs = [[-1 if oracle_b(q, x, y) else 1 for y in elems] for x in elems]
-    comps = block.comps.tolist()
-    return [[scalar * CycEight([sum(s * c[y][j] for y, s in enumerate(row)) for c in comps],
-                               block.denom_exp)
-             for row in signs] for j in range(block.comps.shape[2])]
+    signs = character_signs(q) if signs is None else signs
+    dtype = np.int64 if block.n * block.max_abs < 1 << 62 else object
+    sums = np.matmul(signs.astype(dtype), block.comps.astype(dtype)).tolist()
+    return [[scalar * CycEight([layer[x][j] for layer in sums], block.denom_exp)
+             for x in range(block.n)] for j in range(block.comps.shape[2])]
 
 
 S_EXACT_FORMS = ("<2>", "<-2>", "U(2)", "<2> + <-2>", "U(2) + <2>", "<-2>^3",
-                 "U(2)^2", "M4", "U(2)^2 + <-2>", "M5")
+                 "U(2)^2", "M4", "U(2)^2 + <-2>", "M5", "U(2)^2 + <2> + <-2>",
+                 "U(2)^3 + <2>")
 
 
 @pytest.mark.parametrize("expr", S_EXACT_FORMS)
 def test_s_steps_against_the_character_sum(expr):
     """S and S^-1 on seeded random blocks with all four layers nonzero, at
-    a = 1..5 (B = I and B a swap of coordinates): for odd a the scalar has
-    two terms, so two input layers land on each output layer."""
+    a = 1..7 (B = I and B a swap of coordinates): for odd a the scalar has
+    two terms, so two input layers land on each output layer.  Blocks of 3
+    columns, one column and the full n columns: a stack of four layers runs
+    the radix-8 products up to WHT_PRODUCT_MAX entries (every column block
+    here, and the full block to a = 5) and the butterflies past it (the full
+    block at a = 6 and 7)."""
     import numpy as np
 
     q = discriminant_form(parse_lattice(expr))
     sigma = milgram_signature(q)
     act = WeilAction(q, sigma)
     assert abs(act._s_tables[False][1]) == q.a % 2  # r: the scalar's second term
+    signs = character_signs(q)
     rng = np.random.default_rng(1800 + q.a)
-    for denom_exp in (0, 3):
-        block = CycMatrix(rng.integers(-10 ** 6, 10 ** 6, size=(4, act.n, 3)), denom_exp)
+    for m, denom_exp in ((3, 0), (3, 3), (1, 3), (act.n, 1)):
+        block = CycMatrix(rng.integers(-10 ** 6, 10 ** 6, size=(4, act.n, m)), denom_exp)
         assert block.comps.reshape(4, -1).any(axis=1).all()
         for tok, conj in (("S", False), ("S^-1", True)):
             got = act.apply([tok], block)
-            want = s_by_definition(q, sigma, block, conj)
-            assert [[got.entry(i, j) for i in range(act.n)] for j in range(3)] == want, tok
+            want = s_by_definition(q, sigma, block, conj, signs)
+            assert [[got.entry(i, j) for i in range(act.n)] for j in range(m)] == want, (tok, m)
 
 
 def test_s_step_on_python_ints_whose_result_fits_int64():
@@ -708,6 +786,37 @@ def test_relation_checks_against_literal_words(monkeypatch, wrong):
         verdicts += expect
     assert len(verdicts) >= 2 * 16
     assert all(verdicts) == (wrong is None)
+
+
+def test_weil_check_builds_one_action_and_one_characteristic_solve(monkeypatch):
+    """`weil check` solves for 1_L once, and relation_checks and the weil_S
+    it calls share one action, so B x, its argsort and the scalar are built
+    once; the action dies with the call, so the next check builds its own."""
+    import contextlib
+    import io
+    import weakref
+
+    from k3lat import cli
+
+    built, solves = [], []
+    init, solve = WeilAction.__init__, FiniteQuadraticForm.characteristic_solve
+
+    def counted_init(self, q, sigma):
+        built.append(weakref.ref(self))
+        init(self, q, sigma)
+
+    def counted_solve(self):
+        solves.append(self)
+        return solve(self)
+
+    monkeypatch.setattr(WeilAction, "__init__", counted_init)
+    monkeypatch.setattr(FiniteQuadraticForm, "characteristic_solve", counted_solve)
+    for expr in ("M5", "U(2)^2 + <2>"):
+        del built[:], solves[:]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["weil", "check", expr]) == 0
+        assert len(built) == 1 and len(solves) == 1, expr
+        assert built[0]() is None and not weil_module._LIVE_ACTIONS, expr
 
 
 def test_s_eighth_fallback_against_literal_product():
