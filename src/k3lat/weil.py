@@ -218,9 +218,9 @@ def _walsh_hadamard(x):
         h = n  # each factor acts on the row-index bits from h to h s
         for s in [8] * (a // 3) + [1 << a % 3] * (a % 3 > 0):
             h //= s
+            # splits within a layer only: views, as the layers are contiguous
             shape = (k, n // (s * h), s, h * m)
-            np.matmul(_HADAMARD[s], np.reshape(src, shape, copy=False),
-                      out=np.reshape(dst, shape, copy=False))
+            np.matmul(_HADAMARD[s], src.reshape(shape), out=dst.reshape(shape))
             src, dst = dst, src
         if src is not x:
             np.copyto(x, src)
