@@ -20,7 +20,7 @@ matrices are capped in a (MAX_DENSE_A).
 
 import weakref
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 
 import numpy as np
@@ -192,13 +192,12 @@ class CycMatrix:
 # ---------------------------------------------------------------------------
 # the matrix-free action
 
+@cache
 def _hadamard(s):
-    """The s x s Walsh-Hadamard table: (-1)^popcount(x & y) at (y, x)."""
-    i = np.arange(s)
-    return 1 - 2 * (np.bitwise_count(i[:, None] & i) & 1).astype(np.int64)
-
-
-_HADAMARD = {s: _hadamard(s) for s in (2, 4, 8)}
+    """The s x s Walsh-Hadamard table: (-1)^popcount(x & y) at (y, x).
+    Built on first use, so a process that runs no S step never builds it."""
+    return np.array([[1 - 2 * ((x & y).bit_count() & 1) for x in range(s)] for y in range(s)],
+                    dtype=np.int64)
 
 
 def _walsh_hadamard(x):
@@ -220,7 +219,7 @@ def _walsh_hadamard(x):
             h //= s
             # splits within a layer only: views, as the layers are contiguous
             shape = (k, n // (s * h), s, h * m)
-            np.matmul(_HADAMARD[s], src.reshape(shape), out=dst.reshape(shape))
+            np.matmul(_hadamard(s), src.reshape(shape), out=dst.reshape(shape))
             src, dst = dst, src
         if src is not x:
             np.copyto(x, src)
