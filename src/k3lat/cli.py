@@ -8,7 +8,8 @@ import functools
 import json
 import sys
 
-import numpy as np
+from ._lazy import LazyNumpy
+np = LazyNumpy(globals())
 
 from .errors import K3LatError, InvalidInput
 from .lattice import parse_lattice, discriminant_form, main_invariant

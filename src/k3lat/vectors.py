@@ -7,7 +7,8 @@ classification of norm -2 vectors by whether half of them lies in the dual.
 import math
 from fractions import Fraction
 
-import numpy as np
+from ._lazy import LazyNumpy
+np = LazyNumpy(globals())
 
 from .errors import NotDefinite, BoundExceeded, InvalidInput, NotInDual
 from .exactalg import _symmetric_bareiss

@@ -23,7 +23,8 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import islice
 
-import numpy as np
+from ._lazy import LazyNumpy
+np = LazyNumpy(globals())
 
 from .exactalg import CycEight
 from .errors import (
