@@ -9,8 +9,6 @@ import json
 import sys
 
 from ._lazy import LazyNumpy
-np = LazyNumpy(globals())
-
 from .errors import K3LatError, InvalidInput
 from .lattice import parse_lattice, discriminant_form, main_invariant
 from .finiteform import milgram_signature
@@ -19,6 +17,8 @@ from .vectors import short_vector_arrays, witness_vector
 from .qseries import DEFAULT_PREC, eta_quotient, theta_series, psi_m
 from .weil import weil_word, one_element, relation_checks
 from .audit import kodaira_report
+
+np = LazyNumpy(globals())
 
 SCHEMA = 1
 

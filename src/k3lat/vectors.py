@@ -8,10 +8,10 @@ import math
 from fractions import Fraction
 
 from ._lazy import LazyNumpy
-np = LazyNumpy(globals())
-
 from .errors import NotDefinite, BoundExceeded, InvalidInput, NotInDual
 from .exactalg import _symmetric_bareiss
+
+np = LazyNumpy(globals())
 
 # Nodes (coordinate choices) a witness search (about a second of it) or a
 # Fincke-Pohst enumeration (E8: 9,196 at bound 6, 49,464 at bound 10, past the

@@ -24,8 +24,6 @@ from functools import cache, cached_property
 from itertools import islice
 
 from ._lazy import LazyNumpy
-np = LazyNumpy(globals())
-
 from .exactalg import CycEight
 from .errors import (
     SignatureMismatch,
@@ -42,6 +40,8 @@ from .qseries import (
     split_congruence,
     _psi_combination,
 )
+
+np = LazyNumpy(globals())
 
 # Largest a for which a word is built as a full 2^a x 2^a matrix; words
 # acting on a few columns, such as e_0, have no cap.  At a = 10
