@@ -286,91 +286,97 @@ def _audit_kodaira(args):
 
 
 # ---------------------------------------------------------------------------
+# The commands as data: verb -> (help, {subverb: (help, handler, specs)}). A
+# spec is (names, keywords) for add_argument, or (_ONE_OF, specs) for a
+# required mutually exclusive group.
+
+_ONE_OF = object()
+_FLAG = {"action": "store_true"}
+_JSON = (("--json",), _FLAG)
+_PREC = (("--prec",), {"type": int, "default": DEFAULT_PREC})
+
+_COMMANDS = {
+    "lat": ("lattice inspection", {
+        "info": ("rank, signature, main invariant", _lat_info, [(("expr",), {}), _JSON]),
+    }),
+    "geo": ("triplet geography", {
+        "list": ("all realizable triplets", _geo_list, [(("--count",), _FLAG), _JSON]),
+    }),
+    "vec": ("vector searches", {
+        "short": ("short vectors of a definite lattice", _vec_short, [
+            (("expr",), {}), (("--bound",), {"type": int, "required": True}), _JSON]),
+        "witness": ("bounded search for a given norm", _vec_witness, [
+            (("expr",), {}), (("--norm",), {"type": int, "required": True}),
+            (("--box",), {"type": int, "default": 3}), _JSON]),
+    }),
+    "qexp": ("q-expansions", {
+        "eta": ("eta quotient, e.g. 1^-8,2^8,4^-8", _qexp_eta, [(("spec",), {}), _PREC, _JSON]),
+        "theta": ("theta series of <2>", _qexp_theta, [
+            (("kind",), {"choices": ["integral", "shifted"]}), _PREC, _JSON]),
+        "psi": ("the psi_m combination", _qexp_psi, [(("m",), {"type": int}), _PREC, _JSON]),
+    }),
+    "weil": ("Weil representation", {
+        "check": ("relation and coset checks", _weil_check, [(("expr",), {}), _JSON]),
+        "matrix": ("matrix of a word over S, T", _weil_matrix, [
+            (("expr",), {}), (("--word",), {
+                "required": True, "help": "comma-separated tokens: S, T, S^-1, T^-1"}), _JSON]),
+    }),
+    "audit": ("Kodaira audit", {
+        "kodaira": ("Gritsenko-criterion report", _audit_kodaira, [
+            (_ONE_OF, [(("--all",), _FLAG), (("--triplet",), {
+                "nargs": 3, "type": int, "metavar": ("R", "A", "D")})]),
+            _JSON]),
+    }),
+}
+
+
+def _add(parser, specs):
+    for names, keywords in specs:
+        if names is _ONE_OF:
+            _add(parser.add_mutually_exclusive_group(required=True), keywords)
+        else:
+            parser.add_argument(*names, **keywords)
+    return parser
+
 
 def build_parser():
     p = _Parser(prog="k3lat", description="2-elementary K3 lattice toolkit")
     sub = p.add_subparsers(dest="verb", required=True)
-
-    lat = sub.add_parser("lat", help="lattice inspection").add_subparsers(
-        dest="subverb", required=True)
-    info = lat.add_parser("info", help="rank, signature, main invariant")
-    info.add_argument("expr")
-    info.add_argument("--json", action="store_true")
-    info.set_defaults(func=_lat_info)
-
-    geo = sub.add_parser("geo", help="triplet geography").add_subparsers(
-        dest="subverb", required=True)
-    glist = geo.add_parser("list", help="all realizable triplets")
-    glist.add_argument("--count", action="store_true")
-    glist.add_argument("--json", action="store_true")
-    glist.set_defaults(func=_geo_list)
-
-    vec = sub.add_parser("vec", help="vector searches").add_subparsers(
-        dest="subverb", required=True)
-    vshort = vec.add_parser("short", help="short vectors of a definite lattice")
-    vshort.add_argument("expr")
-    vshort.add_argument("--bound", type=int, required=True)
-    vshort.add_argument("--json", action="store_true")
-    vshort.set_defaults(func=_vec_short)
-    vwit = vec.add_parser("witness", help="bounded search for a given norm")
-    vwit.add_argument("expr")
-    vwit.add_argument("--norm", type=int, required=True)
-    vwit.add_argument("--box", type=int, default=3)
-    vwit.add_argument("--json", action="store_true")
-    vwit.set_defaults(func=_vec_witness)
-
-    qexp = sub.add_parser("qexp", help="q-expansions").add_subparsers(
-        dest="subverb", required=True)
-    qeta = qexp.add_parser("eta", help="eta quotient, e.g. 1^-8,2^8,4^-8")
-    qeta.add_argument("spec")
-    qeta.add_argument("--prec", type=int, default=DEFAULT_PREC)
-    qeta.add_argument("--json", action="store_true")
-    qeta.set_defaults(func=_qexp_eta)
-    qth = qexp.add_parser("theta", help="theta series of <2>")
-    qth.add_argument("kind", choices=["integral", "shifted"])
-    qth.add_argument("--prec", type=int, default=DEFAULT_PREC)
-    qth.add_argument("--json", action="store_true")
-    qth.set_defaults(func=_qexp_theta)
-    qpsi = qexp.add_parser("psi", help="the psi_m combination")
-    qpsi.add_argument("m", type=int)
-    qpsi.add_argument("--prec", type=int, default=DEFAULT_PREC)
-    qpsi.add_argument("--json", action="store_true")
-    qpsi.set_defaults(func=_qexp_psi)
-
-    weil = sub.add_parser("weil", help="Weil representation").add_subparsers(
-        dest="subverb", required=True)
-    wchk = weil.add_parser("check", help="relation and coset checks")
-    wchk.add_argument("expr")
-    wchk.add_argument("--json", action="store_true")
-    wchk.set_defaults(func=_weil_check)
-    wmat = weil.add_parser("matrix", help="matrix of a word over S, T")
-    wmat.add_argument("expr")
-    wmat.add_argument("--word", required=True,
-                      help="comma-separated tokens: S, T, S^-1, T^-1")
-    wmat.add_argument("--json", action="store_true")
-    wmat.set_defaults(func=_weil_matrix)
-
-    audit = sub.add_parser("audit", help="Kodaira audit").add_subparsers(
-        dest="subverb", required=True)
-    kod = audit.add_parser("kodaira", help="Gritsenko-criterion report")
-    group = kod.add_mutually_exclusive_group(required=True)
-    group.add_argument("--all", action="store_true")
-    group.add_argument("--triplet", nargs=3, type=int, metavar=("R", "A", "D"))
-    kod.add_argument("--json", action="store_true")
-    kod.set_defaults(func=_audit_kodaira)
-
+    for verb, (help_, commands) in _COMMANDS.items():
+        leaves = sub.add_parser(verb, help=help_).add_subparsers(dest="subverb", required=True)
+        for subverb, (help_, func, specs) in commands.items():
+            _add(leaves.add_parser(subverb, help=help_), specs).set_defaults(func=func)
     return p
 
 
 # argparse keeps no state between parse_args calls (set_defaults values are
 # copied into each new Namespace, and usage errors and --help look up
 # sys.stdout/sys.stderr when they print), so one parser serves every main()
-# call in a process.
+# call in a process: one per command, built on its first call, and the tree,
+# built only for what no command's parser takes alone.
 _parser = functools.cache(build_parser)
 
 
+@functools.cache
+def _leaf(verb, subverb):
+    """One command's parser, standalone. Its prog is the one the tree gives
+    it, so its usage, help and error text are the tree's bytes."""
+    _, func, specs = _COMMANDS[verb][1][subverb]
+    leaf = _add(_Parser(prog=f"k3lat {verb} {subverb}"), specs)
+    leaf.set_defaults(func=func)
+    return leaf
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The tree hands a command's parser everything after the verb and subverb,
+    # so that parser alone parses a call that starts with them. Leftovers go
+    # to the tree, as argparse reports them from the top parser, with its usage.
+    args = extra = None
+    if len(argv) > 1 and argv[1] in _COMMANDS.get(argv[0], ("", {}))[1]:
+        args, extra = _leaf(argv[0], argv[1]).parse_known_args(argv[2:])
+    if args is None or extra:
+        args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except K3LatError as exc:

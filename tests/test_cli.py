@@ -4,12 +4,14 @@ import argparse
 import contextlib
 import io
 import json
+import sys
 import tracemalloc
 
 import pytest
 
 from k3lat import cli
 from k3lat.cli import main
+from k3lat.errors import K3LatError
 from k3lat.finiteform import milgram_signature
 from k3lat.lattice import discriminant_form, parse_lattice
 from k3lat.vectors import short_vector_arrays, short_vectors
@@ -377,22 +379,23 @@ REUSE_CALLS = [
 ]
 
 
-def _call(argv):
+def _call(argv, entry=main):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            rc = main(list(argv))
+            rc = entry(list(argv))
         except SystemExit as exc:
             rc = exc.code
     return rc, out.getvalue(), err.getvalue()
 
 
 def test_main_reuses_one_parser(monkeypatch):
-    """main() keeps one parser per process; every call, run twice in one
-    process, prints what a freshly built parser prints."""
+    """main() keeps its parsers for the process; every call, run twice in one
+    process, prints what freshly built parsers print."""
     reused = [_call(argv) for argv in REUSE_CALLS * 2]
     with monkeypatch.context() as m:
         m.setattr(cli, "_parser", cli.build_parser)
+        m.setattr(cli, "_leaf", cli._leaf.__wrapped__)
         fresh = [_call(argv) for argv in REUSE_CALLS * 2]
     for argv, got, want in zip(REUSE_CALLS * 2, reused, fresh):
         assert got == want, argv
@@ -412,3 +415,74 @@ def test_main_reuses_one_parser(monkeypatch):
     for _ in range(20):
         _call(["geo", "list", "--count"])
     assert len(inits) <= one_build
+
+
+def _tree_main(argv):
+    """main() with the whole tree parsing every call, as it did before each
+    command got a parser of its own."""
+    args = cli._parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except K3LatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+LEAVES = [[verb, subverb] for verb, (_, subverbs) in cli._COMMANDS.items()
+          for subverb in subverbs]
+
+# Argument lists where a command's parser alone could part from the tree: help
+# at each level, "--" around the verb and subverb, abbreviations, repeated and
+# unknown options, bad values, missing options and unknown commands.
+DIFF_CALLS = REUSE_CALLS + [
+    *([*leaf, flag] for leaf in LEAVES for flag in ("-h", "--help")),
+    *([verb, flag] for verb in cli._COMMANDS for flag in ("-h", "--help")),
+    ["-h"],
+    ["--", "qexp", "psi", "3"],
+    ["qexp", "--", "psi", "3"],
+    ["qexp", "psi", "--", "3"],
+    ["qexp", "psi", "3", "--"],
+    ["qexp", "psi", "--", "3", "--prec", "2"],
+    ["lat", "info", "--", "--json"],
+    ["qexp", "psi", "3", "--pre", "4"],
+    ["lat", "info", "E8", "--js"],
+    ["audit", "kodaira", "--tri", "17", "5", "1"],
+    ["qexp", "psi", "3", "--prec=4"],
+    ["qexp", "psi", "3", "--he"],
+    ["qexp", "psi", "3", "--prec", "4", "--prec", "2"],
+    ["geo", "list", "--json", "--json", "--count"],
+    ["audit", "kodaira", "--triplet", "17", "5", "1", "--triplet", "13", "9", "1"],
+    ["qexp", "psi", "3", "--bogus"],
+    ["qexp", "psi", "3", "--bogus=1"],
+    ["lat", "info", "E8", "extra"],
+    ["geo", "list", "-x", "--count"],
+    ["qexp", "psi", "3", "lat", "info"],
+    ["qexp", "psi", "x"],
+    ["qexp", "psi", "3", "--prec", "4.5"],
+    ["vec", "witness", "U", "--norm", "x"],
+    ["audit", "kodaira", "--triplet", "17", "5"],
+    ["audit", "kodaira", "--triplet", "17", "x", "1"],
+    ["vec", "short", "E8"],
+    ["vec", "witness", "U"],
+    ["audit", "kodaira", "--json"],
+    ["qexp", "psi"],
+    ["lat", "info"],
+    ["audit", "kodaira", "--triplet", "17", "5", "1", "--all"],
+    ["vec", "witness", "U", "--norm", "-4", "--box", "-1"],
+    ["qexp", "psi", "-1"],
+    ["qexp", "psi", "-1", "--prec", "3"],
+    ["lat", "frob", "E8"],
+    ["qexp", "ps", "3"],
+    ["lat"],
+    ["--json", "lat", "info", "E8"],
+    ["lat", "--json", "info", "E8"],
+]
+
+
+def test_main_matches_the_tree_on_every_call():
+    """Each call prints what the whole tree prints, with the same exit code:
+    stdout, stderr and usage text are the same bytes."""
+    got = [_call(argv) for argv in DIFF_CALLS * 2]
+    want = [_call(argv, _tree_main) for argv in DIFF_CALLS * 2]
+    for argv, g, w in zip(DIFF_CALLS * 2, got, want):
+        assert g == w, argv
