@@ -33,39 +33,26 @@ def _emit_json(payload):
     print(json.dumps(payload, separators=(",", ":")))
 
 
-def _big(n):
-    """Determinants and group orders may exceed 64 bits; keep them lossless."""
-    return str(n)
-
-
 # ---------------------------------------------------------------------------
 # verb handlers
 
 def _lat_info(args):
     L = parse_lattice(args.expr)
     sig = L.signature()
-    out = {
-        "rank": L.rank,
-        "signature": list(sig),
-        "even": L.is_even(),
-    }
+    try:
+        t = main_invariant(L).as_tuple()
+        inv, shown = list(t), f"(r+, r-, a, delta) = {t}"
+    except K3LatError as exc:
+        inv, shown = None, f"n/a ({exc})"
     if args.json:
-        try:
-            inv = main_invariant(L)
-            out["main_invariant"] = list(inv.as_tuple())
-        except K3LatError:
-            out["main_invariant"] = None
-        _emit_json(out)
+        _emit_json({"rank": L.rank, "signature": list(sig), "even": L.is_even(),
+                    "main_invariant": inv})
         return 0
     print(f"rank       {L.rank}")
     print(f"signature  ({sig[0]}, {sig[1]})")
-    print(f"det        {_big(L.det())}")
+    print(f"det        {L.det()}")
     print(f"even       {L.is_even()}")
-    try:
-        inv = main_invariant(L)
-        print(f"invariant  (r+, r-, a, delta) = {inv.as_tuple()}")
-    except K3LatError as exc:
-        print(f"invariant  n/a ({exc})")
+    print(f"invariant  {shown}")
     return 0
 
 

@@ -49,33 +49,24 @@ def smith_normal_form(m):
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    d = [list(row) for row in m]
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
+    # d is one table [[m | I_rows], [I_cols]]: a row operation on its first
+    # `rows` rows acts on d and u at once, a column operation on its first
+    # `cols` columns on d and v; d, u and v are sliced off it at the end
+    d = [list(row) + e for row, e in zip(m, identity_matrix(rows))] + identity_matrix(cols)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, k):
         d[dst] = [x + k * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, k):
         for row in d:
             row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
 
     def move_min_pivot(t):
         best = None
@@ -118,7 +109,7 @@ def smith_normal_form(m):
                 if d[t][j] != 0:
                     add_col(t, j, -(d[t][j] // d[t][t]))
             if d[t][t] < 0:
-                negate_row(t)
+                d[t] = [-x for x in d[t]]
             t += 1
         return t
 
@@ -136,7 +127,7 @@ def smith_normal_form(m):
                 reduce_from(i)
                 changed = True
                 break
-    return d, u, v
+    return [row[:cols] for row in d[:rows]], [row[cols:] for row in d[:rows]], d[rows:]
 
 
 def rational_inverse(m):

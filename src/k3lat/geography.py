@@ -93,7 +93,6 @@ class GeographyEntry:
         self.g = 11 - (r + a) // 2
         self.k = (r - a) // 2
         self.named = (r, a, delta) in NAMED_TRIPLETS
-        self.fixture = _FIXTURE_BY_TRIPLET.get((r, a, delta))
 
     def __repr__(self):
         return f"GeographyEntry{self.triplet}"
@@ -278,15 +277,6 @@ def fixture_catalog():
     out.append(Fixture("U(2) + M7", parse_lattice("U(2) + M7"), (2, 7, 9, 1)))
     out.append(Fixture("U(2)^2+E8", parse_lattice("U(2)^2 + E8"), (2, 10, 4, 0)))
     return out
-
-
-_FIXTURE_BY_TRIPLET = {
-    (10, 8, 0): "<M10,v>",
-    (10, 8, 1): "<U(2)+<-2>^8,f1,f2>",
-    (12, 10, 1): "<M12,f1,f2>",
-    (13, 9, 1): "<M13,f1,f2,f3>",
-    (10, 2, 0): "U(2)",
-}
 
 
 def duality_chain_check():

@@ -371,21 +371,21 @@ def glues_to_isometry(L, M, lam, gamma_L, gamma_M):
 # ---------------------------------------------------------------------------
 # named gram matrices
 
-def _chain_gram(n, edges, diag=2):
+def _chain_gram(n, edges):
     g = [[0] * n for _ in range(n)]
     for i in range(n):
-        g[i][i] = diag
+        g[i][i] = -2
     for i, j in edges:
-        g[i][j] = g[j][i] = -1
+        g[i][j] = g[j][i] = 1
     return g
 
 # E8 as the tree with arms of lengths 1, 2 and 4 hanging off node 0
 _E8_EDGES = [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7)]
-_E8_GRAM_NEG = [[-x for x in row] for row in _chain_gram(8, _E8_EDGES)]
+_E8_GRAM_NEG = _chain_gram(8, _E8_EDGES)
 _E7_EDGES = [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)]
-_E7_GRAM_NEG = [[-x for x in row] for row in _chain_gram(7, _E7_EDGES)]
+_E7_GRAM_NEG = _chain_gram(7, _E7_EDGES)
 _D4_EDGES = [(0, 1), (0, 2), (0, 3)]
-_D4_GRAM_NEG = [[-x for x in row] for row in _chain_gram(4, _D4_EDGES)]
+_D4_GRAM_NEG = _chain_gram(4, _D4_EDGES)
 
 
 def hyperbolic_plane():

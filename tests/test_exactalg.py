@@ -20,6 +20,8 @@ from k3lat.exactalg import (
     identity_matrix,
     CycEight,
 )
+from k3lat.geography import block_sum_witness, fixture_catalog, geography_table
+from k3lat.lattice import parse_lattice
 
 
 def random_matrix(rng, n, lo=-9, hi=9):
@@ -47,6 +49,105 @@ def fraction_det(m):
     return int(out)
 
 
+# Oracle for smith_normal_form: d, u and v as three matrices, each operation
+# written on two of them, in the order the one-table version makes it.
+def three_matrix_smith_form(m):
+    """Return (d, u, v) with u*m*v = d, u and v unimodular, d diagonal with
+    d[i] | d[i+1] and d[i] >= 0.  Entries of u and v can grow with the rank
+    of a dense m; on the parser's block sums they stay small (4 bits at rank 96).
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    d = [list(row) for row in m]
+    u = identity_matrix(rows)
+    v = identity_matrix(cols)
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, k):
+        d[dst] = [x + k * y for x, y in zip(d[dst], d[src])]
+        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, k):
+        for row in d:
+            row[dst] += k * row[src]
+        for row in v:
+            row[dst] += k * row[src]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    def move_min_pivot(t):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if d[i][j] != 0 and (
+                        best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            return False
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        return True
+
+    def reduce_from(start):
+        """Diagonalize the trailing block with indices >= start."""
+        t = start
+        while t < rows and t < cols:
+            if not move_min_pivot(t):
+                return t
+            while True:
+                # shrink the pivot to a gcd of its row and column
+                bad = next((i for i in range(t + 1, rows)
+                            if d[i][t] % d[t][t] != 0), None)
+                if bad is not None:
+                    add_row(t, bad, -(d[bad][t] // d[t][t]))
+                    swap_rows(t, bad)
+                    continue
+                bad = next((j for j in range(t + 1, cols)
+                            if d[t][j] % d[t][t] != 0), None)
+                if bad is not None:
+                    add_col(t, bad, -(d[t][bad] // d[t][t]))
+                    swap_cols(t, bad)
+                    continue
+                break
+            for i in range(t + 1, rows):
+                if d[i][t] != 0:
+                    add_row(t, i, -(d[i][t] // d[t][t]))
+            for j in range(t + 1, cols):
+                if d[t][j] != 0:
+                    add_col(t, j, -(d[t][j] // d[t][t]))
+            if d[t][t] < 0:
+                negate_row(t)
+            t += 1
+        return t
+
+    rank = reduce_from(0)
+
+    # enforce the divisibility chain d[i] | d[i+1]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(rank - 1):
+            if d[i + 1][i + 1] % d[i][i] != 0:
+                # fold column i+1 into column i and re-diagonalize from i;
+                # the new d[i][i] is a proper divisor of the old one
+                add_col(i + 1, i, 1)
+                reduce_from(i)
+                changed = True
+                break
+    return d, u, v
+
+
 def test_smith_normal_form_properties():
     rng = random.Random(11)
     for _ in range(60):
@@ -69,6 +170,44 @@ def test_smith_normal_form_properties():
         for x in diag:
             prod *= x
         assert prod == abs(fraction_det(m))
+
+
+def smith_differential_cases():
+    """Seeded random matrices with 0-8 rows and columns, zero rows and zero
+    columns among them, with entries in +-9 and in +-10^9; the gram of every
+    catalog fixture and of every block-sum witness for L+ and L-; and three
+    block sums of rank 96."""
+    rng = random.Random(23)
+    for k in range(400):
+        rows = rng.randint(0, 8)
+        cols = rng.randint(0, 8) if rows else 0
+        bound = 9 if k % 2 else 10 ** 9
+        m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        for i in rng.sample(range(rows), rng.randint(0, rows) // 2):
+            m[i] = [0] * cols
+        for j in rng.sample(range(cols), rng.randint(0, cols) // 2):
+            for row in m:
+                row[j] = 0
+        yield m
+    for fix in fixture_catalog():
+        yield fix.lattice.gram
+    for e in geography_table():
+        r, a, delta = e.triplet
+        yield block_sum_witness(1, r - 1, a, delta).gram
+        yield block_sum_witness(2, 20 - r, a, delta).gram
+    for expr in ("E8(2)^12", "U(2)^48", "<2>^2 + <-2>^94"):
+        yield parse_lattice(expr).gram
+
+
+def test_smith_form_against_the_three_matrix_oracle():
+    """The one-table Smith form makes the oracle's operations in the same
+    order, so (d, u, v) are identical, not merely equivalent: the nontrivial
+    columns of v are the D_L basis."""
+    checked = 0
+    for m in smith_differential_cases():
+        assert smith_normal_form(m) == three_matrix_smith_form(m), checked
+        checked += 1
+    assert checked == 400 + len(fixture_catalog()) + 2 * 75 + 3
 
 
 def test_hermite_form_lower_triangular():
