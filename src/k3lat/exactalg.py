@@ -68,13 +68,25 @@ def smith_normal_form(m):
         for row in d:
             row[dst] += k * row[src]
 
+    # every entry the scan sees is an integer combination of m's entries, so
+    # none is smaller than their gcd, the content: one equal to it ends the scan
+    content = 0
+    for row in m:
+        content = math.gcd(content, *row)
+        if content == 1:
+            break
+
     def move_min_pivot(t):
-        best = None
+        best, low = None, math.inf
         for i in range(t, rows):
+            row = d[i]
             for j in range(t, cols):
-                if d[i][j] != 0 and (
-                        best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
+                if 0 < abs(row[j]) < low:  # strict: the first row-major minimum
+                    best, low = (i, j), abs(row[j])
+                    if low == content:
+                        break
+            if low == content:
+                break
         if best is None:
             return False
         swap_rows(t, best[0])

@@ -34,9 +34,11 @@ class Lattice:
 
     gram: symmetric matrix of integers (2.0 or Fraction(4, 2) pass), det != 0.
     labels: optional basis names.
-    One symmetric Bareiss pass gives det and signature; the Smith form gives
-    D_L and dual(2), and only a dense gram (parsed ones are block sums) can
-    make the entries of its transforms grow with the rank.
+    A gram from outside is checked, and one symmetric Bareiss pass gives its
+    det and signature; the named atoms, rescale and direct_sum know both and
+    build through `_of`, so a parsed lattice runs no elimination.  The Smith
+    form gives D_L and dual(2), and only a dense gram (parsed ones are block
+    sums) can make the entries of its transforms grow with the rank.
     """
 
     def __init__(self, gram, labels=None, expr=None):
@@ -52,16 +54,23 @@ class Lattice:
             for j in range(n):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        self._det, sig = _det_and_inertia(gram)
-        if self._det == 0:
+        det, sig = _det_and_inertia(gram)
+        if det == 0:
             raise ValueError("gram matrix must be nonsingular")
-        self._sig = sig[:2]
-        self.gram = gram
-        self.labels = list(labels) if labels else [f"b{i+1}" for i in range(n)]
-        if len(self.labels) != n:
+        labels = list(labels) if labels else [f"b{i+1}" for i in range(n)]
+        if len(labels) != n:
             raise ValueError("label count must match rank")
-        self.expr = expr
-        self._snf = None
+        self.gram, self.labels, self.expr = gram, labels, expr
+        self._det, self._sig, self._snf = det, sig[:2], None
+
+    @classmethod
+    def _of(cls, gram, labels, expr, det, sig):
+        """From a fresh, valid gram whose det and signature the caller
+        knows: no checks and no elimination."""
+        out = cls.__new__(cls)
+        out.gram, out.labels, out.expr = gram, labels, expr
+        out._det, out._sig, out._snf = det, sig, None
+        return out
 
     @property
     def rank(self):
@@ -175,11 +184,23 @@ class MainInvariant:
 # ---------------------------------------------------------------------------
 # basic constructions
 
+def _integer(x):
+    """x as an int, for integral values of any numeric type."""
+    n = int(x)
+    if n != x:
+        raise ValueError("gram entries must be integers")
+    return n
+
+
 def rescale(L, n):
+    """L with its form times the integer n: det n^rank det(L), and the
+    signature swapped when n < 0."""
+    n = _integer(n)
     if n == 0:
         raise ValueError("scale factor must be nonzero")
     name = f"{L.expr}({n})" if L.expr in ("U", "E8") else None
-    return Lattice([[n * x for x in row] for row in L.gram], L.labels, name)
+    return Lattice._of([[n * x for x in row] for row in L.gram], list(L.labels), name,
+                       n ** L.rank * L.det(), L.signature()[::1 if n > 0 else -1])
 
 
 def direct_sum(*lattices):
@@ -194,7 +215,9 @@ def direct_sum(*lattices):
         offset += L.rank
     parts = [L.expr for L in lattices]
     expr = " + ".join(parts) if all(parts) and parts else None
-    return Lattice(gram, labels, expr)
+    # det is multiplicative and inertia additive over an orthogonal sum
+    sig = tuple(map(sum, zip((0, 0), *(L.signature() for L in lattices))))
+    return Lattice._of(gram, labels, expr, math.prod(L.det() for L in lattices), sig)
 
 
 def discriminant_group(L):
@@ -371,55 +394,54 @@ def glues_to_isometry(L, M, lam, gamma_L, gamma_M):
 # ---------------------------------------------------------------------------
 # named gram matrices
 
-def _chain_gram(n, edges):
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = -2
-    for i, j in edges:
-        g[i][j] = g[j][i] = 1
-    return g
-
 # E8 as the tree with arms of lengths 1, 2 and 4 hanging off node 0
 _E8_EDGES = [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7)]
-_E8_GRAM_NEG = _chain_gram(8, _E8_EDGES)
-_E7_EDGES = [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)]
-_E7_GRAM_NEG = _chain_gram(7, _E7_EDGES)
+_E7_EDGES = _E8_EDGES[:-1]
 _D4_EDGES = [(0, 1), (0, 2), (0, 3)]
-_D4_GRAM_NEG = _chain_gram(4, _D4_EDGES)
 
 
 def hyperbolic_plane():
-    return Lattice([[0, 1], [1, 0]], ["u", "v"], "U")
+    return Lattice._of([[0, 1], [1, 0]], ["u", "v"], "U", -1, (1, 1))
+
+
+def _root_lattice(n, edges, prefix, expr, det):
+    """The negative-definite lattice of a simply-laced Dynkin tree."""
+    gram = [[0] * i + [-2] + [0] * (n - 1 - i) for i in range(n)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = 1
+    return Lattice._of(gram, [f"{prefix}{i+1}" for i in range(n)], expr, det, (0, n))
 
 
 def e8_lattice():
     """E8 in the negative-definite convention."""
-    return Lattice(_E8_GRAM_NEG, [f"f{i+1}" for i in range(8)], "E8")
+    return _root_lattice(8, _E8_EDGES, "f", "E8", 1)
 
 
 def e7_lattice():
     """E7 in the negative-definite convention."""
-    return Lattice(_E7_GRAM_NEG, [f"f{i+1}" for i in range(7)], "E7")
+    return _root_lattice(7, _E7_EDGES, "f", "E7", -2)
 
 
 def d4_lattice():
     """D4 in the negative-definite convention."""
-    return Lattice(_D4_GRAM_NEG, [f"d{i+1}" for i in range(4)], "D4")
+    return _root_lattice(4, _D4_EDGES, "d", "D4", 4)
 
 
 def span_lattice(k):
-    return Lattice([[k]], ["g"], f"<{k}>")
+    k = _integer(k)
+    if k == 0:
+        raise ValueError("gram matrix must be nonsingular")
+    return Lattice._of([[k]], ["g"], f"<{k}>", k, (1, 0) if k > 0 else (0, 1))
 
 
 def m_lattice(n):
     """M_n = <2> + <-2>^(n-1) on the basis h, e_1, .., e_{n-1}."""
     if n < 1:
         raise ValueError("M_n needs n >= 1")
-    gram = [[0] * n for _ in range(n)]
+    gram = [[0] * i + [-2] + [0] * (n - 1 - i) for i in range(n)]
     gram[0][0] = 2
-    for i in range(1, n):
-        gram[i][i] = -2
-    return Lattice(gram, ["h"] + [f"e{i}" for i in range(1, n)], f"M{n}")
+    return Lattice._of(gram, ["h"] + [f"e{i}" for i in range(1, n)], f"M{n}",
+                       2 * (-2) ** (n - 1), (1, n - 1))
 
 
 def k3_lattice():
@@ -433,10 +455,10 @@ def k3_lattice():
 # ---------------------------------------------------------------------------
 # parsing / serialization
 
-# The largest rank parse_lattice builds.  Building runs one symmetric
-# Bareiss pass (det != 0, signature) at O(rank^3) cost: `lat info` on
-# E8(2)^12 or U(2)^48 (rank 96) takes about 0.1 s more than on LambdaK3
-# (rank 22), the largest lattice the package works with (2-vCPU Xeon VM).
+# The largest rank parse_lattice builds.  Building writes O(rank^2) gram
+# entries and runs no elimination; D_L runs the Smith form at O(rank^3): in
+# process, `lat info` takes 6-25 ms on E8(2)^12 or U(2)^48 (rank 96) and under
+# 1 ms on LambdaK3 (rank 22), the largest lattice the package works with.
 MAX_RANK = 96
 
 
@@ -464,20 +486,13 @@ def _tokenize(expr):
 
 
 def _atom_lattice(tok, pos):
-    if tok == "U":
-        return hyperbolic_plane()
-    if tok.startswith("U("):
-        n = int(tok[2:-1])
-        if n == 0:
+    if tok in ("U", "E8"):
+        return hyperbolic_plane() if tok == "U" else e8_lattice()
+    if tok.startswith(("U(", "E8(")):
+        name, n = tok[:-1].split("(")
+        if int(n) == 0:
             raise ParseError("scale factor must be nonzero", pos)
-        return rescale(hyperbolic_plane(), n)
-    if tok == "E8":
-        return e8_lattice()
-    if tok.startswith("E8("):
-        n = int(tok[3:-1])
-        if n == 0:
-            raise ParseError("scale factor must be nonzero", pos)
-        return rescale(e8_lattice(), n)
+        return rescale(_atom_lattice(name, pos), int(n))
     if tok == "A1":
         out = span_lattice(-2)
         out.expr = "A1"

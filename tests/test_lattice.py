@@ -1,6 +1,7 @@
 """Lattice core: parsing, invariants, discriminant groups, overlattices,
 and glue maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from k3lat.errors import (
 )
 from k3lat.exactalg import mat_mul
 from k3lat.finiteform import _decode, iter_isotropic_subgroups
-from k3lat.geography import fixture_catalog
+from k3lat.geography import block_sum_witness, fixture_catalog, geography_table
 from k3lat.lattice import (
     Lattice,
     parse_lattice,
@@ -36,6 +37,7 @@ from k3lat.lattice import (
     e7_lattice,
     d4_lattice,
     m_lattice,
+    span_lattice,
     k3_lattice,
     glue_map_from_embedding,
     induced_disc_matrix,
@@ -266,28 +268,27 @@ def test_m_lattice_gram():
     assert M10.signature() == (1, 9)
 
 
-def test_one_symmetric_elimination_per_lattice(monkeypatch):
-    """Each Lattice() runs exactly one `_symmetric_bareiss` pass, which gives
-    det and signature together; det() and signature() run none."""
+def test_parse_runs_no_elimination(monkeypatch):
+    """A parsed lattice takes det and signature from its blocks and runs no
+    `_symmetric_bareiss` pass; `Lattice(gram)` validates and runs exactly
+    one, and both agree."""
     import k3lat.exactalg as exactalg_module
 
-    passes, built = [], []
-    real_pass, real_init = exactalg_module._symmetric_bareiss, Lattice.__init__
+    passes = []
+    real_pass = exactalg_module._symmetric_bareiss
 
     def counting_pass(m):
         passes.append(len(m))
         return real_pass(m)
 
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        real_init(self, *args, **kwargs)
-
     monkeypatch.setattr(exactalg_module, "_symmetric_bareiss", counting_pass)
-    monkeypatch.setattr(Lattice, "__init__", counting_init)
     L = parse_lattice("U(2) + E8(2)")
-    assert len(passes) == len(built) > 1
-    assert L.det() == -1024 and L.signature() == (1, 9)
-    assert len(passes) == len(built)
+    assert passes == []
+    M = Lattice(L.gram)
+    assert passes == [10]
+    for lat in (L, M):
+        assert lat.det() == -1024 and lat.signature() == (1, 9)
+    assert passes == [10]
 
 
 def test_singular_gram_rejected_at_construction():
@@ -464,3 +465,97 @@ def test_overlattice_gram_against_pairwise_sums():
         f2[j] = Fraction(-1, 2)
     built += _check_overlattice(M13, [f1, f2, [2 * c for c in f1]])
     assert built >= 40
+
+
+# ---------------------------------------------------------------------------
+# det and signature assembled from the blocks, against a fresh elimination
+
+ATOM_EXPRS = (["U", "U(2)", "U(-2)", "U(3)", "E8", "E8(2)", "E8(-1)", "E8(-2)", "A1",
+               "<1>", "<-1>", "<2>", "<-2>", "<-6>", "<7>"]
+              + [f"M{n}" for n in range(1, 13)])
+
+
+def random_block_sum(rng):
+    """A seeded sum of rescaled atoms (E7 and D4 included) of rank at most
+    MAX_RANK; the sum itself is rescaled one time in four."""
+    blocks = [parse_lattice(e) for e in ATOM_EXPRS + ["LambdaK3"]]
+    blocks += [e7_lattice(), d4_lattice()]
+    pieces, rank = [], 0
+    for _ in range(rng.randint(1, 12)):
+        L = rescale(rng.choice(blocks), rng.choice([1, 1, -1, 2, -2, 3, -5]))
+        if rank + L.rank > MAX_RANK:
+            break
+        pieces.append(L)
+        rank += L.rank
+    out = direct_sum(*pieces)
+    return rescale(out, rng.choice([-2, -1, 3])) if rng.random() < 0.25 else out
+
+
+def assembled_cases():
+    """(name, lattice) for lattices whose det and signature come from their
+    blocks: every parser atom, LambdaK3, the rank-96 sums, case1_report's
+    U(2) + M7(-1) partner, the 150 block_sum_witness lattices and 60 seeded
+    random block sums."""
+    for expr in ATOM_EXPRS + ["LambdaK3", "E8(2)^12", "U(2)^48"]:
+        yield expr, parse_lattice(expr)
+    yield "U(2) + M7(-1)", direct_sum(rescale(hyperbolic_plane(), 2), rescale(m_lattice(7), -1))
+    for e in geography_table():
+        r, a, delta = e.triplet
+        yield f"L+ {e.triplet}", block_sum_witness(1, r - 1, a, delta)
+        yield f"L- {e.triplet}", block_sum_witness(2, 20 - r, a, delta)
+    rng = random.Random(24)
+    for k in range(60):
+        yield f"random {k}", random_block_sum(rng)
+
+
+def test_assembled_det_and_signature_against_elimination():
+    """Every assembled lattice has the det and signature that `Lattice` reads
+    off one elimination of its gram, which it also validates (square,
+    symmetric, integral, nonsingular), and one label per basis vector."""
+    checked = 0
+    for name, L in assembled_cases():
+        fresh = Lattice(L.gram)
+        assert (L.det(), L.signature()) == (fresh.det(), fresh.signature()), name
+        assert len(L.labels) == L.rank, name
+        checked += 1
+    assert checked == len(ATOM_EXPRS) + 3 + 1 + 2 * 75 + 60
+
+
+def test_literal_atoms_match_elimination():
+    """U, E8, E7 and D4 carry literal det and signature; <0> still raises."""
+    for L in (hyperbolic_plane(), e8_lattice(), e7_lattice(), d4_lattice()):
+        fresh = Lattice(L.gram)
+        assert (L.det(), L.signature()) == (fresh.det(), fresh.signature()), L.expr
+    with pytest.raises(ValueError, match="nonsingular"):
+        span_lattice(0)
+
+
+def test_each_call_builds_its_own_rows():
+    """Atoms, rescales and sums are fresh objects: changing one result's gram
+    or labels leaves every later call's unchanged."""
+    makers = (hyperbolic_plane, e8_lattice, e7_lattice, d4_lattice, k3_lattice,
+              lambda: m_lattice(3), lambda: span_lattice(-2),
+              lambda: rescale(e8_lattice(), 2), lambda: parse_lattice("E8(2)^2"),
+              lambda: parse_lattice("A1"))
+    for make in makers:
+        a, b = make(), make()
+        a.gram[0][0] += 1
+        a.labels[0] = "changed"
+        assert make().gram == b.gram != a.gram
+        assert make().labels == b.labels != a.labels
+
+
+def test_integral_scale_factors():
+    """Scale factors and <k> entries are integers of any numeric type, as
+    gram entries are; a non-integral one raises."""
+    U = hyperbolic_plane()
+    for two in (2, 2.0, Fraction(4, 2)):
+        L = rescale(U, two)
+        assert L.gram == [[0, 2], [2, 0]] and L.det() == -4 and L.expr == "U(2)"
+        assert all(type(x) is int for row in L.gram for x in row)
+        assert span_lattice(two).gram == [[2]] and span_lattice(two).expr == "<2>"
+    for bad in (Fraction(1, 2), 2.5):
+        with pytest.raises(ValueError, match="must be integers"):
+            rescale(parse_lattice("U(2)"), bad)
+        with pytest.raises(ValueError, match="must be integers"):
+            span_lattice(bad)
