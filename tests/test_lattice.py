@@ -270,8 +270,8 @@ def test_m_lattice_gram():
 
 def test_parse_runs_no_elimination(monkeypatch):
     """A parsed lattice takes det and signature from its blocks and runs no
-    `_symmetric_bareiss` pass; `Lattice(gram)` validates and runs exactly
-    one, and both agree."""
+    `_symmetric_bareiss` pass, whatever the expression; `Lattice(gram)`
+    validates and runs exactly one, and both agree."""
     import k3lat.exactalg as exactalg_module
 
     passes = []
@@ -282,6 +282,8 @@ def test_parse_runs_no_elimination(monkeypatch):
         return real_pass(m)
 
     monkeypatch.setattr(exactalg_module, "_symmetric_bareiss", counting_pass)
+    for expr in EXPRS + ATOM_EXPRS + ["E8(2)^12", "U(2)^48", "U(-2)^3 + E8(-1) + M7"]:
+        parse_lattice(expr)
     L = parse_lattice("U(2) + E8(2)")
     assert passes == []
     M = Lattice(L.gram)
