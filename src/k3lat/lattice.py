@@ -36,9 +36,13 @@ class Lattice:
     labels: optional basis names.
     A gram from outside is checked, and one symmetric Bareiss pass gives its
     det and signature; the named atoms, rescale and direct_sum know both and
-    build through `_of`, so a parsed lattice runs no elimination.  The Smith
-    form gives D_L and dual(2), and only a dense gram (parsed ones are block
-    sums) can make the entries of its transforms grow with the rank.
+    build through `_of`, so a parsed lattice runs no elimination.  Where the
+    blocks are even 2-elementary they also carry (a, delta), which
+    main_invariant reads with no Smith form; `Lattice(L.gram)` derives it
+    from the Smith form instead, the independent check (`geo verify` must
+    use it).  The Smith form gives D_L, its basis and dual(2), and only a
+    dense gram (parsed ones are block sums) can make the entries of its
+    transforms grow with the rank.
     """
 
     def __init__(self, gram, labels=None, expr=None):
@@ -61,15 +65,16 @@ class Lattice:
         if len(labels) != n:
             raise ValueError("label count must match rank")
         self.gram, self.labels, self.expr = gram, labels, expr
-        self._det, self._sig, self._snf = det, sig[:2], None
+        self._det, self._sig, self._snf, self._inv = det, sig[:2], None, None
 
     @classmethod
-    def _of(cls, gram, labels, expr, det, sig):
+    def _of(cls, gram, labels, expr, det, sig, inv=None):
         """From a fresh, valid gram whose det and signature the caller
-        knows: no checks and no elimination."""
+        knows: no checks and no elimination.  inv is (a, delta) when the
+        caller knows the lattice is even 2-elementary, else None."""
         out = cls.__new__(cls)
         out.gram, out.labels, out.expr = gram, labels, expr
-        out._det, out._sig, out._snf = det, sig, None
+        out._det, out._sig, out._snf, out._inv = det, sig, None, inv
         return out
 
     @property
@@ -194,13 +199,16 @@ def _integer(x):
 
 def rescale(L, n):
     """L with its form times the integer n: det n^rank det(L), and the
-    signature swapped when n < 0."""
+    signature swapped when n < 0.  (a, delta) survives n = -1; an even
+    unimodular L times 2 has D = L/2L with q integral, so (rank, 0)."""
     n = _integer(n)
     if n == 0:
         raise ValueError("scale factor must be nonzero")
     name = f"{L.expr}({n})" if L.expr in ("U", "E8") else None
+    inv = (L._inv if abs(n) == 1 else
+           (L.rank, 0) if abs(n) == 2 and L._inv == (0, 0) else None)
     return Lattice._of([[n * x for x in row] for row in L.gram], list(L.labels), name,
-                       n ** L.rank * L.det(), L.signature()[::1 if n > 0 else -1])
+                       n ** L.rank * L.det(), L.signature()[::1 if n > 0 else -1], inv)
 
 
 def direct_sum(*lattices):
@@ -215,9 +223,12 @@ def direct_sum(*lattices):
         offset += L.rank
     parts = [L.expr for L in lattices]
     expr = " + ".join(parts) if all(parts) and parts else None
-    # det is multiplicative and inertia additive over an orthogonal sum
+    # det is multiplicative and inertia additive over an orthogonal sum; so
+    # is D_L, whence a adds and delta is the largest (Nikulin 1979, 1.4)
     sig = tuple(map(sum, zip((0, 0), *(L.signature() for L in lattices))))
-    return Lattice._of(gram, labels, expr, math.prod(L.det() for L in lattices), sig)
+    invs = [L._inv for L in lattices]
+    inv = None if None in invs else (sum(a for a, _ in invs), max((d for _, d in invs), default=0))
+    return Lattice._of(gram, labels, expr, math.prod(L.det() for L in lattices), sig, inv)
 
 
 def discriminant_group(L):
@@ -226,7 +237,7 @@ def discriminant_group(L):
 
 
 def is_two_elementary(L):
-    return all(d == 2 for d in L.disc_orders())
+    return L._inv is not None or all(d == 2 for d in L.disc_orders())
 
 
 def discriminant_form(L):
@@ -244,6 +255,10 @@ def discriminant_form(L):
 
 
 def main_invariant(L):
+    """(r_plus, r_minus, a, delta): (a, delta) from the blocks when a parsed
+    lattice carries it, else from the Smith form, as for `Lattice(L.gram)`."""
+    if L._inv is not None:
+        return MainInvariant(*L.signature(), *L._inv)
     if not L.is_even():
         raise OddLattice("main invariant is defined for even lattices")
     if not is_two_elementary(L):
@@ -401,37 +416,38 @@ _D4_EDGES = [(0, 1), (0, 2), (0, 3)]
 
 
 def hyperbolic_plane():
-    return Lattice._of([[0, 1], [1, 0]], ["u", "v"], "U", -1, (1, 1))
+    return Lattice._of([[0, 1], [1, 0]], ["u", "v"], "U", -1, (1, 1), (0, 0))
 
 
-def _root_lattice(n, edges, prefix, expr, det):
+def _root_lattice(n, edges, prefix, expr, det, inv):
     """The negative-definite lattice of a simply-laced Dynkin tree."""
     gram = [[0] * i + [-2] + [0] * (n - 1 - i) for i in range(n)]
     for i, j in edges:
         gram[i][j] = gram[j][i] = 1
-    return Lattice._of(gram, [f"{prefix}{i+1}" for i in range(n)], expr, det, (0, n))
+    return Lattice._of(gram, [f"{prefix}{i+1}" for i in range(n)], expr, det, (0, n), inv)
 
 
 def e8_lattice():
     """E8 in the negative-definite convention."""
-    return _root_lattice(8, _E8_EDGES, "f", "E8", 1)
+    return _root_lattice(8, _E8_EDGES, "f", "E8", 1, (0, 0))
 
 
 def e7_lattice():
     """E7 in the negative-definite convention."""
-    return _root_lattice(7, _E7_EDGES, "f", "E7", -2)
+    return _root_lattice(7, _E7_EDGES, "f", "E7", -2, (1, 1))
 
 
 def d4_lattice():
     """D4 in the negative-definite convention."""
-    return _root_lattice(4, _D4_EDGES, "d", "D4", 4)
+    return _root_lattice(4, _D4_EDGES, "d", "D4", 4, (2, 0))
 
 
 def span_lattice(k):
     k = _integer(k)
     if k == 0:
         raise ValueError("gram matrix must be nonsingular")
-    return Lattice._of([[k]], ["g"], f"<{k}>", k, (1, 0) if k > 0 else (0, 1))
+    return Lattice._of([[k]], ["g"], f"<{k}>", k, (1, 0) if k > 0 else (0, 1),
+                       (1, 1) if abs(k) == 2 else None)
 
 
 def m_lattice(n):
@@ -441,7 +457,7 @@ def m_lattice(n):
     gram = [[0] * i + [-2] + [0] * (n - 1 - i) for i in range(n)]
     gram[0][0] = 2
     return Lattice._of(gram, ["h"] + [f"e{i}" for i in range(1, n)], f"M{n}",
-                       2 * (-2) ** (n - 1), (1, n - 1))
+                       2 * (-2) ** (n - 1), (1, n - 1), (n, 1))
 
 
 def k3_lattice():
@@ -456,9 +472,10 @@ def k3_lattice():
 # parsing / serialization
 
 # The largest rank parse_lattice builds.  Building writes O(rank^2) gram
-# entries and runs no elimination; D_L runs the Smith form at O(rank^3): in
-# process, `lat info` takes 6-25 ms on E8(2)^12 or U(2)^48 (rank 96) and under
-# 1 ms on LambdaK3 (rank 22), the largest lattice the package works with.
+# entries and runs no elimination, and `lat info` reads (a, delta) off the
+# blocks: in process it takes 0.25-0.4 ms on E8(2)^12 or U(2)^48 (rank 96).
+# D_L, and the invariant of other grams, run the Smith form at O(rank^3): 6-21
+# ms there, under 1 ms on LambdaK3, the largest lattice the package works with.
 MAX_RANK = 96
 
 

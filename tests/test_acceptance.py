@@ -88,11 +88,13 @@ def test_03_fixture_invariants():
     fx_m13 = fix["<M13,f1,f2,f3>"]
     assert main_invariant(fx_m13.lattice).triplet == (13, 9, 1)
     assert fx_m13.index == 4  # the glue group has order 4
-    # complements
+    # complements: the Smith form of a fresh gram against the blocks' (a, delta)
     l61 = parse_lattice("<2>^2 + <-2>^8")
-    assert main_invariant(fix["<M12,f1,f2> complement"].lattice) == main_invariant(l61)
+    c12 = Lattice(fix["<M12,f1,f2> complement"].lattice.gram)
+    assert main_invariant(c12) == main_invariant(l61)
     l71 = parse_lattice("<2>^2 + <-2>^7")
-    assert main_invariant(fix["<M13,f1,f2,f3> complement"].lattice) == main_invariant(l71)
+    c13 = Lattice(fix["<M13,f1,f2,f3> complement"].lattice.gram)
+    assert main_invariant(c13) == main_invariant(l71)
     assert forms_isometric(discriminant_form(fix["<M13,f1,f2,f3> complement"].lattice),
                            discriminant_form(l71))
     report("acceptance 03 fixture-invariants-exact: PASS")

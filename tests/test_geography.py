@@ -21,6 +21,7 @@ from k3lat.geography import (
     _lattice_exists,
 )
 from k3lat.lattice import (
+    Lattice,
     parse_lattice,
     main_invariant,
     overlattice,
@@ -95,15 +96,16 @@ def test_geometric_invariants():
 def test_block_sum_witness_covers_table():
     """Both sides of every triplet admit an explicit block-sum lattice whose
     main invariant is the requested one (independent of the rule deriving
-    the table)."""
+    the table, and of the blocks' own (a, delta): the Smith form of a fresh
+    gram gives it)."""
     for e in geography_table():
         r, a, d = e.triplet
         wit = block_sum_witness(1, r - 1, a, d)
         assert wit is not None, (r, a, d)
-        assert main_invariant(wit).as_tuple() == (1, r - 1, a, d)
+        assert main_invariant(Lattice(wit.gram)).as_tuple() == (1, r - 1, a, d)
         wit = block_sum_witness(2, 20 - r, a, d)
         assert wit is not None, (r, a, d)
-        assert main_invariant(wit).as_tuple() == (2, 20 - r, a, d)
+        assert main_invariant(Lattice(wit.gram)).as_tuple() == (2, 20 - r, a, d)
 
 
 def test_lattice_exists_matches_examples():
@@ -215,7 +217,8 @@ def test_fixture_catalog_invariants():
     for fix in fixture_catalog():
         if not fix.lattice.is_even():
             continue
-        assert main_invariant(fix.lattice).as_tuple() == fix.expected, fix.name
+        # the Smith form of a fresh gram, not the blocks' (a, delta)
+        assert main_invariant(Lattice(fix.lattice.gram)).as_tuple() == fix.expected, fix.name
         if fix.expected_index is not None:
             assert fix.index == fix.expected_index, fix.name
 

@@ -561,3 +561,87 @@ def test_integral_scale_factors():
             rescale(parse_lattice("U(2)"), bad)
         with pytest.raises(ValueError, match="must be integers"):
             span_lattice(bad)
+
+
+# ---------------------------------------------------------------------------
+# (a, delta) carried by the blocks, against the Smith form of a fresh gram
+
+def invariant_or_error(L):
+    """main_invariant as a tuple, or the class and message it raises."""
+    try:
+        return main_invariant(L).as_tuple()
+    except (OddLattice, NotTwoElementary) as exc:
+        return type(exc), str(exc)
+
+
+def test_block_invariants_against_smith_form():
+    """main_invariant and is_two_elementary of every assembled lattice, E7,
+    D4 and the empty sum, each rescaled by 1, -1, 2, -2, 3 and -5 (the
+    random sums only by 1: their blocks already are), equal those of
+    `Lattice(L.gram)`, which derives them from the Smith form: the same
+    tuple, or the same exception class and message.  Where main_invariant
+    raises, the lattice carries no (a, delta) (it would have returned it),
+    so is_two_elementary runs the fresh lattice's Smith form and is not
+    compared."""
+    outcomes = set()
+    cases = [*assembled_cases(), ("E7", e7_lattice()), ("D4", d4_lattice()),
+             ("empty sum", direct_sum())]
+    for name, L in cases:
+        for n in (1,) if name.startswith("random") else (1, -1, 2, -2, 3, -5):
+            M = rescale(L, n)
+            fresh = Lattice(M.gram)
+            got = invariant_or_error(M)
+            assert got == invariant_or_error(fresh), (name, n)
+            if isinstance(got[0], type):
+                outcomes.add(got[0])
+            else:
+                assert is_two_elementary(M) and is_two_elementary(fresh), (name, n)
+                outcomes.add("ok")
+    assert outcomes == {"ok", OddLattice, NotTwoElementary}
+    assert main_invariant(direct_sum()).as_tuple() == (0, 0, 0, 0)
+
+
+def test_main_invariant_runs_no_smith_form(monkeypatch, capsys):
+    """main_invariant and is_two_elementary read (a, delta) off a parsed even
+    2-elementary lattice with no Smith form, even at rank 96; `Lattice(gram)`
+    runs exactly one; and `lat info` prints the same bytes, text and --json,
+    as on a fresh gram of the same lattice, "n/a" cases included."""
+    import k3lat.lattice as lattice_module
+    from k3lat import cli
+
+    exprs = []
+    for expr in EXPRS + ATOM_EXPRS + ["E8(2)^12", "U(2)^48"]:
+        fresh = Lattice(parse_lattice(expr).gram)
+        if fresh.is_even() and is_two_elementary(fresh):
+            exprs.append(expr)
+    assert len(exprs) == 33 and "LambdaK3" in exprs
+
+    calls = []
+    real_snf = lattice_module.smith_normal_form
+
+    def counting_snf(m):
+        calls.append(len(m))
+        return real_snf(m)
+
+    monkeypatch.setattr(lattice_module, "smith_normal_form", counting_snf)
+    for expr in exprs:
+        L = parse_lattice(expr)
+        assert is_two_elementary(L) and main_invariant(L).triplet[0] == L.rank
+    assert calls == []
+    M = Lattice(parse_lattice("U(2) + E8(2)").gram)
+    assert is_two_elementary(M) and main_invariant(M).as_tuple() == (1, 9, 10, 0)
+    assert calls == [10]
+
+    def lat_info(*argv):
+        assert cli.main(["lat", "info", *argv]) == 0
+        return capsys.readouterr().out
+
+    real_parse = cli.parse_lattice
+    for expr in ATOM_EXPRS + ["E8(2)^12", "U(2)^48", "<1> + U", "E8(4)"]:
+        for flags in ([], ["--json"]):
+            blocks = lat_info(expr, *flags)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "parse_lattice", lambda e: Lattice(real_parse(e).gram))
+                assert lat_info(expr, *flags) == blocks, (expr, flags)
+    for expr in ("U(3)", "<1> + U", "E8(4)"):
+        assert "n/a" in lat_info(expr), expr
