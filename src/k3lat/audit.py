@@ -16,7 +16,6 @@ from .lattice import (
     rescale,
     direct_sum,
 )
-from .finiteform import milgram_signature
 from .vectors import disc_class_of_vector
 from .weil import lift_B, principal_part
 
@@ -53,7 +52,7 @@ class DivisorLedger:
                 f"entries={self.entries})")
 
 
-def gritsenko_verdict(k, nu, n, strict_weight, nonzero_slack):
+def gritsenko_verdict(k, nu, n, nonzero_slack):
     """Low-weight cusp form criterion on a type IV domain of dimension n.
 
     A form of weight k vanishing on nu times the ramification divisor forces
@@ -65,9 +64,7 @@ def gritsenko_verdict(k, nu, n, strict_weight, nonzero_slack):
         return VERDICT_HYPOTHESIS
     if k < nu * n:
         return VERDICT_INCONCLUSIVE
-    if strict_weight and not k > nu * n:
-        raise ValueError("strict_weight asserted but k == nu*n")
-    if strict_weight or nonzero_slack:
+    if k > nu * n or nonzero_slack:
         return VERDICT_NEG_INFINITY
     return VERDICT_INCONCLUSIVE
 
@@ -111,7 +108,7 @@ def case1_report(r, a, delta):
         nu, k, n)
     report["special_flag"] = special
     report["uses_R_geq_D"] = True
-    report["verdict"] = gritsenko_verdict(k, nu, n, k > nu * n, slack)
+    report["verdict"] = gritsenko_verdict(k, nu, n, slack)
     return report
 
 
@@ -148,7 +145,7 @@ def case2_report(r, a, delta):
         [("norm_minus4", 1), ("dual_norm_minus1", scale)],
         1, k, n)
     report["uses_R_geq_D"] = True
-    report["verdict"] = gritsenko_verdict(k, 1, n, k > n, False)
+    report["verdict"] = gritsenko_verdict(k, 1, n, False)
     return report
 
 
@@ -191,10 +188,9 @@ def lift_consistency(r_minus, prec=8):
         raise UnsupportedInvariant("the lift family needs 5 <= r_minus <= 11")
     L = parse_lattice(f"<2>^2 + <-2>^{r_minus - 2}")
     q = discriminant_form(L)
-    sigma = milgram_signature(q)
     m = 12 - r_minus
     k = -m * m - 9 * m + 124
-    B = lift_B(q, sigma, r_minus, r_minus, prec)
+    B = lift_B(q, r_minus, prec)
     pp = principal_part(B)
     poles = {}
     for x, e, c in pp:

@@ -180,14 +180,14 @@ def _qexp_psi(args):
 
 
 def _weil_form(expr):
-    q = discriminant_form(parse_lattice(expr))
-    return q, milgram_signature(q)
+    return discriminant_form(parse_lattice(expr))
 
 
 def _weil_check(args):
-    q, sigma = _weil_form(args.expr)
+    q = _weil_form(args.expr)
+    sigma = milgram_signature(q)
     one = one_element(q)
-    checks = relation_checks(q, sigma, one)
+    checks = relation_checks(q, one)
     a, delta = q.a, q.delta()
     payload = {"schema": SCHEMA, "a": a, "delta": delta, "sigma": sigma,
                "one_element": list(one), "checks": checks}
@@ -202,8 +202,8 @@ def _weil_check(args):
 
 
 def _weil_matrix(args):
-    q, sigma = _weil_form(args.expr)
-    mat = weil_word(q, sigma, args.word.split(","))
+    q = _weil_form(args.expr)
+    mat = weil_word(q, args.word.split(","))
     names, index = mat.distinct_entries()
     if args.json:  # the bytes of _emit_json, each distinct entry dumped once
         rows = np.array([json.dumps(s) for s in names], dtype=object).take(index).tolist()

@@ -61,10 +61,6 @@ class UnsupportedInvariant(K3LatError):
     pass
 
 
-class SignatureMismatch(K3LatError):
-    pass
-
-
 class NonIntegerExponents(K3LatError):
     pass
 

@@ -45,7 +45,7 @@ class Lattice:
     transforms grow with the rank.
     """
 
-    def __init__(self, gram, labels=None, expr=None):
+    def __init__(self, gram, labels=None):
         rows = [list(row) for row in gram]
         gram = [list(map(int, row)) for row in rows]
         if gram != rows:
@@ -64,7 +64,7 @@ class Lattice:
         labels = list(labels) if labels else [f"b{i+1}" for i in range(n)]
         if len(labels) != n:
             raise ValueError("label count must match rank")
-        self.gram, self.labels, self.expr = gram, labels, expr
+        self.gram, self.labels, self.expr = gram, labels, None
         self._det, self._sig, self._snf, self._inv = det, sig[:2], None, None
 
     @classmethod

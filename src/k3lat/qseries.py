@@ -208,8 +208,8 @@ class FracSeries:
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, FracSeries):
+            c = Fraction(other)  # a number, read as _coerce reads it
             return FracSeries(self.lead, self.step,
                               [x * c.numerator for x in self.coeffs],
                               self.prec_units, self.den * c.denominator)

@@ -26,7 +26,6 @@ from itertools import islice
 from ._lazy import LazyNumpy
 from .exactalg import CycEight
 from .errors import (
-    SignatureMismatch,
     DegenerateForm,
     UnsupportedInvariant,
     InsufficientPrecision,
@@ -183,6 +182,8 @@ class CycMatrix:
         return [str(CycEight(e, self.denom_exp)) for e in coeffs], index.reshape(n, m)
 
     def __eq__(self, other):
+        if not isinstance(other, CycMatrix):
+            return NotImplemented
         return (self.denom_exp == other.denom_exp
                 and np.array_equal(self.comps, other.comps))
 
@@ -236,9 +237,10 @@ def _walsh_hadamard(x):
         h *= 2
 
 
-def weil_scalar(q, sigma):
-    """i^(-sigma/2) 2^(-a/2), the scalar of rho(S); rho(S)^-1 and the coset
-    formula use its conjugate.
+def weil_scalar(q):
+    """i^(-sigma/2) 2^(-a/2), the scalar of rho(S), with sigma = sig(q) mod 8
+    read off q by Milgram's Gauss sum; rho(S)^-1 and the coset formula use
+    its conjugate.
 
     Its Gauss sum is also the guard that rho(S)^-1 = rho(S)*.  The entry
     (S S*)[x, x'] = 2^-a sum_y (-1)^(2b(x + x', y)) is delta_{x, x'} exactly
@@ -247,9 +249,7 @@ def weil_scalar(q, sigma):
     magnitude sqrt(|D| |R|), not sqrt|D|, if it is trivial: either way
     milgram_signature raises DegenerateForm.
     """
-    if sigma % 8 != milgram_signature(q):
-        raise SignatureMismatch(
-            f"sigma = {sigma} mod 8 does not match the Gauss sum")
+    sigma = milgram_signature(q)
     # i^(-sigma/2) = zeta^(-sigma), times sqrt2 = z - z^3 for odd a; zeta^4 = -1
     coeffs = [0] * 4
     for e, c in [(-sigma, 1)] if q.a % 2 == 0 else [(1 - sigma, 1), (3 - sigma, -1)]:
@@ -267,21 +267,20 @@ class WeilAction:
     and B the F2 matrix of 2b, invertible once weil_scalar accepts the form;
     so H(X)[Bx] = H(X')[x] with X'[w] = X[B^-1 w], gathered straight into
     the result.  rho(S)^-1 applies the conjugate scalar: S is symmetric, and
-    unitary whenever weil_scalar accepts the form.  sigma is read only by S;
-    None serves words in T alone.  Each generator costs O(a 2^a) per column;
-    a block of m columns costs O(m a 2^a), and only the full identity block
-    is capped at a <= MAX_DENSE_A.
+    unitary whenever weil_scalar accepts the form.  Only S reads the scalar,
+    so words in T alone act for any form.  Each generator costs O(a 2^a) per
+    column; a block of m columns costs O(m a 2^a), and only the full
+    identity block is capped at a <= MAX_DENSE_A.
     The tables the generators read are built once per action.
     """
 
-    def __init__(self, q, sigma):
+    def __init__(self, q):
         self.q = q
-        self.sigma = sigma
         self.n = 1 << q.a
 
     @cached_property
     def scalar(self):
-        return weil_scalar(self.q, self.sigma)
+        return weil_scalar(self.q)
 
     @cached_property
     def _qh(self):
@@ -401,39 +400,39 @@ def _check_word(word):
 
 def weil_T(q):
     """rho(T) e_gamma = e^(pi i gamma^2) e_gamma."""
-    return WeilAction(q, None).matrix(["T"])
+    return WeilAction(q).matrix(["T"])
 
 
-# (id(q), sigma) -> a WeilAction that some caller still holds.  The entry
-# dies with the action, and the action holds q, so the id stays q's.
+# id(q) -> a WeilAction that some caller still holds.  The entry dies
+# with the action, and the action holds q, so the id stays q's.
 _LIVE_ACTIONS = weakref.WeakValueDictionary()
 
 
-def _action(q, sigma):
-    """The live WeilAction of (q, sigma), so that calls inside one
-    relation_checks share its tables; else a new one."""
-    act = _LIVE_ACTIONS.get((id(q), sigma))
+def _action(q):
+    """The live WeilAction of q, so that calls inside one relation_checks
+    share its tables; else a new one."""
+    act = _LIVE_ACTIONS.get(id(q))
     if act is None:
-        act = _LIVE_ACTIONS[id(q), sigma] = WeilAction(q, sigma)
+        act = _LIVE_ACTIONS[id(q)] = WeilAction(q)
     return act
 
 
-def weil_S(q, sigma):
+def weil_S(q):
     """rho(S) e_gamma = i^(-sigma/2) |D|^(-1/2) sum_delta e^(-2 pi i <gamma,delta>) e_delta."""
-    return _action(q, sigma).matrix(["S"])
+    return _action(q).matrix(["S"])
 
 
-def weil_word(q, sigma, word):
+def weil_word(q, word):
     """The matrix of a word over S, T and their inverses, a <= MAX_DENSE_A.
 
     word: iterable of tokens "S", "T", "S^-1", "T^-1".
     """
-    return WeilAction(q, sigma).matrix(word)
+    return WeilAction(q).matrix(word)
 
 
-def weil_V(q, sigma):
+def weil_V(q):
     """V = S^-1 T^2 S."""
-    return weil_word(q, sigma, ["S^-1", "T", "T", "S"])
+    return weil_word(q, ["S^-1", "T", "T", "S"])
 
 
 def vk_vectors(q):
@@ -461,9 +460,9 @@ def _coset_columns(act):
         yield col
 
 
-def coset_formula_check(q, sigma, l):
+def coset_formula_check(q, l):
     """rho((S T^l)^-1) e_0 = i^(sigma/2) 2^(-a/2) sum_k i^(-l k) v_k, exactly."""
-    act = WeilAction(q, sigma)
+    act = WeilAction(q)
     return next(islice(_coset_columns(act), l, None)) == act._coset_rhs[l]
 
 
@@ -476,7 +475,7 @@ def _s_eighth_is_identity(act, s2):
     return act.apply(["S"] * 6, s2) == act.identity()
 
 
-def relation_checks(q, sigma, one=None):
+def relation_checks(q, one=None):
     """The four checks of `k3lat weil check`, in display order: (ST)^3 = S^2
     and S^8 = I on the identity block, V^-1 e_0 = e_{1_L}, and the coset
     formula for l = 0..3; one is 1_L, one_element(q) if not given.  The
@@ -488,8 +487,8 @@ def relation_checks(q, sigma, one=None):
     -x = x in D_L, S^2 = c I, and S^8 = I iff c^4 = 1; a non-scalar S^2 gets
     the literal S^6 S^2 = I.  Three S steps act on a full block; weil_S
     shares this call's action, so its tables are built once."""
-    act = _action(q, sigma)
-    s1 = weil_S(q, sigma)
+    act = _action(q)
+    s1 = weil_S(q)
     s_eighth = _s_eighth_is_identity(act, act.apply(["S"], s1))
     # X T^-1 = (T^-1 X^T)^T, as T is diagonal
     rhs = act.apply(["T^-1"], act.apply(["T^-1"], s1.transpose()).transpose())
@@ -527,23 +526,22 @@ def psi_m_slash_V(m, prec):
     return _psi_combination(m, prec, [(2, -16), (4, 8)], -16, "shifted")
 
 
-def lift_B(q, sigma, r_minus, a_minus, prec):
-    """Components of the vector-valued lift B[psi_m], m = 8 + sigma:
-    psi_m on e_0, 2^((r-a)/2) h_m^(k) on the v_k classes, psi_m|_V on e_{1_L}.
+def lift_B(q, r_minus, prec):
+    """Components of the vector-valued lift B[psi_m], m = 8 + sigma, for the
+    discriminant form q of L_- (so a_- = q.a): psi_m on e_0,
+    2^((r-a)/2) h_m^(k) on the v_k classes, psi_m|_V on e_{1_L}.
     Weight sigma/2.  The form keeps psi_m, at precision 4 prec + 4, as psi.
     """
     if r_minus >= 12:
         raise UnsupportedInvariant("the lift construction assumes r_- < 12")
-    if sigma % 8 != milgram_signature(q):
-        raise SignatureMismatch("sigma does not match the form")
-    if (4 - r_minus - sigma) % 8:
+    if (4 - r_minus - milgram_signature(q)) % 8:
         raise UnsupportedInvariant("sigma must equal 4 - r_- mod 8")
     m = 8 + 4 - r_minus
     if not (1 <= m <= 7):
         raise UnsupportedInvariant(f"m = {m} outside the supported range")
-    if (r_minus - a_minus) % 2:
+    if (r_minus - q.a) % 2:
         raise UnsupportedInvariant("r_- and a_- must have equal parity")
-    scale = 2 ** ((r_minus - a_minus) // 2)
+    scale = 2 ** ((r_minus - q.a) // 2)
     big = psi_m(m, 4 * int(Fraction(prec)) + 4)
     psi = big.truncate(Fraction(prec))
     hs = [split_congruence(big, i).truncate(Fraction(prec)) for i in range(4)]

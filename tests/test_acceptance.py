@@ -189,18 +189,17 @@ def test_08_weil_exact_suite():
         q = discriminant_form(f.lattice)
         if q.a > 8:
             continue
-        sigma = milgram_signature(q)
-        S = weil_S(q, sigma)
+        S = weil_S(q)
         T = weil_T(q)
         assert (S * T) ** 3 == S * S, f.name
         assert S ** 8 == CycMatrix.identity(1 << q.a), f.name
         one = one_element(q)
-        col = weil_V(q, sigma).inverse().column(0)
+        col = weil_V(q).inverse().column(0)
         elems = q.elements()
         for idx, x in enumerate(elems):
             assert col[idx] == CycEight.integer(1 if x == one else 0), f.name
         for l in range(4):
-            assert coset_formula_check(q, sigma, l), (f.name, l)
+            assert coset_formula_check(q, l), (f.name, l)
         checked += 1
     assert checked >= 8
     report(f"acceptance 08 weil-exact-suite ({checked} forms): PASS")
@@ -216,9 +215,8 @@ def test_09_numeric_modularity():
     # S-transformation of the r_minus = 5 lift, weight -1/2
     L5 = parse_lattice("<2>^2 + <-2>^3")
     q5 = discriminant_form(L5)
-    sigma = milgram_signature(q5)
-    B = lift_B(q5, sigma, 5, 5, 60)
-    S = weil_S(q5, sigma)
+    B = lift_B(q5, 5, 60)
+    S = weil_S(q5)
     elems = q5.elements()
     vals = [eval_numeric(B.components[x], tau) for x in elems]
     taup = -1 / tau

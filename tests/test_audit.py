@@ -18,16 +18,13 @@ from k3lat.vectors import witness_vector
 
 
 def test_gritsenko_verdict_table():
-    assert gritsenko_verdict(16, 2, 6, True, False) == "-infinity"
-    assert gritsenko_verdict(12, 2, 6, False, True) == "-infinity"
-    assert gritsenko_verdict(12, 2, 6, False, False) == "inconclusive"
-    assert gritsenko_verdict(10, 2, 6, False, False) == "inconclusive"
-    assert gritsenko_verdict(5, 1, 2, False, False) == "hypothesis-violated"
-
-
-def test_gritsenko_strict_weight_validated():
-    with pytest.raises(ValueError):
-        gritsenko_verdict(12, 2, 6, True, False)
+    """k > nu n needs no slack; k = nu n needs it; k < nu n and n < 3 fail."""
+    assert gritsenko_verdict(16, 2, 6, True) == "-infinity"
+    assert gritsenko_verdict(16, 2, 6, False) == "-infinity"
+    assert gritsenko_verdict(12, 2, 6, True) == "-infinity"
+    assert gritsenko_verdict(12, 2, 6, False) == "inconclusive"
+    assert gritsenko_verdict(10, 2, 6, False) == "inconclusive"
+    assert gritsenko_verdict(5, 1, 2, False) == "hypothesis-violated"
 
 
 def test_case1_spot_rows():

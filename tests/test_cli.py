@@ -12,7 +12,6 @@ import pytest
 from k3lat import cli
 from k3lat.cli import main
 from k3lat.errors import K3LatError
-from k3lat.finiteform import milgram_signature
 from k3lat.lattice import discriminant_form, parse_lattice
 from k3lat.vectors import short_vector_arrays, short_vectors
 from k3lat.weil import weil_word
@@ -211,7 +210,7 @@ def test_weil_matrix(capsys):
 ])
 def test_weil_matrix_against_per_entry_rendering(capsys, expr, word):
     q = discriminant_form(parse_lattice(expr))
-    mat = weil_word(q, milgram_signature(q), word.split(","))
+    mat = weil_word(q, word.split(","))
     rows = [[str(mat.entry(i, j)) for j in range(mat.n)] for i in range(mat.n)]
     width = max(len(s) for row in rows for s in row)
     text = "".join("  ".join(s.rjust(width) for s in row) + "\n" for row in rows)
@@ -236,7 +235,7 @@ def former_weil_matrix_rendering(mat, as_json):
 
 
 def catalog_forms(max_a):
-    """name -> (q, sigma) for the even catalog lattices with a <= max_a."""
+    """name -> q for the even catalog lattices with a <= max_a."""
     from k3lat.geography import fixture_catalog
 
     forms = {}
@@ -244,7 +243,7 @@ def catalog_forms(max_a):
         if fix.lattice.is_even():
             q = discriminant_form(fix.lattice)
             if q.a <= max_a:
-                forms.setdefault(fix.name, (q, milgram_signature(q)))
+                forms.setdefault(fix.name, q)
     return forms
 
 
@@ -255,11 +254,11 @@ def test_weil_matrix_bytes_against_former_rendering(capsys, monkeypatch, word, a
     renderer printed, for every catalog form with a <= 6 (a = 0 included),
     read through the CLI with the form looked up by its catalog name."""
     forms = catalog_forms(6)
-    assert len(forms) >= 12 and {q.a for q, _ in forms.values()} == set(range(7))
+    assert len(forms) >= 12 and {q.a for q in forms.values()} == set(range(7))
     monkeypatch.setattr(cli, "_weil_form", forms.__getitem__)
-    for name, (q, sigma) in forms.items():
+    for name, q in forms.items():
         code, out, err = run(capsys, "weil", "matrix", name, "--word", word, *["--json"] * as_json)
-        want = former_weil_matrix_rendering(weil_word(q, sigma, word.split(",")), as_json)
+        want = former_weil_matrix_rendering(weil_word(q, word.split(",")), as_json)
         assert (code, err) == (0, ""), name
         assert out == want, name
 
@@ -271,7 +270,7 @@ def test_weil_matrix_bytes_past_the_int64_key(capsys, monkeypatch, as_json):
     from k3lat.weil import CycMatrix
 
     q = discriminant_form(parse_lattice("M5"))
-    small = weil_word(q, milgram_signature(q), ["S", "T", "S^-1"])
+    small = weil_word(q, ["S", "T", "S^-1"])
     big = CycMatrix(small.comps * 3 ** 10, small.denom_exp)
     assert big.max_abs >= 1 << 15
     monkeypatch.setattr(cli, "weil_word", lambda *args: big)

@@ -192,6 +192,21 @@ def fields(f):
     return (f.lead, f.step, f.coeffs, f.den, f.prec_units)
 
 
+def test_number_operands_of_sums_and_products():
+    """A number that is not a series is read as Fraction reads it, in a
+    product as in a sum and on either side; any other operand is a TypeError."""
+    f = FracSeries.monomial(-1, 10) + FracSeries.monomial(2, 10)
+    half5 = Fraction(5, 2)
+    for x in (2.5, half5):
+        assert fields(f * x) == fields(x * f) == fields(f * half5)
+        assert fields(f + x) == fields(x + f) == fields(f + half5)
+    assert [c for _, c in (f * 2.5).terms()] == [half5, half5]
+    for bad in (None, object(), [1]):
+        for op in (lambda: f * bad, lambda: bad * f, lambda: f + bad):
+            with pytest.raises(TypeError):
+                op()
+
+
 def test_eta_powers_against_euler_products():
     """eta(s*tau)^k for s in {1, 2, 4, 7}, k = +-1..+-24, term by term
     against prod (1 - q^(s*n))^k built one factor at a time, at the

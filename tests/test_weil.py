@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from k3lat.errors import DegenerateForm, SignatureMismatch, UnsupportedInvariant
+from k3lat.errors import DegenerateForm, UnsupportedInvariant
 from k3lat.exactalg import CycEight
 from k3lat.finiteform import (
     FiniteQuadraticForm,
@@ -57,8 +57,7 @@ def catalog_forms(max_a=8):
 
 def test_s_symmetric_and_unitary():
     for name, q in catalog_forms(max_a=6):
-        sigma = milgram_signature(q)
-        S = weil_S(q, sigma)
+        S = weil_S(q)
         assert S.comps.transpose(0, 2, 1).tolist() == S.comps.tolist(), name
         assert S * S.conjugate_transpose() == CycMatrix.identity(1 << q.a), name
 
@@ -66,7 +65,7 @@ def test_s_symmetric_and_unitary():
 def test_weil_s_golden_two():
     """<2>: S = (zeta^-1 / sqrt 2) [[1, 1], [1, -1]]."""
     q = discriminant_form(parse_lattice("<2>"))
-    S = weil_S(q, 1)
+    S = weil_S(q)
     scalar = CycEight.zeta_power(-1) * CycEight.sqrt2() * CycEight.half_power(1)
     assert S.entry(0, 0) == scalar
     assert S.entry(0, 1) == scalar
@@ -86,6 +85,14 @@ def test_cyc_matrix_product_past_int64():
     assert (a * b).comps[0].tolist() == [[1 << 40, 0], [0, 0]]
 
 
+def test_cyc_matrix_equality_with_other_types():
+    """== against an operand that is not a CycMatrix is False, not an error."""
+    m = CycMatrix.identity(2)
+    assert m == CycMatrix.identity(2)
+    for other in (1, None, "I", [[1, 0], [0, 1]]):
+        assert not m == other and m != other, other
+
+
 def test_s_action_past_int64():
     """Entries at the 2^45 guard: where the transform could leave int64 it
     runs on Python ints, so the result is exact or raises OverflowError."""
@@ -101,7 +108,7 @@ def test_s_action_past_int64():
     # result past the guard raises
     q = diagonal_form(3)
     sigma = milgram_signature(q)
-    act = WeilAction(q, sigma)
+    act = WeilAction(q)
     scalar = CycEight.zeta_power(-sigma) * CycEight.sqrt2() * CycEight.half_power(2)
     comps = np.zeros((4, 8, 1), dtype=np.int64)
     x = [1 << 45, -(1 << 45), 0, 0, 0, 0, 0, 0]
@@ -118,13 +125,7 @@ def test_s_action_past_int64():
     comps = np.zeros((4, 1 << 19, 1), dtype=np.int64)
     comps[0] = 1 << 45
     with pytest.raises(OverflowError):
-        WeilAction(q, milgram_signature(q)).apply(["S"], CycMatrix(comps, 0))
-
-
-def test_weil_s_sigma_mismatch():
-    q = discriminant_form(parse_lattice("<2>"))
-    with pytest.raises(SignatureMismatch):
-        weil_S(q, 3)
+        WeilAction(q).apply(["S"], CycMatrix(comps, 0))
 
 
 def test_vk_vectors_u2():
@@ -147,8 +148,7 @@ def test_one_element():
 
 def test_v_inverse_e0():
     for name, q in catalog_forms(max_a=6):
-        sigma = milgram_signature(q)
-        V = weil_V(q, sigma)
+        V = weil_V(q)
         col = V.inverse().column(0)
         one = one_element(q)
         elems = q.elements()
@@ -159,9 +159,8 @@ def test_v_inverse_e0():
 
 def test_coset_formula():
     for name, q in catalog_forms(max_a=6):
-        sigma = milgram_signature(q)
         for l in range(4):
-            assert coset_formula_check(q, sigma, l), (name, l)
+            assert coset_formula_check(q, l), (name, l)
 
 
 def test_equivariance_u2_swap():
@@ -171,7 +170,6 @@ def test_equivariance_u2_swap():
 
     L = parse_lattice("U(2)")
     q = discriminant_form(L)
-    sigma = milgram_signature(q)
     act = induced_disc_action(L, [[0, 1], [1, 0]])
     elems = q.elements()
     # the permutation of D_L induced by the F2 matrix
@@ -185,14 +183,13 @@ def test_equivariance_u2_swap():
     for i, j in perm.items():
         p[0][j][i] = 1
     P = CycMatrix(p, 0)
-    for M in (weil_S(q, sigma), weil_T(q)):
+    for M in (weil_S(q), weil_T(q)):
         assert P * M == M * P
 
 
 def test_lift_component_shapes():
     q = discriminant_form(parse_lattice("<2>^2 + <-2>^3"))
-    sigma = milgram_signature(q)
-    B = lift_B(q, sigma, 5, 5, 8)
+    B = lift_B(q, 5, 8)
     assert B.weight == Fraction(-1, 2)
     zero = (0,) * 5
     e0 = B.components[zero]
@@ -218,7 +215,7 @@ def test_lift_shares_class_series():
     per-element formula, and the lift keeps the psi_m it was built from."""
     for r, prec in [(5, 8), (8, 6), (11, 4)]:
         q = discriminant_form(parse_lattice(f"<2>^2 + <-2>^{r - 2}"))
-        B = lift_B(q, milgram_signature(q), r, r, prec)
+        B = lift_B(q, r, prec)
         m = 12 - r
         big = psi_m(m, 4 * prec + 4)
         assert _fields(B.psi) == _fields(big)
@@ -244,9 +241,8 @@ def test_lift_e1l_vanishing_order():
 
 def test_lift_rejects_high_rank():
     q = discriminant_form(parse_lattice("<2>^2 + <-2>^10"))
-    sigma = milgram_signature(q)
     with pytest.raises(UnsupportedInvariant):
-        lift_B(q, sigma, 12, 12, 4)
+        lift_B(q, 12, 4)
 
 
 def test_principal_part_trivial_cases():
@@ -300,7 +296,7 @@ def test_weil_s_entries_against_formula():
     checked = 0
     for name, q in catalog_forms(max_a=5):
         sigma = milgram_signature(q)
-        S = weil_S(q, sigma)
+        S = weil_S(q)
         scalar = cmath.exp(-1j * cmath.pi * sigma / 4) * 2 ** (-q.a / 2)
         elems = q.elements()
         for i, x in enumerate(elems):
@@ -350,9 +346,9 @@ def test_actions_against_dense_generators():
     for name, q in catalog_forms(max_a=8):
         sigma = milgram_signature(q)
         S, T = dense_S(q, sigma), dense_T(q)
-        act = WeilAction(q, sigma)
+        act = WeilAction(q)
         ident = CycMatrix.identity(1 << q.a)
-        assert act.apply(["S"], ident) == S == weil_S(q, sigma), name
+        assert act.apply(["S"], ident) == S == weil_S(q), name
         assert act.apply(["S^-1"], ident) == S.conjugate_transpose(), name
         assert act.apply(["T"], ident) == T == weil_T(q), name
         assert act.apply(["T^-1"], ident) == T.conjugate_transpose(), name
@@ -370,8 +366,8 @@ def test_words_and_coset_formula_against_dense_products():
             expect = gens[word[0]]
             for tok in word[1:]:
                 expect = expect * gens[tok]
-            assert weil_word(q, sigma, word) == expect, (name, word)
-        assert weil_V(q, sigma) == gens["S^-1"] * T * T * S, name
+            assert weil_word(q, word) == expect, (name, word)
+        assert weil_V(q) == gens["S^-1"] * T * T * S, name
         # (S T^l)^-1 e_0 from dense products against the closed form
         a = q.a
         scalar = CycEight.zeta_power(sigma) * CycEight.half_power((a + 1) // 2)
@@ -381,8 +377,8 @@ def test_words_and_coset_formula_against_dense_products():
             col = (S * T ** l).inverse().column(0)
             dense = all(col[x] == scalar * CycEight.zeta_power(-2 * l * k)
                         for x, k in enumerate(q.qh_table()))
-            assert coset_formula_check(q, sigma, l) == dense, (name, l)
-        assert all(relation_checks(q, sigma).values()), name
+            assert coset_formula_check(q, l) == dense, (name, l)
+        assert all(relation_checks(q).values()), name
         checked += 1
     assert checked >= 10
 
@@ -404,8 +400,8 @@ def all_forms(a):
 
 
 def test_degenerate_forms_have_no_weil_scalar():
-    """Every degenerate form with a <= 3 fails the Gauss sum, whatever sigma,
-    so rho(S)^-1 never acts for a form where S S* != I."""
+    """Every degenerate form with a <= 3 fails the Gauss sum, so rho(S)^-1
+    never acts for a form where S S* != I."""
     reasons = []
     for a in range(1, 4):
         for q in all_forms(a):
@@ -413,15 +409,14 @@ def test_degenerate_forms_have_no_weil_scalar():
                 continue
             S = dense_S(q, 0)
             assert S * S.conjugate_transpose() != CycMatrix.identity(1 << a)
-            for sigma in range(8):
-                with pytest.raises(DegenerateForm) as exc:
-                    weil_scalar(q, sigma)
-                reasons.append(str(exc.value))
-                with pytest.raises(DegenerateForm):
-                    WeilAction(q, sigma).apply(["S^-1"], CycMatrix.basis_column(1 << a, 0))
-    assert len(reasons) == 8 * 306
-    assert reasons.count("Gauss sum vanishes") == 8 * 171
-    assert reasons.count("Gauss sum has the wrong magnitude") == 8 * 135
+            with pytest.raises(DegenerateForm) as exc:
+                weil_scalar(q)
+            reasons.append(str(exc.value))
+            with pytest.raises(DegenerateForm):
+                WeilAction(q).apply(["S^-1"], CycMatrix.basis_column(1 << a, 0))
+    assert len(reasons) == 306
+    assert reasons.count("Gauss sum vanishes") == 171
+    assert reasons.count("Gauss sum has the wrong magnitude") == 135
 
 
 @pytest.mark.parametrize("expr", ["<2>^2 + <-2>^9", "U(2)^2 + E8(2)"])
@@ -429,14 +424,13 @@ def test_column_checks_past_the_dense_bound(expr):
     """V^-1 e_0 and the coset formula act on one column, so they run at
     a > MAX_DENSE_A, where a full matrix is refused."""
     q = discriminant_form(parse_lattice(expr))
-    sigma = milgram_signature(q)
-    act = WeilAction(q, sigma)
+    act = WeilAction(q)
     assert q.a > MAX_DENSE_A
     e0 = CycMatrix.basis_column(act.n, 0)
     e_one = CycMatrix.basis_column(act.n, _encode(one_element(q)))
     assert act.apply(["S^-1", "T^-1", "T^-1", "S"], e0) == e_one
     for l in range(4):
-        assert coset_formula_check(q, sigma, l), l
+        assert coset_formula_check(q, l), l
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +442,15 @@ def test_chained_coset_columns_against_independent_words():
     relation_checks agrees with the four coset_formula_check calls (a <= 6)."""
     checked = 0
     for name, q in catalog_forms(max_a=10):
-        sigma = milgram_signature(q)
-        act = WeilAction(q, sigma)
+        act = WeilAction(q)
         e0 = CycMatrix.basis_column(act.n, 0)
         for l, col in enumerate(_coset_columns(act)):
             assert col == act.apply(["T^-1"] * l + ["S^-1"], e0), (name, l)
             assert col == act._coset_rhs[l], (name, l)
-        independent = [coset_formula_check(q, sigma, l) for l in range(4)]
+        independent = [coset_formula_check(q, l) for l in range(4)]
         assert all(independent), name
         if q.a <= 6:  # the rest of relation_checks works on the identity block
-            assert relation_checks(q, sigma)["coset_formula"], name
+            assert relation_checks(q)["coset_formula"], name
         checked += 1
     assert checked >= 10
 
@@ -468,7 +461,7 @@ def test_zero_block_maps_to_zero():
     import numpy as np
 
     q = discriminant_form(parse_lattice("U(2) + A1"))
-    act = WeilAction(q, milgram_signature(q))
+    act = WeilAction(q)
     zero = CycMatrix(np.zeros((4, act.n, 2), np.int64), 0)
     for tok in ("S", "S^-1", "T", "T^-1"):
         out = act.apply([tok], zero)
@@ -481,7 +474,7 @@ def test_distinct_entries_both_key_paths():
     import numpy as np
 
     q = discriminant_form(parse_lattice("M5"))
-    small = weil_word(q, milgram_signature(q), ["S", "T", "S^-1"])
+    small = weil_word(q, ["S", "T", "S^-1"])
     assert small.max_abs < 1 << 15
     # an odd scale keeps the denominator, and pushes the entries past 2^15
     scale = 3 ** 10
@@ -618,7 +611,7 @@ def test_s_steps_against_the_character_sum(expr):
 
     q = discriminant_form(parse_lattice(expr))
     sigma = milgram_signature(q)
-    act = WeilAction(q, sigma)
+    act = WeilAction(q)
     assert abs(act._s_tables[False][1]) == q.a % 2  # r: the scalar's second term
     signs = character_signs(q)
     rng = np.random.default_rng(1800 + q.a)
@@ -640,7 +633,7 @@ def test_s_step_on_python_ints_whose_result_fits_int64():
 
     q = discriminant_form(parse_lattice("U(2) + <2>"))
     sigma = milgram_signature(q)
-    act = WeilAction(q, sigma)
+    act = WeilAction(q)
     rng = np.random.default_rng(1803)
     comps = rng.integers(-(1 << 10), 1 << 10, size=(4, act.n, 2))
     comps[:, 0] = [[1 << 21, -(1 << 21)]] * 4  # one entry of 2^61 per column of each layer
@@ -660,9 +653,9 @@ def test_s_step_on_python_ints_whose_result_fits_int64():
 def test_s_tables_refuse_what_is_not_a_weil_scalar(monkeypatch, coeffs):
     """The S step places layers by the shape +-zeta^k (1 +- zeta^2); any
     other scalar raises rather than being applied wrongly."""
-    monkeypatch.setattr(weil_module, "weil_scalar", lambda q, sigma: CycEight(coeffs, 1))
+    monkeypatch.setattr(weil_module, "weil_scalar", lambda q: CycEight(coeffs, 1))
     q = discriminant_form(parse_lattice("U(2)"))
-    act = WeilAction(q, milgram_signature(q))
+    act = WeilAction(q)
     with pytest.raises(ValueError, match="not a Weil scalar"):
         act.apply(["S"], act.identity())
 
@@ -676,7 +669,7 @@ def test_s_step_holds_only_its_input_and_output():
     import numpy as np
 
     q = discriminant_form(parse_lattice("<2>^2 + <-2>^7"))
-    act = WeilAction(q, milgram_signature(q))
+    act = WeilAction(q)
     assert q.a == 9
     block = act.apply(["S"], act.identity())
     assert np.flatnonzero(block.comps.reshape(4, -1).any(axis=1)).tolist() == [0, 2]
@@ -733,14 +726,14 @@ def install_wrong_generator(monkeypatch, wrong):
     elif wrong == "scalar times zeta^2":
         scalar = weil_module.weil_scalar
         monkeypatch.setattr(weil_module, "weil_scalar",
-                            lambda q, sigma: scalar(q, sigma) * CycEight.zeta_power(2))
+                            lambda q: scalar(q) * CycEight.zeta_power(2))
     else:
         monkeypatch.setattr(WeilAction, "_bx", property(lambda self: np.arange(self.n)))
 
 
-def literal_verdicts(q, sigma):
+def literal_verdicts(q):
     """(ST)^3 = S^2 and S^8 = I as the literal words on the identity block."""
-    act = WeilAction(q, sigma)
+    act = WeilAction(q)
     ident = act.identity()
     return (act.apply(["S", "T"] * 3, ident) == act.apply(["S", "S"], ident),
             act.apply(["S"] * 8, ident) == ident)
@@ -751,7 +744,7 @@ def test_generic_t_is_rho_t():
     when its exponent is 2 sign qh."""
     t = generic_t(lambda act, sign, qh: 2 * sign * qh)
     for name, q in catalog_forms(max_a=6):
-        act = WeilAction(q, milgram_signature(q))
+        act = WeilAction(q)
         block = act.apply(["S", "T", "S"], act.identity())
         for sign, tok in ((1, "T"), (-1, "T^-1")):
             assert t(act, block, sign) == act.apply([tok], block), (name, tok)
@@ -766,9 +759,8 @@ def test_relation_checks_against_literal_words(monkeypatch, wrong):
         install_wrong_generator(monkeypatch, wrong)
     verdicts = []
     for name, q in catalog_forms(max_a=8):
-        sigma = milgram_signature(q)
-        got = relation_checks(q, sigma)
-        expect = literal_verdicts(q, sigma)
+        got = relation_checks(q)
+        expect = literal_verdicts(q)
         assert (got["st_cubed_is_s_squared"], got["s_eighth_is_identity"]) == expect, name
         verdicts += expect
     assert len(verdicts) >= 2 * 16
@@ -788,9 +780,9 @@ def test_weil_check_builds_one_action_and_one_characteristic_solve(monkeypatch):
     built, solves = [], []
     init, solve = WeilAction.__init__, FiniteQuadraticForm.characteristic_solve
 
-    def counted_init(self, q, sigma):
+    def counted_init(self, q):
         built.append(weakref.ref(self))
-        init(self, q, sigma)
+        init(self, q)
 
     def counted_solve(self):
         solves.append(self)
@@ -818,7 +810,7 @@ def test_s_eighth_fallback_against_literal_product():
 
     seen = set()
     for name, q in catalog_forms(max_a=6):
-        act = WeilAction(q, milgram_signature(q))
+        act = WeilAction(q)
         ident = act.identity()
         s2 = act.apply(["S", "S"], ident)
         off = s2.comps.copy()
@@ -832,7 +824,7 @@ def test_s_eighth_fallback_against_literal_product():
     # U(2) with Bx read through a permutation that is not 2b: S^2 is not
     # scalar, yet S^8 = I
     q = discriminant_form(parse_lattice("U(2)"))
-    act = WeilAction(q, milgram_signature(q))
+    act = WeilAction(q)
     act._bx = np.array([1, 0, 3, 2])
     s2 = act.apply(["S", "S"], act.identity())
     assert not is_scalar(s2) and _s_eighth_is_identity(act, s2)
@@ -882,7 +874,7 @@ def test_zeta_rows_against_products():
         return [x + r * y for x, y in zip(zeta_coeffs(j + k), zeta_coeffs(j + k + 2))]
 
     for name, q in catalog_forms(max_a=6):
-        act = WeilAction(q, milgram_signature(q))
+        act = WeilAction(q)
         sigma = milgram_signature(q)
         product = CycEight(zeta_coeffs(-sigma)) * CycEight.half_power((q.a + 1) // 2)
         assert act.scalar == (product * CycEight.sqrt2() if q.a % 2 else product), name
