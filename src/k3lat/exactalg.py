@@ -128,17 +128,34 @@ def smith_normal_form(m):
     rank = reduce_from(0)
 
     # enforce the divisibility chain d[i] | d[i+1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            if d[i + 1][i + 1] % d[i][i] != 0:
-                # fold column i+1 into column i and re-diagonalize from i;
-                # the new d[i][i] is a proper divisor of the old one
-                add_col(i + 1, i, 1)
-                reduce_from(i)
-                changed = True
-                break
+    if all(d[i][i] <= 2 for i in range(rank)):
+        changed = True
+        while changed:
+            changed = False
+            for i in range(rank - 1):
+                if d[i + 1][i + 1] % d[i][i] != 0:
+                    # fold column i+1 into column i and re-diagonalize from i;
+                    # the new d[i][i] is a proper divisor of the old one
+                    add_col(i + 1, i, 1)
+                    reduce_from(i)
+                    changed = True
+                    break
+    else:
+        # (x, y) -> (g, x y / g) by one unimodular step on rows and columns
+        # i, j: with x = g xg, y = g yg and s xg + t yg = 1,
+        # [[s, t], [-yg, xg]] diag(x, y) [[1, -t yg], [1, s xg]] = diag(g, x yg)
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                x, y = d[i][i], d[j][j]
+                if y % x:
+                    g = math.gcd(x, y)
+                    xg, yg = x // g, y // g
+                    s = pow(xg, -1, yg)
+                    t = (1 - s * xg) // yg
+                    d[i], d[j] = ([s * p + t * q for p, q in zip(d[i], d[j])],
+                                  [xg * q - yg * p for p, q in zip(d[i], d[j])])
+                    for row in d:
+                        row[i], row[j] = row[i] + row[j], s * xg * row[j] - t * yg * row[i]
     return [row[:cols] for row in d[:rows]], [row[cols:] for row in d[:rows]], d[rows:]
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .errors import DegenerateForm, NotIsotropic, BoundExceeded, NotIsometry
+from .errors import DegenerateForm, NotIsotropic, BoundExceeded
 
 HALF = Fraction(1, 2)
 
@@ -39,6 +39,12 @@ def _decode(x, a):
 def _cols(m):
     """The columns of an F2 matrix given by rows, as ints."""
     return [_encode(col) for col in zip(*m)]
+
+
+def _rows(cols, a):
+    """The a rows of the F2 matrix whose columns are the ints ``cols``: the
+    inverse of `_cols`."""
+    return [[(c >> (a - 1 - i)) & 1 for c in cols] for i in range(a)]
 
 
 def _apply(cols, x):
@@ -370,31 +376,6 @@ def isometry_witness(q1, q2):
     if images is None:
         return None
     return [_decode(x, q2.a) for x in images]
-
-
-# ---------------------------------------------------------------------------
-# induced discriminant actions of lattice isometries
-
-def induced_disc_action(L, gamma):
-    """The F2 matrix of the action of gamma in O(L) on the D_L generators.
-
-    Raises NotIsometry if gamma does not preserve the gram matrix; the
-    result is checked to preserve q_L.
-    """
-    from .lattice import induced_disc_matrix, discriminant_form
-
-    m = induced_disc_matrix(L, gamma)
-    form = discriminant_form(L)
-    a = form.a
-    cols = _cols(m)
-    table = form.qh_table()
-    for j in range(a):
-        if table[cols[j]] != form.qh_gen[j]:
-            raise NotIsometry("induced map fails to preserve q")
-        for i in range(a):
-            if form.b2(cols[i], cols[j]) != (form.rows[i] >> (a - 1 - j)) & 1:
-                raise NotIsometry("induced map fails to preserve b")
-    return m
 
 
 def matrix_group_order(generators):

@@ -15,7 +15,7 @@ from .exactalg import (
     transpose,
     _det_and_inertia,
 )
-from .finiteform import FiniteQuadraticForm, _apply, _cols, _encode, _insert
+from .finiteform import FiniteQuadraticForm, _apply, _cols, _encode, _insert, _rows
 from .errors import (
     NotTwoElementary,
     OddLattice,
@@ -324,21 +324,10 @@ def dual_rescaled(L):
 # ---------------------------------------------------------------------------
 # gluing (Nikulin's criterion for extending isometries)
 
-class GlueMap:
-    """An anti-isometry lambda: D_L -> D_M recorded on generators.
-
-    matrix: columns are images of the D_L generators, as F2 coordinate
-    vectors over the D_M generators.
-    """
-
-    def __init__(self, matrix, a_L, a_M):
-        self.matrix = matrix
-        self.a_L = a_L
-        self.a_M = a_M
-
-
 def glue_map_from_embedding(L, M, glue):
-    """Recover lambda from a unimodular even gluing of L + M.
+    """Recover lambda from a unimodular even gluing of L + M, as the F2
+    matrix given by rows whose column j is the image of D_L generator j over
+    the D_M generators.
 
     The glue classes must form the graph of an anti-isometry; otherwise
     NotGraph.  The glued lattice must be even unimodular; otherwise
@@ -368,40 +357,42 @@ def glue_map_from_embedding(L, M, glue):
     if any(lead <= mask for lead in basis):
         raise NotGraph("glue group projects non-injectively to D_L")
     cols = [basis[1 << (a_M + a_L - 1 - j)] & mask for j in range(a_L)]
-    matrix = [[(c >> (a_M - 1 - i)) & 1 for c in cols] for i in range(a_M)]
-    lam = GlueMap(matrix, a_L, a_M)
     # defining property: q_M(lambda x) = -q_L(x)
     qL = discriminant_form(L).qh_table()
     qM = discriminant_form(M).qh_table()
     if any(qM[_apply(cols, x)] != -qL[x] % 4 for x in range(1 << a_L)):
         raise NotGraph("glue map fails the anti-isometry relation")
-    return lam
+    return _rows(cols, a_M)
 
 
 def induced_disc_matrix(L, gamma):
-    """Action of an isometry of L on the D_L generators, over F2."""
+    """The F2 matrix of the action of gamma in O(L) on the D_L generators,
+    for an even 2-elementary L.
+
+    Raises NotIsometry if gamma does not preserve the gram matrix; the
+    result is checked to preserve q_L and b_L.
+    """
     gamma = [[int(x) for x in row] for row in gamma]
-    gt = transpose(gamma)
-    if mat_mul(gt, mat_mul(L.gram, gamma)) != L.gram:
+    if mat_mul(transpose(gamma), mat_mul(L.gram, gamma)) != L.gram:
         raise NotIsometry("matrix does not preserve the gram matrix")
-    if not is_two_elementary(L):
-        raise NotTwoElementary("induced action implemented for 2-elementary lattices")
-    d, u, v, nontrivial = L._snf_data()
-    cols = []
-    for i in nontrivial:
-        image = _mat_vec(gamma, [row[i] for row in v])  # d_i times gamma(lift)
-        cols.append(L.disc_class([Fraction(c, d[i][i]) for c in image]))
-    a = len(cols)
-    return [[cols[j][i] for j in range(a)] for i in range(a)]
+    form = discriminant_form(L)
+    cols = [_encode(L.disc_class(_mat_vec(gamma, lift))) for lift in L.disc_generator_lifts()]
+    table = form.qh_table()
+    if [table[c] for c in cols] != form.qh_gen:
+        raise NotIsometry("induced map fails to preserve q")
+    if [_encode(form.b2(c, e) for e in cols) for c in cols] != form.rows:
+        raise NotIsometry("induced map fails to preserve b")
+    return _rows(cols, form.a)
 
 
 def glues_to_isometry(L, M, lam, gamma_L, gamma_M):
     """Whether (gamma_L, gamma_M) extends to the glued unimodular lattice:
-    the induced discriminant actions must match through lambda.
+    the induced discriminant actions must match through lambda, the matrix
+    `glue_map_from_embedding` returns.
     """
     rL = _cols(induced_disc_matrix(L, gamma_L))
     rM = _cols(induced_disc_matrix(M, gamma_M))
-    lam_cols = _cols(lam.matrix)
+    lam_cols = _cols(lam)
     return ([_apply(lam_cols, c) for c in rL]
             == [_apply(rM, c) for c in lam_cols])
 

@@ -71,6 +71,14 @@ def _span(lead, step, prec_units):
     return max(0, (prec_units - lead + step - 1) // step)
 
 
+def _number(x):
+    """A scalar operand of a series as a Fraction; a string is a TypeError,
+    though Fraction would parse it."""
+    if isinstance(x, str):
+        raise TypeError(f"a series does not combine with the string {x!r}")
+    return Fraction(x)
+
+
 class FracSeries:
     """sum_i coeffs[i]/den * q^((lead + i*step)/24), known below
     q^(prec_units/24).
@@ -209,7 +217,7 @@ class FracSeries:
 
     def __mul__(self, other):
         if not isinstance(other, FracSeries):
-            c = Fraction(other)  # a number, read as _coerce reads it
+            c = _number(other)
             return FracSeries(self.lead, self.step,
                               [x * c.numerator for x in self.coeffs],
                               self.prec_units, self.den * c.denominator)
@@ -299,7 +307,7 @@ class FracSeries:
     def _coerce(self, x):
         if isinstance(x, FracSeries):
             return x
-        c = Fraction(x)
+        c = _number(x)
         return FracSeries(0, N, [c.numerator], self.prec_units, c.denominator)
 
     def __eq__(self, other):

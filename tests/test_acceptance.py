@@ -15,7 +15,6 @@ from k3lat.finiteform import (
     milgram_signature,
     form_invariants,
     forms_isometric,
-    induced_disc_action,
     matrix_group_order,
 )
 from k3lat.geography import (
@@ -32,6 +31,7 @@ from k3lat.lattice import (
     discriminant_form,
     main_invariant,
     e8_lattice,
+    induced_disc_matrix,
 )
 from k3lat.qseries import (
     eta_quotient,
@@ -135,11 +135,11 @@ def test_05_symmetric_group_actions():
     gens = []
     for swap in [(9, 10), (10, 11)]:  # basis h, e1..e11
         t = _overlattice_action(L61, _perm_matrix(12, swap))
-        gens.append(induced_disc_action(L61, t))
+        gens.append(induced_disc_matrix(L61, t))
     assert matrix_group_order(gens) == 6
     L71 = fix["<M13,f1,f2,f3>"].lattice
     t = _overlattice_action(L71, _perm_matrix(13, (9, 10)))
-    assert matrix_group_order([induced_disc_action(L71, t)]) == 2
+    assert matrix_group_order([induced_disc_matrix(L71, t)]) == 2
     report("acceptance 05 symmetric-group-orders-6-and-2: PASS")
 
 

@@ -5,6 +5,7 @@ arithmetic)."""
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -131,20 +132,53 @@ def three_matrix_smith_form(m):
             t += 1
         return t
 
+    def left_mul(i, j, U):
+        """Rows i, j of d and u times the 2 x 2 matrix U."""
+        for a in (d, u):
+            ri, rj = a[i], a[j]
+            a[i] = [U[0][0] * p + U[0][1] * q for p, q in zip(ri, rj)]
+            a[j] = [U[1][0] * p + U[1][1] * q for p, q in zip(ri, rj)]
+
+    def right_mul(i, j, V):
+        """Columns i, j of d and v times the 2 x 2 matrix V."""
+        for row in d + v:
+            p, q = row[i], row[j]
+            row[i], row[j] = p * V[0][0] + q * V[1][0], p * V[0][1] + q * V[1][1]
+
     rank = reduce_from(0)
 
     # enforce the divisibility chain d[i] | d[i+1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            if d[i + 1][i + 1] % d[i][i] != 0:
-                # fold column i+1 into column i and re-diagonalize from i;
-                # the new d[i][i] is a proper divisor of the old one
-                add_col(i + 1, i, 1)
-                reduce_from(i)
-                changed = True
-                break
+    if all(d[i][i] in (1, 2) for i in range(rank)):
+        changed = True
+        while changed:
+            changed = False
+            for i in range(rank - 1):
+                if d[i + 1][i + 1] % d[i][i] != 0:
+                    # fold column i+1 into column i and re-diagonalize from i;
+                    # the new d[i][i] is a proper divisor of the old one
+                    add_col(i + 1, i, 1)
+                    reduce_from(i)
+                    changed = True
+                    break
+        return d, u, v
+    # each pair (x, y) with x not dividing y becomes (gcd, lcm) in one step
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            x, y = d[i][i], d[j][j]
+            if y % x == 0:
+                continue
+            g = math.gcd(x, y)
+            xg, yg = x // g, y // g
+            # extended Euclid on (xg, yg), then s reduced into [0, yg)
+            r0, r1, s0, s1 = xg, yg, 1, 0
+            while r1:
+                k = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
+            s = s0 % yg
+            t = (1 - s * xg) // yg
+            left_mul(i, j, [[s, t], [-yg, xg]])
+            right_mul(i, j, [[1, -t * yg], [1, s * xg]])
+            assert (d[i][i], d[j][j]) == (g, x * y // g)
     return d, u, v
 
 
@@ -197,6 +231,22 @@ def smith_differential_cases():
         yield block_sum_witness(2, 20 - r, a, delta).gram
     for expr in ("E8(2)^12", "U(2)^48", "<2>^2 + <-2>^94"):
         yield parse_lattice(expr).gram
+
+
+def test_smith_form_on_mixed_primes():
+    """Block sums mixing the primes 3 and 5 leave the first pass with
+    pairs such as (3, 5) that break the chain; one step per pair turns each
+    into (1, 15) without a new pivot scan, so u and v stay small and the
+    rank-96 sum takes well under a second."""
+    for expr, bound in (("U(3) + U(5)", 0.1), ("U(3)^24 + U(5)^24", 1)):
+        m = parse_lattice(expr).gram
+        start = time.perf_counter()
+        d, u, v = smith_normal_form(m)
+        assert time.perf_counter() - start < bound, expr
+        n = len(m)
+        assert [d[i][i] for i in range(n)] == [1] * (n // 2) + [15] * (n // 2)
+        assert mat_mul(u, mat_mul(m, v)) == d
+        assert max(abs(x) for row in u + v for x in row) < 8, expr
 
 
 def test_smith_form_against_the_three_matrix_oracle():

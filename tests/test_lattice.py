@@ -211,7 +211,7 @@ def test_glue_map_anti_isometry():
         [0, Fraction(1, 2), 0, Fraction(1, 2)],
     ]
     lam = glue_map_from_embedding(L, M, glue)
-    assert lam.matrix == [[1, 0], [0, 1]]
+    assert lam == [[1, 0], [0, 1]]
 
 
 def test_glue_map_rejects_non_graphs():
@@ -234,7 +234,7 @@ def test_glue_map_rejects_non_graphs():
 def test_glue_map_of_unimodular_factors_is_empty():
     """U with U and no glue: a_L = a_M = 0 and the map has no columns."""
     lam = glue_map_from_embedding(parse_lattice("U"), parse_lattice("U"), [])
-    assert (lam.matrix, lam.a_L, lam.a_M) == ([], 0, 0)
+    assert lam == []
 
 
 def test_glues_to_isometry():
@@ -258,6 +258,23 @@ def test_induced_disc_matrix_requires_isometry():
         induced_disc_matrix(L, [[1, 1], [0, 1]])
     swap = induced_disc_matrix(L, [[0, 1], [1, 0]])
     assert swap == [[0, 1], [1, 0]]
+
+
+def test_induced_disc_matrix_checks_q_and_b(monkeypatch):
+    """Generator images that break q or b raise NotIsometry.  The gram check
+    cannot fail this way, so disc_class is patched to hand out the images;
+    on U(2) both generators have q = 0 and b(e_1, e_2) = 1/2."""
+    L = parse_lattice("U(2)")
+    assert discriminant_form(L).qh_gen == [0, 0]
+    ident = [[1, 0], [0, 1]]
+    for images, message in [(((1, 1), (0, 1)), "fails to preserve q"),
+                            (((1, 0), (1, 0)), "fails to preserve b")]:
+        calls = iter(images)
+        monkeypatch.setattr(Lattice, "disc_class", lambda self, x: next(calls))
+        with pytest.raises(NotIsometry, match=message):
+            induced_disc_matrix(L, ident)
+    calls = iter(((1, 0), (0, 1)))
+    assert induced_disc_matrix(L, ident) == ident
 
 
 def test_m_lattice_gram():

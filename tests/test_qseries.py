@@ -201,8 +201,8 @@ def test_number_operands_of_sums_and_products():
         assert fields(f * x) == fields(x * f) == fields(f * half5)
         assert fields(f + x) == fields(x + f) == fields(f + half5)
     assert [c for _, c in (f * 2.5).terms()] == [half5, half5]
-    for bad in (None, object(), [1]):
-        for op in (lambda: f * bad, lambda: bad * f, lambda: f + bad):
+    for bad in (None, object(), [1], "1/2"):
+        for op in (lambda: f * bad, lambda: bad * f, lambda: f + bad, lambda: bad + f):
             with pytest.raises(TypeError):
                 op()
 

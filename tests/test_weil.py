@@ -13,10 +13,9 @@ from k3lat.finiteform import (
     FiniteQuadraticForm,
     _encode,
     milgram_signature,
-    induced_disc_action,
 )
 from k3lat.geography import fixture_catalog
-from k3lat.lattice import parse_lattice, discriminant_form
+from k3lat.lattice import parse_lattice, discriminant_form, induced_disc_matrix
 from k3lat.qseries import psi_m, split_congruence
 from k3lat import weil as weil_module
 from k3lat.weil import (
@@ -170,7 +169,7 @@ def test_equivariance_u2_swap():
 
     L = parse_lattice("U(2)")
     q = discriminant_form(L)
-    act = induced_disc_action(L, [[0, 1], [1, 0]])
+    act = induced_disc_matrix(L, [[0, 1], [1, 0]])
     elems = q.elements()
     # the permutation of D_L induced by the F2 matrix
     perm = {}
