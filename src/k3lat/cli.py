@@ -11,11 +11,10 @@ import sys
 from ._lazy import LazyNumpy
 from .errors import K3LatError, InvalidInput
 from .lattice import parse_lattice, discriminant_form, main_invariant
-from .finiteform import milgram_signature
 from .geography import geography_table, k3_triplet_realizable
 from .vectors import short_vector_arrays, witness_vector
 from .qseries import DEFAULT_PREC, eta_quotient, theta_series, psi_m
-from .weil import weil_word, one_element, relation_checks
+from .weil import weil_action, weil_word, one_element, relation_checks
 from .audit import kodaira_report
 
 np = LazyNumpy(globals())
@@ -185,9 +184,10 @@ def _weil_form(expr):
 
 def _weil_check(args):
     q = _weil_form(args.expr)
-    sigma = milgram_signature(q)
+    act = weil_action(q)  # relation_checks shares it, so the Gauss sum runs once
     one = one_element(q)
     checks = relation_checks(q, one)
+    sigma = act.sigma
     a, delta = q.a, q.delta()
     payload = {"schema": SCHEMA, "a": a, "delta": delta, "sigma": sigma,
                "one_element": list(one), "checks": checks}

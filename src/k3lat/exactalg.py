@@ -300,9 +300,12 @@ class CycEight:
         e = int(denom_exp)
         if e < 0:
             raise ValueError("denominator exponent must be >= 0")
-        while e > 0 and all(x % 2 == 0 for x in c):
-            c = [x // 2 for x in c]
-            e -= 1
+        # the 2-adic valuation of the OR of the entries is their least one
+        low = c[0] | c[1] | c[2] | c[3]
+        shift = min(e, (low & -low).bit_length() - 1) if low else e
+        if shift:
+            c = [x >> shift for x in c]
+            e -= shift
         object.__setattr__(self, "coeffs", tuple(c))
         object.__setattr__(self, "denom_exp", e)
 
@@ -340,20 +343,24 @@ class CycEight:
     __radd__ = __add__
 
     def __mul__(self, other):
+        """The negacyclic product in Z[z]/(z^4 + 1)."""
         other = _coerce(other)
-        c = [0] * 4
-        for x, row in zip(self.coeffs, other.zeta_rows()):  # sum_i x_i z^i other
-            c = [u + x * v for u, v in zip(c, row)]
-        return CycEight(c, self.denom_exp + other.denom_exp)
+        a0, a1, a2, a3 = self.coeffs
+        b0, b1, b2, b3 = other.coeffs
+        return CycEight((a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+                         a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+                         a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+                         a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0),
+                        self.denom_exp + other.denom_exp)
 
     __rmul__ = __mul__
 
     def zeta_rows(self):
         """The coefficients of self z^j, j = 0..7, by plain rotations: z maps
         (c0, c1, c2, c3) to (-c3, c0, c1, c2), over the same 2^e."""
-        c = self.coeffs
-        rows = [tuple(-x for x in c[4 - j:]) + c[:4 - j] for j in range(4)]
-        return rows + [tuple(-x for x in row) for row in rows]
+        c0, c1, c2, c3 = self.coeffs
+        rows = [(c0, c1, c2, c3), (-c3, c0, c1, c2), (-c2, -c3, c0, c1), (-c1, -c2, -c3, c0)]
+        return rows + [(-x0, -x1, -x2, -x3) for x0, x1, x2, x3 in rows]
 
     def conjugate(self):
         """Galois conjugation z -> z^-1 (complex conjugation)."""

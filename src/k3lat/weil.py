@@ -159,6 +159,19 @@ class CycMatrix:
             raise ValueError("matrix is not unitary; no inverse available")
         return cand
 
+    def columns(self, lo, hi):
+        """Columns lo..hi-1, canonical on their own."""
+        return CycMatrix(self.comps[:, :, lo:hi], self.denom_exp)
+
+    @classmethod
+    def hstack(cls, blocks):
+        """The blocks side by side over the largest of their denominators;
+        canonical when a block with that denominator is."""
+        e = max(b.denom_exp for b in blocks)
+        comps = np.concatenate([b.comps << (e - b.denom_exp) if b.denom_exp < e else b.comps
+                                for b in blocks], axis=2)
+        return cls._of(comps, e, max(b.max_abs << (e - b.denom_exp) for b in blocks))
+
     def entry(self, i, j):
         return CycEight([int(self.comps[k][i][j]) for k in range(4)],
                         self.denom_exp)
@@ -237,10 +250,10 @@ def _walsh_hadamard(x):
         h *= 2
 
 
-def weil_scalar(q):
+def weil_scalar(q, sigma=None):
     """i^(-sigma/2) 2^(-a/2), the scalar of rho(S), with sigma = sig(q) mod 8
-    read off q by Milgram's Gauss sum; rho(S)^-1 and the coset formula use
-    its conjugate.
+    read off q by Milgram's Gauss sum unless the caller has it; rho(S)^-1
+    and the coset formula use its conjugate.
 
     Its Gauss sum is also the guard that rho(S)^-1 = rho(S)*.  The entry
     (S S*)[x, x'] = 2^-a sum_y (-1)^(2b(x + x', y)) is delta_{x, x'} exactly
@@ -249,12 +262,22 @@ def weil_scalar(q):
     magnitude sqrt(|D| |R|), not sqrt|D|, if it is trivial: either way
     milgram_signature raises DegenerateForm.
     """
-    sigma = milgram_signature(q)
+    sigma = milgram_signature(q) if sigma is None else sigma
     # i^(-sigma/2) = zeta^(-sigma), times sqrt2 = z - z^3 for odd a; zeta^4 = -1
     coeffs = [0] * 4
     for e, c in [(-sigma, 1)] if q.a % 2 == 0 else [(1 - sigma, 1), (3 - sigma, -1)]:
         coeffs[e % 4] = c if e % 8 < 4 else -c
     return CycEight(coeffs, (q.a + 1) // 2)
+
+
+@cache
+def _rotations():
+    """(src, signs), each 4 x 8: zeta^k X has layer t equal to signs[t, k]
+    times layer src[t, k] of X, as zeta^k zeta^s = +-zeta^t for
+    s = (t - k) mod 4."""
+    t, k = np.arange(4)[:, None], np.arange(8)
+    src = (t - k) % 4
+    return src, 1 - 2 * (((src + k - t) >> 2) & 1)
 
 
 class WeilAction:
@@ -279,8 +302,13 @@ class WeilAction:
         self.n = 1 << q.a
 
     @cached_property
+    def sigma(self):
+        """sig(q) mod 8; its Gauss sum runs once per action."""
+        return milgram_signature(self.q)
+
+    @cached_property
     def scalar(self):
-        return weil_scalar(self.q)
+        return weil_scalar(self.q, self.sigma)
 
     @cached_property
     def _qh(self):
@@ -298,15 +326,11 @@ class WeilAction:
     def _t_tables(self):
         """sign -> (rows, signs): layer t of row x of rho(T^sign) X is
         signs[t, x] times row x of the flattened (4 n, m) layers of X at
-        rows[t, x].  zeta^k zeta^s = +-zeta^t for s = (t - k) mod 4."""
-        tables = {}
-        t = np.arange(4)[:, None]
-        for sign in (1, -1):
-            k = (2 * sign * self._qh) % 8
-            src = (t - k) % 4
-            tables[sign] = (src * self.n + np.arange(self.n),
-                            (1 - 2 * (((src + k - t) >> 2) & 1))[:, :, None])
-        return tables
+        rows[t, x], read off _rotations at k = 2 sign qh(x) mod 8."""
+        src, signs = _rotations()
+        k = np.multiply.outer((2, -2), self._qh) % 8  # (sign, x)
+        rows, signs = src[:, k] * self.n + np.arange(self.n), signs[:, k, None]
+        return {1: (rows[:, 0], signs[:, 0]), -1: (rows[:, 1], signs[:, 1])}
 
     @cached_property
     def _s_tables(self):
@@ -359,11 +383,12 @@ class WeilAction:
 
     @cached_property
     def _coset_rhs(self):
-        """(S T^l)^-1 e_0, l = 0..3: conj(scalar) zeta^(-2 l k) on class k."""
+        """(S T^l)^-1 e_0 in column l = 0..3: conj(scalar) zeta^(-2 l k) on class k."""
         scalar = self.scalar.conjugate()
-        rows = scalar.zeta_rows()
-        table = np.array([[rows[-2 * l * k % 8] for k in range(4)] for l in range(4)])
-        return [CycMatrix(col[self._qh].T[:, :, None], scalar.denom_exp) for col in table]
+        rows = np.array(scalar.zeta_rows())
+        comps = rows[np.multiply.outer(self._qh, -2 * np.arange(4)) % 8].transpose(2, 0, 1)
+        # canonical, as row 0 of column 0 is conj(scalar) itself
+        return CycMatrix._of(comps, scalar.denom_exp, max(map(abs, scalar.coeffs)))
 
     def identity(self):
         """The identity block, for forms with a <= MAX_DENSE_A."""
@@ -408,9 +433,9 @@ def weil_T(q):
 _LIVE_ACTIONS = weakref.WeakValueDictionary()
 
 
-def _action(q):
-    """The live WeilAction of q, so that calls inside one relation_checks
-    share its tables; else a new one."""
+def weil_action(q):
+    """The live WeilAction of q, so that a caller holding it and the calls
+    inside one relation_checks share its tables; else a new one."""
     act = _LIVE_ACTIONS.get(id(q))
     if act is None:
         act = _LIVE_ACTIONS[id(q)] = WeilAction(q)
@@ -419,7 +444,7 @@ def _action(q):
 
 def weil_S(q):
     """rho(S) e_gamma = i^(-sigma/2) |D|^(-1/2) sum_delta e^(-2 pi i <gamma,delta>) e_delta."""
-    return _action(q).matrix(["S"])
+    return weil_action(q).matrix(["S"])
 
 
 def weil_word(q, word):
@@ -463,7 +488,7 @@ def _coset_columns(act):
 def coset_formula_check(q, l):
     """rho((S T^l)^-1) e_0 = i^(sigma/2) 2^(-a/2) sum_k i^(-l k) v_k, exactly."""
     act = WeilAction(q)
-    return next(islice(_coset_columns(act), l, None)) == act._coset_rhs[l]
+    return next(islice(_coset_columns(act), l, None)) == act._coset_rhs.columns(l, l + 1)
 
 
 def _s_eighth_is_identity(act, s2):
@@ -475,33 +500,54 @@ def _s_eighth_is_identity(act, s2):
     return act.apply(["S"] * 6, s2) == act.identity()
 
 
+def _column_checks(act, v, one):
+    """V^-1 e_0 = e_{1_L} and the coset formula, from v = T^-2 S e_0."""
+    pair = act._s(CycMatrix.hstack([CycMatrix.basis_column(act.n, 0), v]), True)
+    cosets = [pair.columns(0, 1)]
+    for _ in range(3):
+        cosets.append(act._t(cosets[-1], -1))
+    return {
+        "v_inverse_e0_is_e_one":
+            pair.columns(1, 2) == CycMatrix.basis_column(act.n, _encode(one)),
+        "coset_formula": CycMatrix.hstack(cosets) == act._coset_rhs,
+    }
+
+
 def relation_checks(q, one=None):
     """The four checks of `k3lat weil check`, in display order: (ST)^3 = S^2
     and S^8 = I on the identity block, V^-1 e_0 = e_{1_L}, and the coset
-    formula for l = 0..3; one is 1_L, one_element(q) if not given.  The
-    last two act on the column e_0 and use rho(S)^-1, which needs no check
-    of its own (see weil_scalar).
+    formula for l = 0..3; one is 1_L, one_element(q) if not given.
     (ST)^3 = S^2 is checked as S T S = T^-1 S T^-1: times S T on the left
     and T on the right, that gives (ST)^3 = S^2 for any S, so True is a
     proof; the converse holds as S is invertible (weil_scalar).  S^8 = I: as
     -x = x in D_L, S^2 = c I, and S^8 = I iff c^4 = 1; a non-scalar S^2 gets
-    the literal S^6 S^2 = I.  Three S steps act on a full block; weil_S
-    shares this call's action, so its tables are built once."""
-    act = _action(q)
+    the literal S^6 S^2 = I.
+    Four S steps in all.  Three act on a full block: S I, S S and S T S;
+    weil_S shares this call's action, so its tables are built once.  The
+    column checks share the rest: S e_0 is column 0 of S I, the same
+    numbers as S applied to e_0 alone, as each column of a block is
+    transformed on its own; so one S^-1 step on [e_0 | T^-2 S e_0] gives
+    S^-1 e_0 and V^-1 e_0 exactly, and T^-l S^-1 e_0 takes l more T^-1
+    steps.  Each compared column is made canonical again and compared
+    exactly, so every verdict is that of the literal word.  rho(S)^-1 needs
+    no check of its own (see weil_scalar)."""
+    act = weil_action(q)
     s1 = weil_S(q)
-    s_eighth = _s_eighth_is_identity(act, act.apply(["S"], s1))
+    s_eighth = _s_eighth_is_identity(act, act._s(s1, False))
     # X T^-1 = (T^-1 X^T)^T, as T is diagonal
-    rhs = act.apply(["T^-1"], act.apply(["T^-1"], s1.transpose()).transpose())
-    ts1 = act.apply(["T"], s1)
-    del s1
-    e0 = CycMatrix.basis_column(act.n, 0)
-    one = one_element(q) if one is None else one
-    e_one = CycMatrix.basis_column(act.n, _encode(one))
+    rhs = act._t(act._t(s1.transpose(), -1).transpose(), -1)
+    # S e_0 is the scalar on every row, so canonical as it stands; the T
+    # steps copy it, so no view holds s1 past the del
+    s_e0 = CycMatrix._of(s1.comps[:, :, :1], s1.denom_exp, s1.max_abs)
+    v = act._t(act._t(s_e0, -1), -1)
+    ts1 = act._t(s1, 1)
+    del s1, s_e0
+    st_cubed = act._s(ts1, False) == rhs
+    del ts1, rhs
     return {
-        "st_cubed_is_s_squared": act.apply(["S"], ts1) == rhs,
+        "st_cubed_is_s_squared": st_cubed,
         "s_eighth_is_identity": s_eighth,
-        "v_inverse_e0_is_e_one": act.apply(["S^-1", "T^-1", "T^-1", "S"], e0) == e_one,
-        "coset_formula": list(_coset_columns(act)) == act._coset_rhs,
+        **_column_checks(act, v, one_element(q) if one is None else one),
     }
 
 

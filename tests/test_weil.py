@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from k3lat.errors import DegenerateForm, UnsupportedInvariant
 from k3lat.exactalg import CycEight
@@ -445,7 +446,7 @@ def test_chained_coset_columns_against_independent_words():
         e0 = CycMatrix.basis_column(act.n, 0)
         for l, col in enumerate(_coset_columns(act)):
             assert col == act.apply(["T^-1"] * l + ["S^-1"], e0), (name, l)
-            assert col == act._coset_rhs[l], (name, l)
+            assert col == act._coset_rhs.columns(l, l + 1), (name, l)
         independent = [coset_formula_check(q, l) for l in range(4)]
         assert all(independent), name
         if q.a <= 6:  # the rest of relation_checks works on the identity block
@@ -652,7 +653,7 @@ def test_s_step_on_python_ints_whose_result_fits_int64():
 def test_s_tables_refuse_what_is_not_a_weil_scalar(monkeypatch, coeffs):
     """The S step places layers by the shape +-zeta^k (1 +- zeta^2); any
     other scalar raises rather than being applied wrongly."""
-    monkeypatch.setattr(weil_module, "weil_scalar", lambda q: CycEight(coeffs, 1))
+    monkeypatch.setattr(weil_module, "weil_scalar", lambda q, sigma=None: CycEight(coeffs, 1))
     q = discriminant_form(parse_lattice("U(2)"))
     act = WeilAction(q)
     with pytest.raises(ValueError, match="not a Weil scalar"):
@@ -725,7 +726,7 @@ def install_wrong_generator(monkeypatch, wrong):
     elif wrong == "scalar times zeta^2":
         scalar = weil_module.weil_scalar
         monkeypatch.setattr(weil_module, "weil_scalar",
-                            lambda q: scalar(q) * CycEight.zeta_power(2))
+                            lambda q, sigma=None: scalar(q, sigma) * CycEight.zeta_power(2))
     else:
         monkeypatch.setattr(WeilAction, "_bx", property(lambda self: np.arange(self.n)))
 
@@ -751,19 +752,82 @@ def test_generic_t_is_rho_t():
 
 @pytest.mark.parametrize("wrong", (None,) + WRONG_GENERATORS)
 def test_relation_checks_against_literal_words(monkeypatch, wrong):
-    """S T S = T^-1 S T^-1 and the scalar S^2 give the verdicts of the
-    literal (ST)^3 = S^2 and S^8 = I, form by form, with the true generators
-    (all True) and with each wrong one (some False)."""
+    """Every verdict is that of its independent word, form by form, with
+    the true generators (all True) and with each wrong one (some False):
+    S T S = T^-1 S T^-1 and the scalar S^2 against the literal (ST)^3 = S^2
+    and S^8 = I; V^-1 e_0 from column 0 of S I and the shared S^-1 step
+    against S^-1 T^-1 T^-1 S on e_0 alone; the stacked coset columns against
+    the four coset_formula_check chains."""
     if wrong is not None:
         install_wrong_generator(monkeypatch, wrong)
     verdicts = []
     for name, q in catalog_forms(max_a=8):
         got = relation_checks(q)
-        expect = literal_verdicts(q)
-        assert (got["st_cubed_is_s_squared"], got["s_eighth_is_identity"]) == expect, name
-        verdicts += expect
-    assert len(verdicts) >= 2 * 16
-    assert all(verdicts) == (wrong is None)
+        act = WeilAction(q)
+        e0 = CycMatrix.basis_column(act.n, 0)
+        e_one = CycMatrix.basis_column(act.n, _encode(one_element(q)))
+        expect = literal_verdicts(q) + (
+            act.apply(["S^-1", "T^-1", "T^-1", "S"], e0) == e_one,
+            all(coset_formula_check(q, l) for l in range(4)))
+        assert tuple(got.values()) == expect, name
+        verdicts.append(expect)
+    assert len(verdicts) >= 16
+    # each verdict holds on every form under the true generators; each wrong
+    # generator fails some verdict somewhere
+    assert all(map(all, verdicts)) == (wrong is None)
+
+
+def test_relation_checks_makes_four_s_steps(monkeypatch):
+    """relation_checks makes 4 S steps: S I, S S and S T S on the full
+    block, and one S^-1 step on two columns.  A count, so it repeats
+    exactly on any host."""
+    steps = []
+    s_step = WeilAction._s
+
+    def counted(self, block, conj):
+        steps.append((conj, block.comps.shape[2]))
+        return s_step(self, block, conj)
+
+    monkeypatch.setattr(WeilAction, "_s", counted)
+    checked = 0
+    for name, q in catalog_forms(max_a=8):
+        del steps[:]
+        assert all(relation_checks(q).values()), name
+        assert sorted(steps) == [(False, 1 << q.a)] * 3 + [(True, 2)], (name, steps)
+        checked += 1
+    assert checked >= 16
+
+
+def test_weil_check_takes_one_gauss_sum(monkeypatch):
+    """`weil check` reads sigma from the action that relation_checks uses,
+    so Milgram's Gauss sum runs once per call, and prints the same sigma."""
+    import contextlib
+    import io
+    import json
+
+    from k3lat import cli, finiteform
+
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return milgram_signature(q)
+
+    for module in (finiteform, weil_module, cli):
+        if hasattr(module, "milgram_signature"):
+            monkeypatch.setattr(module, "milgram_signature", counted)
+    for expr in ("M5", "U(2)^2 + <2>", "<2>^2 + <-2>^3"):
+        for fmt in ([], ["--json"]):
+            del calls[:]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["weil", "check", expr] + fmt) == 0
+            assert len(calls) == 1, (expr, fmt)
+            sigma = milgram_signature(calls[0])
+            if fmt:
+                assert json.loads(out.getvalue())["sigma"] == sigma
+            else:
+                assert f", {sigma})" in out.getvalue().splitlines()[0]
 
 
 def test_weil_check_builds_one_action_and_one_characteristic_solve(monkeypatch):
@@ -832,6 +896,35 @@ def test_s_eighth_fallback_against_literal_product():
     assert seen == {(True, True), (True, False), (False, False), (False, True)}
 
 
+def schoolbook(a, b):
+    """a b in Z[z]/(z^4 + 1), term by term with z^4 = -1."""
+    c = [0] * 4
+    for i in range(4):
+        for j in range(4):
+            sign = -1 if i + j >= 4 else 1
+            c[(i + j) % 4] += sign * a[i] * b[j]
+    return tuple(c)
+
+
+COEFFS = st.tuples(*[st.integers(-(1 << 70), 1 << 70)] * 4)
+
+
+@given(COEFFS, st.integers(0, 80), COEFFS, st.integers(0, 80))
+@example((1 << 64, -1, 0, 3), 0, (-(1 << 65), 0, 1, -1), 0)
+@example((0, 1, 0, -1), 3, (0, 1, 0, -1), 3)
+@example((0, 0, 0, 0), 5, (4, -8, 12, 0), 5)
+def test_cyc_eight_product_against_schoolbook(a, ea, b, eb):
+    """The closed-form negacyclic product, and the canonical denominator of
+    the constructor, against the schoolbook product over 2^(ea + eb)."""
+    got = CycEight(a, ea) * CycEight(b, eb)
+    coeffs = schoolbook(a, b)
+    shift = ea + eb - got.denom_exp
+    assert shift >= 0
+    assert tuple(x << shift for x in got.coeffs) == coeffs
+    assert got.denom_exp == 0 or any(x % 2 for x in got.coeffs)
+    assert got == CycEight(b, eb) * CycEight(a, ea)
+
+
 def test_zeta_rows_against_products():
     """c zeta^j by rotation, for every j and the Weil scalars of a = 1..8
     and their conjugates, against the schoolbook product with zeta^4 = -1;
@@ -839,14 +932,6 @@ def test_zeta_rows_against_products():
     and the coset right-hand sides of every WeilAction at a <= 6 give the
     same products."""
     import numpy as np
-
-    def schoolbook(a, b):
-        c = [0] * 4
-        for i in range(4):
-            for j in range(4):
-                sign = -1 if i + j >= 4 else 1
-                c[(i + j) % 4] += sign * a[i] * b[j]
-        return tuple(c)
 
     def zeta_coeffs(j):
         c = [0] * 4
@@ -884,7 +969,8 @@ def test_zeta_rows_against_products():
             assert [dense(table, j) for j in range(4)] == [
                 list(schoolbook(scalar.coeffs, zeta_coeffs(j))) for j in range(4)], name
         scalar = act.scalar.conjugate()
-        for l, col in enumerate(act._coset_rhs):
+        for l in range(4):
+            col = act._coset_rhs.columns(l, l + 1)
             for x, k in enumerate(q.qh_table()):
                 expect = CycEight(schoolbook(scalar.coeffs, zeta_coeffs(-2 * l * k)),
                                   scalar.denom_exp)
