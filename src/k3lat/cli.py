@@ -187,8 +187,7 @@ def _weil_check(args):
     act = weil_action(q)  # relation_checks shares it, so the Gauss sum runs once
     one = one_element(q)
     checks = relation_checks(q, one)
-    sigma = act.sigma
-    a, delta = q.a, q.delta()
+    a, delta, sigma = q.a, q.delta(), act.sigma
     payload = {"schema": SCHEMA, "a": a, "delta": delta, "sigma": sigma,
                "one_element": list(one), "checks": checks}
     if args.json:

@@ -300,12 +300,9 @@ class CycEight:
         e = int(denom_exp)
         if e < 0:
             raise ValueError("denominator exponent must be >= 0")
-        # the 2-adic valuation of the OR of the entries is their least one
-        low = c[0] | c[1] | c[2] | c[3]
+        low = c[0] | c[1] | c[2] | c[3]  # its 2-adic valuation is the entries' least
         shift = min(e, (low & -low).bit_length() - 1) if low else e
-        if shift:
-            c = [x >> shift for x in c]
-            e -= shift
+        c, e = [x >> shift for x in c], e - shift
         object.__setattr__(self, "coeffs", tuple(c))
         object.__setattr__(self, "denom_exp", e)
 
@@ -343,15 +340,12 @@ class CycEight:
     __radd__ = __add__
 
     def __mul__(self, other):
-        """The negacyclic product in Z[z]/(z^4 + 1)."""
-        other = _coerce(other)
-        a0, a1, a2, a3 = self.coeffs
-        b0, b1, b2, b3 = other.coeffs
+        other = _coerce(other)  # the negacyclic product in Z[z]/(z^4 + 1):
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = self.coeffs, other.coeffs
         return CycEight((a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
                          a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
                          a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
-                         a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0),
-                        self.denom_exp + other.denom_exp)
+                         a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0), self.denom_exp + other.denom_exp)
 
     __rmul__ = __mul__
 

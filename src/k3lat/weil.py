@@ -159,18 +159,15 @@ class CycMatrix:
             raise ValueError("matrix is not unitary; no inverse available")
         return cand
 
-    def columns(self, lo, hi):
-        """Columns lo..hi-1, canonical on their own."""
+    def columns(self, lo, hi):  # columns lo..hi-1, made canonical on their own
         return CycMatrix(self.comps[:, :, lo:hi], self.denom_exp)
 
     @classmethod
     def hstack(cls, blocks):
-        """The blocks side by side over the largest of their denominators;
-        canonical when a block with that denominator is."""
+        """Side by side over the largest denominator; canonical if a block with it is."""
         e = max(b.denom_exp for b in blocks)
-        comps = np.concatenate([b.comps << (e - b.denom_exp) if b.denom_exp < e else b.comps
-                                for b in blocks], axis=2)
-        return cls._of(comps, e, max(b.max_abs << (e - b.denom_exp) for b in blocks))
+        return cls._of(np.concatenate([b.comps << e - b.denom_exp for b in blocks], axis=2),
+                       e, max(b.max_abs << e - b.denom_exp for b in blocks))
 
     def entry(self, i, j):
         return CycEight([int(self.comps[k][i][j]) for k in range(4)],
@@ -272,12 +269,9 @@ def weil_scalar(q, sigma=None):
 
 @cache
 def _rotations():
-    """(src, signs), each 4 x 8: zeta^k X has layer t equal to signs[t, k]
-    times layer src[t, k] of X, as zeta^k zeta^s = +-zeta^t for
-    s = (t - k) mod 4."""
-    t, k = np.arange(4)[:, None], np.arange(8)
-    src = (t - k) % 4
-    return src, 1 - 2 * (((src + k - t) >> 2) & 1)
+    """(src, signs), 4 x 8: layer t of zeta^k X is signs[t, k] X[src[t, k]]; zeta^4 = -1."""
+    d = np.arange(4)[:, None] - np.arange(8)
+    return d % 4, 1 - 2 * (d // 4 % 2)
 
 
 class WeilAction:
@@ -302,8 +296,7 @@ class WeilAction:
         self.n = 1 << q.a
 
     @cached_property
-    def sigma(self):
-        """sig(q) mod 8; its Gauss sum runs once per action."""
+    def sigma(self):  # sig(q) mod 8: one Gauss sum per action
         return milgram_signature(self.q)
 
     @cached_property
@@ -324,9 +317,8 @@ class WeilAction:
 
     @cached_property
     def _t_tables(self):
-        """sign -> (rows, signs): layer t of row x of rho(T^sign) X is
-        signs[t, x] times row x of the flattened (4 n, m) layers of X at
-        rows[t, x], read off _rotations at k = 2 sign qh(x) mod 8."""
+        """sign -> (rows, signs): layer t of row x of rho(T^sign) X is signs[t, x] times
+        row rows[t, x] of X's (4 n, m) layers; _rotations at k = 2 sign qh(x) mod 8."""
         src, signs = _rotations()
         k = np.multiply.outer((2, -2), self._qh) % 8  # (sign, x)
         rows, signs = src[:, k] * self.n + np.arange(self.n), signs[:, k, None]
@@ -500,19 +492,6 @@ def _s_eighth_is_identity(act, s2):
     return act.apply(["S"] * 6, s2) == act.identity()
 
 
-def _column_checks(act, v, one):
-    """V^-1 e_0 = e_{1_L} and the coset formula, from v = T^-2 S e_0."""
-    pair = act._s(CycMatrix.hstack([CycMatrix.basis_column(act.n, 0), v]), True)
-    cosets = [pair.columns(0, 1)]
-    for _ in range(3):
-        cosets.append(act._t(cosets[-1], -1))
-    return {
-        "v_inverse_e0_is_e_one":
-            pair.columns(1, 2) == CycMatrix.basis_column(act.n, _encode(one)),
-        "coset_formula": CycMatrix.hstack(cosets) == act._coset_rhs,
-    }
-
-
 def relation_checks(q, one=None):
     """The four checks of `k3lat weil check`, in display order: (ST)^3 = S^2
     and S^8 = I on the identity block, V^-1 e_0 = e_{1_L}, and the coset
@@ -521,34 +500,29 @@ def relation_checks(q, one=None):
     and T on the right, that gives (ST)^3 = S^2 for any S, so True is a
     proof; the converse holds as S is invertible (weil_scalar).  S^8 = I: as
     -x = x in D_L, S^2 = c I, and S^8 = I iff c^4 = 1; a non-scalar S^2 gets
-    the literal S^6 S^2 = I.
-    Four S steps in all.  Three act on a full block: S I, S S and S T S;
-    weil_S shares this call's action, so its tables are built once.  The
-    column checks share the rest: S e_0 is column 0 of S I, the same
-    numbers as S applied to e_0 alone, as each column of a block is
-    transformed on its own; so one S^-1 step on [e_0 | T^-2 S e_0] gives
-    S^-1 e_0 and V^-1 e_0 exactly, and T^-l S^-1 e_0 takes l more T^-1
-    steps.  Each compared column is made canonical again and compared
-    exactly, so every verdict is that of the literal word.  rho(S)^-1 needs
-    no check of its own (see weil_scalar)."""
-    act = weil_action(q)
-    s1 = weil_S(q)
-    s_eighth = _s_eighth_is_identity(act, act._s(s1, False))
-    # X T^-1 = (T^-1 X^T)^T, as T is diagonal
-    rhs = act._t(act._t(s1.transpose(), -1).transpose(), -1)
-    # S e_0 is the scalar on every row, so canonical as it stands; the T
-    # steps copy it, so no view holds s1 past the del
-    s_e0 = CycMatrix._of(s1.comps[:, :, :1], s1.denom_exp, s1.max_abs)
-    v = act._t(act._t(s_e0, -1), -1)
-    ts1 = act._t(s1, 1)
-    del s1, s_e0
-    st_cubed = act._s(ts1, False) == rhs
-    del ts1, rhs
-    return {
-        "st_cubed_is_s_squared": st_cubed,
-        "s_eighth_is_identity": s_eighth,
-        **_column_checks(act, v, one_element(q) if one is None else one),
-    }
+    the literal S^6 S^2 = I.  Four S steps: S I, S S and S T S on the full
+    block, and S^-1 on [e_0 | T^-2 S e_0] with S e_0 column 0 of S I: a step
+    acts on each column alone, so that gives S^-1 e_0 and V^-1 e_0 exactly,
+    and T^-l S^-1 e_0 takes l more T^-1 steps.  Compared columns are made
+    canonical, so each verdict is exactly that of its word."""
+    act = weil_action(q)  # weil_S shares it
+    s, t, s1 = act._s, act._t, weil_S(q)
+    s_eighth = _s_eighth_is_identity(act, s(s1, False))
+    rhs = t(t(s1.transpose(), -1).transpose(), -1)  # X T^-1 = (T^-1 X^T)^T
+    # S e_0 (the scalar on every row: canonical), copied by T: no view keeps s1
+    v = t(t(CycMatrix._of(s1.comps[:, :, :1], s1.denom_exp, s1.max_abs), -1), -1)
+    ts1 = t(s1, 1)
+    del s1
+    st_cubed = s(ts1, False) == rhs
+    del ts1, rhs  # the column checks run last, beside no full block
+    pair = s(CycMatrix.hstack([CycMatrix.basis_column(act.n, 0), v]), True)
+    cosets = [pair.columns(0, 1)]
+    for _ in range(3):
+        cosets.append(t(cosets[-1], -1))
+    e_one = CycMatrix.basis_column(act.n, _encode(one_element(q) if one is None else one))
+    return {"st_cubed_is_s_squared": st_cubed, "s_eighth_is_identity": s_eighth,
+            "v_inverse_e0_is_e_one": pair.columns(1, 2) == e_one,
+            "coset_formula": CycMatrix.hstack(cosets) == act._coset_rhs}
 
 
 # ---------------------------------------------------------------------------
