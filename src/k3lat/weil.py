@@ -500,22 +500,22 @@ def relation_checks(q, one=None):
     and T on the right, that gives (ST)^3 = S^2 for any S, so True is a
     proof; the converse holds as S is invertible (weil_scalar).  S^8 = I: as
     -x = x in D_L, S^2 = c I, and S^8 = I iff c^4 = 1; a non-scalar S^2 gets
-    the literal S^6 S^2 = I.  Four S steps: S I, S S and S T S on the full
-    block, and S^-1 on [e_0 | T^-2 S e_0] with S e_0 column 0 of S I: a step
-    acts on each column alone, so that gives S^-1 e_0 and V^-1 e_0 exactly,
-    and T^-l S^-1 e_0 takes l more T^-1 steps.  Compared columns are made
-    canonical, so each verdict is exactly that of its word."""
+    the literal S^6 S^2 = I.  Four S steps, where the words make six: S I,
+    S S and S T S on the full block, and S^-1 on [e_0 | T^-2 S e_0] with
+    S e_0 column 0 of S I.  A step transforms each column on its own, so
+    these columns and their T^-1 images are exactly the words' results on
+    e_0 alone (T^-l S^-1 e_0 after l steps); compared canonical, each
+    verdict is that of its word."""
     act = weil_action(q)  # weil_S shares it
     s, t, s1 = act._s, act._t, weil_S(q)
     s_eighth = _s_eighth_is_identity(act, s(s1, False))
     rhs = t(t(s1.transpose(), -1).transpose(), -1)  # X T^-1 = (T^-1 X^T)^T
-    # S e_0 (the scalar on every row: canonical), copied by T: no view keeps s1
-    v = t(t(CycMatrix._of(s1.comps[:, :, :1], s1.denom_exp, s1.max_abs), -1), -1)
+    # S e_0, the scalar on every row (canonical), copied so that no view keeps s1
+    s_e0 = CycMatrix._of(s1.comps[:, :, :1].copy(), s1.denom_exp, s1.max_abs)
     ts1 = t(s1, 1)
     del s1
     st_cubed = s(ts1, False) == rhs
-    del ts1, rhs  # the column checks run last, beside no full block
-    pair = s(CycMatrix.hstack([CycMatrix.basis_column(act.n, 0), v]), True)
+    pair = s(CycMatrix.hstack([CycMatrix.basis_column(act.n, 0), t(t(s_e0, -1), -1)]), True)
     cosets = [pair.columns(0, 1)]
     for _ in range(3):
         cosets.append(t(cosets[-1], -1))
