@@ -163,10 +163,10 @@ class CycMatrix:
         return CycMatrix(self.comps[:, :, lo:hi], self.denom_exp)
 
     @classmethod
-    def hstack(cls, blocks):
-        """Side by side over the largest denominator; canonical if a block with it is."""
+    def hstack(cls, blocks):  # side by side over the largest 2^e; canonical if a block with it is
         e = max(b.denom_exp for b in blocks)
-        return cls._of(np.concatenate([b.comps << e - b.denom_exp for b in blocks], axis=2),
+        return cls._of(np.concatenate([b.comps << e - b.denom_exp if b.denom_exp < e else b.comps
+                                       for b in blocks], axis=2),
                        e, max(b.max_abs << e - b.denom_exp for b in blocks))
 
     def entry(self, i, j):
@@ -351,7 +351,7 @@ class WeilAction:
     def _s(self, block, conj):
         k, r = self._s_tables[conj]
         comps = block.comps
-        nonzero = np.flatnonzero(comps.reshape(4, -1).any(axis=1)).tolist()
+        nonzero = [j for j, nz in enumerate(comps.reshape(4, -1).any(axis=1).tolist()) if nz]
         # |entries of scalar H(X)| <= n max_abs (1 + |r|); past int64, use Python ints
         if self.n * block.max_abs * (1 + abs(r)) >> 63:
             comps = comps.astype(object)
@@ -377,8 +377,9 @@ class WeilAction:
     def _coset_rhs(self):
         """(S T^l)^-1 e_0 in column l = 0..3: conj(scalar) zeta^(-2 l k) on class k."""
         scalar = self.scalar.conjugate()
-        rows = np.array(scalar.zeta_rows())
-        comps = rows[np.multiply.outer(self._qh, -2 * np.arange(4)) % 8].transpose(2, 0, 1)
+        # layer t of row x, column l: entry t of zeta_rows()[-2 l qh(x) mod 8]
+        k = np.multiply.outer(self._qh, (0, 6, 4, 2)) % 8
+        comps = np.array(scalar.zeta_rows()).T.take(k, axis=1)
         # canonical, as row 0 of column 0 is conj(scalar) itself
         return CycMatrix._of(comps, scalar.denom_exp, max(map(abs, scalar.coeffs)))
 
@@ -510,15 +511,14 @@ def relation_checks(q, one=None):
     s, t, s1 = act._s, act._t, weil_S(q)
     s_eighth = _s_eighth_is_identity(act, s(s1, False))
     rhs = t(t(s1.transpose(), -1).transpose(), -1)  # X T^-1 = (T^-1 X^T)^T
-    # S e_0, the scalar on every row (canonical), copied so that no view keeps s1
-    s_e0 = CycMatrix._of(s1.comps[:, :, :1].copy(), s1.denom_exp, s1.max_abs)
-    ts1 = t(s1, 1)
-    del s1
-    st_cubed = s(ts1, False) == rhs
+    s_e0 = CycMatrix._of(s1.comps[:, :, :1].copy(), s1.denom_exp, s1.max_abs)  # S e_0
+    x = t(s1, 1)
+    del s1  # s_e0 is a copy, so no view keeps S I alive
+    x = s(x, False)  # S T S; rebinding frees T S before the compare
+    st_cubed = x == rhs
     pair = s(CycMatrix.hstack([CycMatrix.basis_column(act.n, 0), t(t(s_e0, -1), -1)]), True)
-    cosets = [pair.columns(0, 1)]
-    for _ in range(3):
-        cosets.append(t(cosets[-1], -1))
+    col = pair.columns(0, 1)  # S^-1 e_0, then T^-l S^-1 e_0 by the action's own T^-1 steps
+    cosets = [col] + [col := t(col, -1) for _ in range(3)]
     e_one = CycMatrix.basis_column(act.n, _encode(one_element(q) if one is None else one))
     return {"st_cubed_is_s_squared": st_cubed, "s_eighth_is_identity": s_eighth,
             "v_inverse_e0_is_e_one": pair.columns(1, 2) == e_one,
