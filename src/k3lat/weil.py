@@ -310,19 +310,19 @@ class WeilAction:
     @cached_property
     def _bx(self):
         """Bx for every element x, indexed by x."""
-        bx = np.zeros(1, dtype=np.int64)
+        bx = [0]
         for row in reversed(self.q.rows):  # low bits first: index == int
-            bx = np.concatenate([bx, bx ^ row])
-        return bx
+            bx += [x ^ row for x in bx]
+        return np.array(bx, dtype=np.int64)
 
     @cached_property
     def _t_tables(self):
         """sign -> (rows, signs): layer t of row x of rho(T^sign) X is signs[t, x] times
         row rows[t, x] of X's (4 n, m) layers; _rotations at k = 2 sign qh(x) mod 8."""
-        src, signs = _rotations()  # take, not src[:, k]: C-contiguous tables take faster
-        return {sign: (src.take(k, axis=1) * self.n + np.arange(self.n),
-                       signs.take(k, axis=1)[:, :, None])
-                for sign in (1, -1) for k in [2 * sign * self._qh % 8]}
+        src, signs = _rotations()  # flat (t, k) index, (sign, t, x): C-contiguous per sign
+        at = (np.multiply.outer((2, -2), self._qh) % 8)[:, None] + np.arange(0, 32, 8)[:, None]
+        rows, signs = src.take(at) * self.n + np.arange(self.n), signs.take(at)[..., None]
+        return {1: (rows[0], signs[0]), -1: (rows[1], signs[1])}
 
     @cached_property
     def _s_tables(self):
