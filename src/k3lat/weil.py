@@ -44,9 +44,9 @@ np = LazyNumpy(globals())
 
 # Largest a for which a word is built as a full 2^a x 2^a matrix; words
 # acting on a few columns, such as e_0, have no cap.  At a = 10
-# (n = 1024) `weil check` takes about 0.24-0.31 s and peaks at 130 MB on a
-# 2-vCPU Xeon VM; each step up in a roughly quadruples both (one dense block
-# at a = 12 holds 4 x 4096^2 int64, 512 MB).
+# (n = 1024) `weil check` takes about 0.3 s as a fresh process and peaks at
+# 126 MiB (three dense blocks) on a 2-vCPU Xeon VM; each step up in a roughly
+# quadruples both (one dense block at a = 12 holds 4 x 4096^2 int64, 512 MB).
 MAX_DENSE_A = 10
 
 # Largest stack, in entries k n m, that _walsh_hadamard runs as radix-8
@@ -319,7 +319,7 @@ class WeilAction:
     def _t_tables(self):
         """sign -> (rows, signs): layer t of row x of rho(T^sign) X is signs[t, x] times
         row rows[t, x] of X's (4 n, m) layers; _rotations at k = 2 sign qh(x) mod 8."""
-        src, signs = _rotations()  # flat (t, k) index, (sign, t, x): C-contiguous per sign
+        src, signs = _rotations()  # at[i, t, x] = 8 t + k(x) for sign (1, -1)[i]
         at = (np.multiply.outer((2, -2), self._qh) % 8)[:, None] + np.arange(0, 32, 8)[:, None]
         rows, signs = src.take(at) * self.n + np.arange(self.n), signs.take(at)[..., None]
         return {1: (rows[0], signs[0]), -1: (rows[1], signs[1])}
