@@ -773,8 +773,9 @@ def test_relation_checks_against_literal_words(monkeypatch, wrong):
         verdicts.append(expect)
     assert len(verdicts) >= 16
     # each verdict holds on every form under the true generators; each wrong
-    # generator fails some verdict somewhere
+    # generator fails some verdict, and some block verdict, somewhere
     assert all(map(all, verdicts)) == (wrong is None)
+    assert all(all(v[:2]) for v in verdicts) == (wrong is None)
 
 
 def test_relation_checks_makes_four_s_steps(monkeypatch):
