@@ -200,20 +200,30 @@ def _weil_check(args):
     return 0 if all(checks.values()) else 2
 
 
+def _row_blocks(index, cell):
+    """index in blocks of whole rows, about 64 KiB of output each at cell bytes an entry."""
+    step = max(1, (1 << 16) // (cell * index.shape[1]))
+    return (index[lo:lo + step] for lo in range(0, len(index), step))
+
+
 def _weil_matrix(args):
     q = _weil_form(args.expr)
-    mat = weil_word(q, args.word.split(","))
-    names, index = mat.distinct_entries()
+    # the matrix is dropped once read, and its text made a block of rows at a time
+    names, index = weil_word(q, args.word.split(",")).distinct_entries()
     if args.json:  # the bytes of _emit_json, each distinct entry dumped once
-        rows = np.array([json.dumps(s) for s in names], dtype=object).take(index).tolist()
-        print(f'{{"schema":{SCHEMA},"n":{mat.n},"entries":['
-              + ",".join(["[" + ",".join(row) + "]" for row in rows]) + "]}")
+        cells = np.array([json.dumps(s) for s in names], dtype=object)
+        sys.stdout.write(f'{{"schema":{SCHEMA},"n":{len(index)},"entries":[')
+        for k, block in enumerate(_row_blocks(index, max(map(len, cells)) + 1)):
+            rows = cells.take(block).tolist()
+            sys.stdout.write("," * (k > 0) + ",".join(["[" + ",".join(row) + "]" for row in rows]))
+        sys.stdout.write("]}\n")
         return 0
     # a table of padded names, each with a two-space gap; a row's last gap is its newline
     table = _cells(f"%{max(map(len, names))}s  ", names)
-    text = table.take(index).view(np.uint8).reshape(len(index), -1)[:, :-1]
-    text[:, -1] = ord("\n")
-    sys.stdout.write(text.tobytes().decode())
+    for block in _row_blocks(index, table.itemsize):
+        text = table.take(block).view(np.uint8).reshape(len(block), -1)[:, :-1]
+        text[:, -1] = ord("\n")
+        sys.stdout.write(text.tobytes().decode())
     return 0
 
 

@@ -42,11 +42,12 @@ from .qseries import (
 
 np = LazyNumpy(globals())
 
-# Largest a for which a word is built as a full 2^a x 2^a matrix; words
-# acting on a few columns, such as e_0, have no cap.  At a = 10
-# (n = 1024) `weil check` takes about 0.3 s as a fresh process and peaks at
-# 126 MiB (three dense blocks) on a 2-vCPU Xeon VM; each step up in a roughly
-# quadruples both (one dense block at a = 12 holds 4 x 4096^2 int64, 512 MB).
+# Largest a for which a word is built as a full 2^a x 2^a matrix, or the
+# identity block is checked in chunks; words on a few columns, such as e_0,
+# have no cap.  At a = 10, as fresh processes on a 2-vCPU Xeon VM, `weil
+# check` peaks at 42 MiB (three 4 MiB chunks; 126 MiB with full blocks) in
+# 0.3-0.5 s, and `weil matrix --word S` at 54 MiB (two 32 MiB blocks).  Each
+# step up in a doubles a chunk and quadruples a full block.
 MAX_DENSE_A = 10
 
 # Largest stack, in entries k n m, that _walsh_hadamard runs as radix-8
@@ -56,6 +57,9 @@ MAX_DENSE_A = 10
 # entries ((2, 64, 64) 110-117 -> 94-99 us, (1, 128, 64) 122 -> 120 us), and
 # the products lose from 16,384 ((1, 128, 128) 178-194 -> 224-244 us).
 WHT_PRODUCT_MAX = 4096
+
+# Columns of the identity block that relation_checks holds at a time.
+CHECK_COLUMNS = 128
 
 _TOKENS = ("S", "T", "S^-1", "T^-1")
 
@@ -98,9 +102,11 @@ class CycMatrix:
         return self.comps.shape[1]
 
     @classmethod
-    def identity(cls, n):
-        comps = np.zeros((4, n, n), dtype=np.int64)
-        comps[0] = np.eye(n, dtype=np.int64)
+    def identity(cls, n, lo=0, hi=None):
+        """Columns lo..hi-1 of the n x n identity, all of them by default."""
+        hi = n if hi is None else hi
+        comps = np.zeros((4, n, hi - lo), dtype=np.int64)
+        comps[0, lo:hi].reshape(-1)[::hi - lo + 1] = 1  # the diagonal of a square view
         return cls._of(comps, 0, 1)
 
     @classmethod
@@ -142,13 +148,8 @@ class CycMatrix:
             k >>= 1
         return out
 
-    def transpose(self):
-        """A contiguous copy, so that a T step on it makes no second copy."""
-        comps = np.ascontiguousarray(self.comps.transpose(0, 2, 1))
-        return CycMatrix._of(comps, self.denom_exp, self.max_abs)
-
     def conjugate_transpose(self):
-        c0, c1, c2, c3 = self.transpose().comps
+        c0, c1, c2, c3 = self.comps.transpose(0, 2, 1)
         return CycMatrix(np.stack([c0, -c3, -c2, -c1]), self.denom_exp)
 
     def inverse(self):
@@ -178,17 +179,38 @@ class CycMatrix:
 
     def distinct_entries(self):
         """(names, index): str of each distinct entry, built once, and the
-        n x m int array of positions in names, so entry (i, j) renders as
-        names[index[i, j]]."""
+        n x m intp array of positions in names, so entry (i, j) renders as
+        names[index[i, j]].  An entry's code is its layers in mixed radix,
+        each varying layer over its own min..max range; codes in a range of
+        at most n m are counted (np.bincount), with no sort, wider ones go
+        through np.unique, and past int64 a 32-byte key of the layers does."""
         n, m = self.comps.shape[1:]
-        # one key per entry, its coefficients side by side (four int16 in an int64
-        # below 2^15, else 32 bytes: a 1-D unique, much faster than axis=0), so the
-        # distinct keys read back as the distinct entries' coefficients
-        small = self.max_abs < 1 << 15
-        c = np.ascontiguousarray(self.comps.reshape(4, n * m).T, np.int16 if small else None)
-        key = c.view(np.int64 if small else np.dtype((np.void, 32))).ravel()
-        keys, index = np.unique(key, return_inverse=True)
-        coeffs = keys.view(c.dtype).reshape(-1, 4).tolist()
+        flat = self.comps.reshape(4, n * m)
+        lows, highs = flat.min(axis=1).tolist(), flat.max(axis=1).tolist()
+        radix = [1]  # radix[k]: layer k's place value, the product of the ranges before it
+        for lo, hi in zip(lows, highs):
+            radix.append(radix[-1] * (hi - lo + 1))
+        if radix[-1] > 1 << 63:
+            key = np.ascontiguousarray(flat.T).view(np.dtype((np.void, 32))).ravel()
+            keys, index = np.unique(key, return_inverse=True)
+            coeffs = keys.view(np.int64).reshape(-1, 4).tolist()
+        else:
+            varying = [k for k in range(4) if highs[k] > lows[k]]
+            code = None if varying else np.zeros(n * m, np.intp)
+            for k in varying:
+                term = np.subtract(flat[k], lows[k], dtype=np.intp)
+                if radix[k] > 1:
+                    term *= radix[k]
+                code = term if code is None else np.add(code, term, out=code)
+            if radix[-1] <= n * m:
+                counts = np.bincount(code, minlength=radix[-1])
+                codes = np.flatnonzero(counts)
+                counts[codes] = np.arange(len(codes))  # now code -> position in codes
+                index = counts.take(code)
+            else:
+                codes, index = np.unique(code, return_inverse=True)
+            coeffs = zip(*[(codes // radix[k] % (highs[k] - lows[k] + 1) + lows[k]).tolist()
+                           if k in varying else [lows[k]] * len(codes) for k in range(4)])
         return [str(CycEight(e, self.denom_exp)) for e in coeffs], index.reshape(n, m)
 
     def __eq__(self, other):
@@ -348,6 +370,19 @@ class WeilAction:
         comps *= signs
         return CycMatrix._of(comps, block.denom_exp, block.max_abs)
 
+    def _t_columns(self, block, sign, lo):
+        """block rho(T^sign) for the columns lo.. of a full block: column j
+        times zeta^(2 sign qh(lo + j)), an even power, so layer t reads
+        layer t or t + 2 (mod 4) with a sign, as the T tables say at lo + j."""
+        rows, signs = self._t_tables[sign]
+        shape = block.comps.shape
+        hi = lo + shape[2]
+        pairs = block.comps.reshape(2, 2, *shape[1:])  # layer t = 2 h + p: t + 2 flips h
+        # where layer 0 reads layer 0 (rows[0] < n), every layer reads its own
+        comps = np.where(rows[0, lo:hi] < self.n, pairs, pairs[::-1]).reshape(shape)
+        comps *= signs[:, lo:hi].transpose(0, 2, 1)
+        return CycMatrix._of(comps, block.denom_exp, block.max_abs)
+
     def _s(self, block, conj):
         k, r = self._s_tables[conj]
         comps = block.comps
@@ -383,12 +418,12 @@ class WeilAction:
         # canonical, as row 0 of column 0 is conj(scalar) itself
         return CycMatrix._of(comps, scalar.denom_exp, max(map(abs, scalar.coeffs)))
 
-    def identity(self):
-        """The identity block, for forms with a <= MAX_DENSE_A."""
+    def identity(self, lo=0, hi=None):
+        """Columns lo..hi-1 (all by default) of the identity block, a <= MAX_DENSE_A."""
         if self.q.a > MAX_DENSE_A:
             raise BoundExceeded(
                 f"a = {self.q.a} exceeds the dense Weil bound a <= {MAX_DENSE_A}")
-        return CycMatrix.identity(self.n)
+        return CycMatrix.identity(self.n, lo, hi)
 
     def apply(self, word, block):
         """rho(word) block, the word's tokens applied right to left."""
@@ -484,13 +519,20 @@ def coset_formula_check(q, l):
     return next(islice(_coset_columns(act), l, None)) == act._coset_rhs.columns(l, l + 1)
 
 
-def _s_eighth_is_identity(act, s2):
-    """S^8 = I from the block S^2: c^4 = 1 if S^2 = c I, else S^6 S^2 = I."""
-    diag = np.diagonal(s2.comps, axis1=1, axis2=2)
+def _s_eighth_is_identity(act, s2, lo=0, c=None):
+    """(S^8 = I on the columns lo.. of I, c) from s2, S^2 on them: c^4 = 1
+    with c read off the first chunk (lo = 0); for a later chunk, given that
+    c with c^4 = 1, s2 = c times its columns; else the literal S^6 S^2 = I."""
+    m = s2.comps.shape[2]
+    diag = np.diagonal(s2.comps[:, lo:lo + m], axis1=1, axis2=2)
     if (diag == diag[:, :1]).all() and np.count_nonzero(s2.comps) == np.count_nonzero(diag):
-        c = CycEight(diag[:, 0].tolist(), s2.denom_exp)
-        return (c * c) * (c * c) == 1
-    return act.apply(["S"] * 6, s2) == act.identity()
+        own = CycEight(diag[:, 0].tolist(), s2.denom_exp)
+        if lo == 0:
+            square = own * own
+            return square * square == 1, own
+        if own == c:
+            return True, c
+    return act.apply(["S"] * 6, s2) == act.identity(lo, lo + m), c if lo else None
 
 
 def relation_checks(q, one=None):
@@ -501,25 +543,37 @@ def relation_checks(q, one=None):
     and T on the right, that gives (ST)^3 = S^2 for any S, so True is a
     proof; the converse holds as S is invertible (weil_scalar).  S^8 = I: as
     -x = x in D_L, S^2 = c I, and S^8 = I iff c^4 = 1; a non-scalar S^2 gets
-    the literal S^6 S^2 = I.  Four S steps, where the words make six: S I,
-    S S and S T S on the full block, and S^-1 on [e_0 | T^-2 S e_0] with
-    S e_0 column 0 of S I.  A step transforms each column on its own, so
-    these columns and their T^-1 images are exactly the words' results on
-    e_0 alone (T^-l S^-1 e_0 after l steps); compared canonical, each
-    verdict is that of its word."""
+    the literal S^6 S^2 = I.
+
+    The identity block runs in chunks X = I[:, lo:hi] of CHECK_COLUMNS
+    columns, three S steps each: S X (weil_S(q) if X = I), S S X, held to
+    the first chunk's c, and S T S X against T^-1 (S X) T^-1, whose right
+    T^-1 multiplies column j by the T^-1 entry at lo + j.  One S^-1 step on
+    [e_0 | T^-2 S e_0], S e_0 from the first chunk, gives S^-1 e_0 and
+    V^-1 e_0: four S steps up to a = 7, where the words make six.  A step
+    transforms each column on its own, so these columns and their T^-1
+    images are exactly the words' results on e_0 alone (T^-l S^-1 e_0 after
+    l steps); compared canonical, each verdict is that of its word."""
     act = weil_action(q)  # weil_S shares it
-    s, t, s1 = act._s, act._t, weil_S(q)
-    s_eighth = _s_eighth_is_identity(act, s(s1, False))
-    rhs = t(t(s1.transpose(), -1).transpose(), -1)  # X T^-1 = (T^-1 X^T)^T
-    s_e0 = CycMatrix._of(s1.comps[:, :, :1].copy(), s1.denom_exp, s1.max_abs)  # S e_0
-    x = t(s1, 1)
-    del s1  # s_e0 is a copy, so no view keeps S I alive
-    x = s(x, False)  # S T S; rebinding frees T S before the compare
-    st_cubed = x == rhs
-    pair = s(CycMatrix.hstack([CycMatrix.basis_column(act.n, 0), t(t(s_e0, -1), -1)]), True)
+    s, t, n = act._s, act._t, act.n
+    st_cubed, s_eighth, c = True, True, None
+    for lo in range(0, n, CHECK_COLUMNS):
+        hi = min(n, lo + CHECK_COLUMNS)
+        s1 = weil_S(q) if hi - lo == n else s(act.identity(lo, hi), False)  # S I[:, lo:hi]
+        if lo == 0:
+            s_e0 = CycMatrix._of(s1.comps[:, :, :1].copy(), s1.denom_exp, s1.max_abs)
+        if s_eighth:
+            s_eighth, c = _s_eighth_is_identity(act, s(s1, False), lo, c)
+        rhs = t(act._t_columns(s1, -1, lo), -1)
+        x = t(s1, 1)
+        del s1  # s_e0 is a copy, so no view keeps S I alive
+        x = s(x, False)  # S T S; rebinding frees T S before the compare
+        st_cubed = x == rhs and st_cubed
+        del x, rhs  # the next chunk starts with no block alive
+    pair = s(CycMatrix.hstack([CycMatrix.basis_column(n, 0), t(t(s_e0, -1), -1)]), True)
     col = pair.columns(0, 1)  # S^-1 e_0, then T^-l S^-1 e_0 by the action's own T^-1 steps
     cosets = [col] + [col := t(col, -1) for _ in range(3)]
-    e_one = CycMatrix.basis_column(act.n, _encode(one_element(q) if one is None else one))
+    e_one = CycMatrix.basis_column(n, _encode(one_element(q) if one is None else one))
     return {"st_cubed_is_s_squared": st_cubed, "s_eighth_is_identity": s_eighth,
             "v_inverse_e0_is_e_one": pair.columns(1, 2) == e_one,
             "coset_formula": CycMatrix.hstack(cosets) == act._coset_rhs}

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -265,18 +266,55 @@ def test_weil_matrix_bytes_against_former_rendering(capsys, monkeypatch, word, a
 
 @pytest.mark.parametrize("as_json", [False, True])
 def test_weil_matrix_bytes_past_the_int64_key(capsys, monkeypatch, as_json):
-    """Entries past 2^15 take the 32-byte key of distinct_entries; the
-    rendering is still that of the former renderer."""
+    """Entries past 2^15 code a range past the counting limit, through
+    np.unique on int64 codes (scale 3^10) or, past int64, on a 32-byte key
+    (scale 3^25); the rendering is still that of the former renderer."""
     from k3lat.weil import CycMatrix
 
     q = discriminant_form(parse_lattice("M5"))
     small = weil_word(q, ["S", "T", "S^-1"])
-    big = CycMatrix(small.comps * 3 ** 10, small.denom_exp)
-    assert big.max_abs >= 1 << 15
-    monkeypatch.setattr(cli, "weil_word", lambda *args: big)
-    code, out, err = run(capsys, "weil", "matrix", "M5", "--word", "S", *["--json"] * as_json)
-    assert (code, err) == (0, "")
-    assert out == former_weil_matrix_rendering(big, as_json)
+    for scale in (3 ** 10, 3 ** 25):
+        big = CycMatrix(small.comps * scale, small.denom_exp)
+        assert big.max_abs >= 1 << 15
+        monkeypatch.setattr(cli, "weil_word", lambda *args: big)
+        code, out, err = run(capsys, "weil", "matrix", "M5", "--word", "S", *["--json"] * as_json)
+        assert (code, err) == (0, "")
+        assert out == former_weil_matrix_rendering(big, as_json), scale
+
+
+class DigestOut:
+    """A stdout that keeps only the sha256 of what is written to it."""
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_weil_matrix_rendering_peak(monkeypatch, as_json):
+    """distinct_entries and the rendering of `weil matrix "E8(2)" --word S`
+    (65,536 entries, 2 distinct, 0.46 MB of text) on a precomputed matrix
+    peak under 1.5 MiB traced, with the former renderer's bytes: no sorted
+    key and no transposed copy, and the text made a block of rows at a time
+    (3.07 MiB with both, the text made whole)."""
+    mat = weil_word(discriminant_form(parse_lattice("E8(2)")), ["S"])
+    want = hashlib.sha256(former_weil_matrix_rendering(mat, as_json).encode()).hexdigest()
+    monkeypatch.setattr(cli, "_weil_form", lambda expr: None)
+    monkeypatch.setattr(cli, "weil_word", lambda q, word: mat)
+    args = argparse.Namespace(expr="E8(2)", word="S", json=as_json)
+    for traced in (False, True):  # the first call loads numpy's kernels, out of the measure
+        sink = DigestOut()
+        if traced:
+            tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert cli._weil_matrix(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.digest.hexdigest() == want
+    assert peak <= 1.5 * (1 << 20), peak / (1 << 20)
 
 
 def test_audit_all_json(capsys):

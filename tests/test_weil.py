@@ -20,6 +20,7 @@ from k3lat.lattice import parse_lattice, discriminant_form, induced_disc_matrix
 from k3lat.qseries import psi_m, split_congruence
 from k3lat import weil as weil_module
 from k3lat.weil import (
+    CHECK_COLUMNS,
     MAX_DENSE_A,
     CycMatrix,
     WeilAction,
@@ -468,36 +469,54 @@ def test_zero_block_maps_to_zero():
         assert out == zero and out.denom_exp == 0 and out.max_abs == 0, tok
 
 
-def test_distinct_entries_both_key_paths():
-    """Below max_abs = 2^15 entries are deduplicated on one int64 key, from
-    there on a 32-byte key; either way names[index[i][j]] renders entry (i, j)."""
+def test_distinct_entries_both_key_paths(monkeypatch):
+    """An entry's code spans the product R of its varying layers' ranges.
+    R <= n m is counted (np.bincount), a wider R that fits int64 goes
+    through np.unique on the codes, and past int64 through np.unique on a
+    32-byte key; on each path names[index[i][j]] renders entry (i, j)."""
     import numpy as np
+
+    paths = []
+    for name in ("bincount", "unique"):
+        def spy(a, *args, _f=getattr(np, name), _name=name, **kwargs):
+            paths.append((_name, np.asarray(a).dtype.kind))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np, name, spy)
+
+    def layers(**given):  # a 4 x 3 matrix over 2^1 from the given layers' entries
+        comps = np.zeros((4, 4, 3), np.int64)
+        for k, entries in given.items():
+            comps[int(k[1])] = np.reshape(entries, (4, 3))
+        return CycMatrix(comps, 1)
 
     q = discriminant_form(parse_lattice("M5"))
     small = weil_word(q, ["S", "T", "S^-1"])
     assert small.max_abs < 1 << 15
     # an odd scale keeps the denominator, and pushes the entries past 2^15
-    scale = 3 ** 10
-    big = CycMatrix(small.comps * scale, small.denom_exp)
+    big = CycMatrix(small.comps * 3 ** 10, small.denom_exp)
     assert big.max_abs >= 1 << 15
-    for mat in (small, big):
+    # the layer ranges 3 and 4 make R = 12 = n m, the limit; one range of 13 is past it
+    limit = layers(l0=[-1, 0, 1] * 4, l2=[2, 5, 2, 3, 5, 4, 3, 3, 2, 3, 2, 5])
+    past = layers(l1=[-6, -3, 0, 1, 2, 3, 4, 5, 6, 3, 2, -5])
+    # the int64 code's limit: +-(2^15 - 1) in every layer, R = (2^16 - 1)^4 > 2^63
+    top = (1 << 15) - 1
+    edge = CycMatrix(np.array([[[top, -top, 0]], [[-top, top, 1]], [[0, top, -top]],
+                               [[top, top, -top]]], dtype=np.int64), 3)
+    cases = [(small, ("bincount", "i")), (limit, ("bincount", "i")),
+             (past, ("unique", "i")), (big, ("unique", "i")), (edge, ("unique", "V"))]
+    for k, (mat, path) in enumerate(cases):
+        del paths[:]
         names, index = mat.distinct_entries()
-        assert index.shape == (mat.n, mat.comps.shape[2])
+        assert paths == [path], (k, paths)
+        assert index.shape == (mat.n, mat.comps.shape[2]) and index.dtype == np.intp
         assert len(names) == len(set(names))
         seen = set()
         for i in range(mat.n):
             for j in range(mat.comps.shape[2]):
-                assert names[index[i][j]] == str(mat.entry(i, j)), (i, j)
+                assert names[index[i][j]] == str(mat.entry(i, j)), (k, i, j)
                 seen.add(index[i][j])
-        assert seen == set(range(len(names)))
+        assert seen == set(range(len(names))), k
     assert len(small.distinct_entries()[0]) == len(big.distinct_entries()[0])
-    # the int64 key's extreme fields: +-(2^15 - 1) in every layer
-    top = (1 << 15) - 1
-    comps = np.array([[[top, -top, 0]], [[-top, top, 1]], [[0, top, -top]],
-                      [[top, top, -top]]], dtype=np.int64)
-    edge = CycMatrix(comps, 3)
-    names, index = edge.distinct_entries()
-    assert [names[k] for k in index[0]] == [str(edge.entry(0, j)) for j in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -750,18 +769,12 @@ def test_generic_t_is_rho_t():
             assert t(act, block, sign) == act.apply([tok], block), (name, tok)
 
 
-@pytest.mark.parametrize("wrong", (None,) + WRONG_GENERATORS)
-def test_relation_checks_against_literal_words(monkeypatch, wrong):
-    """Every verdict is that of its independent word, form by form, with
-    the true generators (all True) and with each wrong one (some False):
-    S T S = T^-1 S T^-1 and the scalar S^2 against the literal (ST)^3 = S^2
-    and S^8 = I; V^-1 e_0 from column 0 of S I and the shared S^-1 step
-    against S^-1 T^-1 T^-1 S on e_0 alone; the stacked coset columns against
-    the four coset_formula_check chains."""
-    if wrong is not None:
-        install_wrong_generator(monkeypatch, wrong)
+def assert_relation_checks_are_literal_words(forms, wrong):
+    """Every verdict of relation_checks on forms is that of its independent
+    word; all hold under the true generators, and a wrong one fails some
+    verdict, and some block verdict, somewhere."""
     verdicts = []
-    for name, q in catalog_forms(max_a=8):
+    for name, q in forms:
         got = relation_checks(q)
         act = WeilAction(q)
         e0 = CycMatrix.basis_column(act.n, 0)
@@ -771,17 +784,47 @@ def test_relation_checks_against_literal_words(monkeypatch, wrong):
             all(coset_formula_check(q, l) for l in range(4)))
         assert tuple(got.values()) == expect, name
         verdicts.append(expect)
-    assert len(verdicts) >= 16
-    # each verdict holds on every form under the true generators; each wrong
-    # generator fails some verdict, and some block verdict, somewhere
     assert all(map(all, verdicts)) == (wrong is None)
     assert all(all(v[:2]) for v in verdicts) == (wrong is None)
+    return verdicts
+
+
+# a = 9: four chunks of CHECK_COLUMNS columns (E8(2) in the catalog, a = 8, makes two)
+A9 = "<2>^2 + <-2>^7"
+
+
+@pytest.mark.parametrize("wrong", (None,) + WRONG_GENERATORS)
+def test_relation_checks_against_literal_words(monkeypatch, wrong):
+    """Every verdict is that of its independent word, form by form, with
+    the true generators (all True) and with each wrong one (some False):
+    S T S = T^-1 S T^-1 and the scalar S^2 against the literal (ST)^3 = S^2
+    and S^8 = I; V^-1 e_0 from column 0 of S I and the shared S^-1 step
+    against S^-1 T^-1 T^-1 S on e_0 alone; the stacked coset columns against
+    the four coset_formula_check chains.  The catalog to a = 8 and one form
+    at a = 9 run the identity block in one, two and four chunks."""
+    if wrong is not None:
+        install_wrong_generator(monkeypatch, wrong)
+    forms = list(catalog_forms(max_a=8)) + [(A9, discriminant_form(parse_lattice(A9)))]
+    assert {q.a for _, q in forms} >= {8, 9} and CHECK_COLUMNS == 128
+    assert len(assert_relation_checks_are_literal_words(forms, wrong)) >= 17
+
+
+@pytest.mark.parametrize("wrong", (None,) + WRONG_GENERATORS)
+def test_relation_checks_in_chunks_of_four(monkeypatch, wrong):
+    """The same verdicts with chunks of 4 columns, over the catalog to
+    a = 6: up to 16 chunks, so every chunk boundary is crossed."""
+    monkeypatch.setattr(weil_module, "CHECK_COLUMNS", 4)
+    if wrong is not None:
+        install_wrong_generator(monkeypatch, wrong)
+    forms = list(catalog_forms(max_a=6))
+    assert max(q.a for _, q in forms) == 6
+    assert len(assert_relation_checks_are_literal_words(forms, wrong)) >= 12
 
 
 def test_relation_checks_makes_four_s_steps(monkeypatch):
-    """relation_checks makes 4 S steps: S I, S S and S T S on the full
-    block, and one S^-1 step on two columns.  A count, so it repeats
-    exactly on any host."""
+    """relation_checks makes 3 S steps per chunk of the identity block (S I,
+    S S and S T S, four at once with CHECK_COLUMNS = 128 up to a = 7) and one
+    S^-1 step on two columns.  A count, so it repeats exactly on any host."""
     steps = []
     s_step = WeilAction._s
 
@@ -794,9 +837,30 @@ def test_relation_checks_makes_four_s_steps(monkeypatch):
     for name, q in catalog_forms(max_a=8):
         del steps[:]
         assert all(relation_checks(q).values()), name
-        assert sorted(steps) == [(False, 1 << q.a)] * 3 + [(True, 2)], (name, steps)
+        n = 1 << q.a
+        widths = [min(CHECK_COLUMNS, n - lo) for lo in range(0, n, CHECK_COLUMNS)]
+        assert sorted(steps) == sorted([(False, w) for w in widths] * 3) + [(True, 2)], name
+        assert len(widths) == (2 if q.a == 8 else 1), name
         checked += 1
     assert checked >= 16
+
+
+def test_relation_checks_peak_in_chunks():
+    """At a = 10 (U(2)^5) relation_checks holds a few chunks of 128 columns
+    (4 MiB each), not full blocks (32 MiB each, three alive at once before
+    the chunks: a traced peak of 96 MiB)."""
+    import tracemalloc
+
+    q = discriminant_form(parse_lattice("U(2)^5"))
+    relation_checks(discriminant_form(parse_lattice("U(2)^4")))  # numpy's first calls
+    tracemalloc.start()
+    try:
+        checks = relation_checks(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(checks.values())
+    assert peak <= 32 << 20, peak / (1 << 20)
 
 
 def test_weil_check_takes_one_gauss_sum(monkeypatch):
@@ -883,7 +947,7 @@ def test_s_eighth_fallback_against_literal_product():
                   act.apply(["S"], ident), act.apply(["T"], s2)]
         for k, block in enumerate(blocks):
             literal = act.apply(["S"] * 6, block) == ident
-            assert _s_eighth_is_identity(act, block) == literal, (name, k)
+            assert _s_eighth_is_identity(act, block)[0] == literal, (name, k)
             seen.add((is_scalar(block), literal))
     # U(2) with Bx read through a permutation that is not 2b: S^2 is not
     # scalar, yet S^8 = I
@@ -891,10 +955,41 @@ def test_s_eighth_fallback_against_literal_product():
     act = WeilAction(q)
     act._bx = np.array([1, 0, 3, 2])
     s2 = act.apply(["S", "S"], act.identity())
-    assert not is_scalar(s2) and _s_eighth_is_identity(act, s2)
+    assert not is_scalar(s2) and _s_eighth_is_identity(act, s2)[0]
     assert act.apply(["S"] * 8, act.identity()) == act.identity()
     seen.add((False, True))
     assert seen == {(True, True), (True, False), (False, False), (False, True)}
+
+
+def test_s_eighth_later_chunk_against_the_first_chunks_c():
+    """A later chunk holds by the first chunk's c only where S^2 is that c
+    times its columns.  zeta^k c times them is scalar too, but its literal
+    S^6 S^2 is zeta^k times the columns: it holds only at k = 0.  A chunk
+    that is not scalar, or follows a first chunk that is not, is literal."""
+    import numpy as np
+
+    seen = 0
+    for name, q in catalog_forms(max_a=5):
+        if q.a < 2:
+            continue
+        act = WeilAction(q)
+        n, lo = act.n, act.n // 2
+        s2 = act.apply(["S", "S"], act.identity())
+        ok, c = _s_eighth_is_identity(act, s2.columns(0, lo))
+        assert ok and c == s2.entry(0, 0), name
+        later = s2.columns(lo, n)
+        for k in range(8):
+            chunk = zeta_diagonal_times(later, np.full(n, k))
+            literal = act.apply(["S"] * 6, chunk) == act.identity(lo, n)
+            assert literal == (k == 0), (name, k)
+            assert _s_eighth_is_identity(act, chunk, lo, c) == (literal, c), (name, k)
+            assert _s_eighth_is_identity(act, chunk, lo, None) == (literal, None), (name, k)
+        off = later.comps.copy()
+        off[:, 0, 0] = later.comps[:, lo, 0]  # c I on the chunk, and c once more off it
+        off = CycMatrix(off, later.denom_exp)
+        assert _s_eighth_is_identity(act, off, lo, c) == (False, c), name
+        seen += 1
+    assert seen >= 8
 
 
 def schoolbook(a, b):
