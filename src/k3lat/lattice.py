@@ -482,12 +482,11 @@ _TOKEN = re.compile(r"\s*(\^|\+|U\(\s*-?\d+\s*\)|U|E8\(\s*-?\d+\s*\)|E8|A1|"
 def _tokenize(expr):
     pos = 0
     out = []
-    while pos < len(expr):
+    while pos < len(expr.rstrip()):  # trailing blanks end the expression
         m = _TOKEN.match(expr, pos)
-        if not m:
-            if expr[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {expr[pos]!r}", pos)
+        if not m:  # no token starts at the first character past the blanks
+            bad = len(expr) - len(expr[pos:].lstrip())
+            raise ParseError(f"unexpected character {expr[bad]!r}", bad)
         out.append((m.group(1), m.start(1)))
         pos = m.end()
     return out

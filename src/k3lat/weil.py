@@ -21,7 +21,6 @@ matrices are capped in a (MAX_DENSE_A).
 import weakref
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import islice
 
 from ._lazy import LazyNumpy
 from .exactalg import CycEight
@@ -109,15 +108,8 @@ class CycMatrix:
         comps[0, lo:hi].reshape(-1)[::hi - lo + 1] = 1  # the diagonal of a square view
         return cls._of(comps, 0, 1)
 
-    @classmethod
-    def basis_column(cls, n, j):
-        """The column e_j of length n."""
-        comps = np.zeros((4, n, 1), dtype=np.int64)
-        comps[0, j, 0] = 1
-        return cls._of(comps, 0, 1)
-
     def __mul__(self, other):
-        """The dense product; the reference for the matrix-free actions."""
+        """The dense product: the matrix-free actions' reference, and a perfbench span."""
         inner = self.comps.shape[2]
         # an entry is a sum of at most 4 * inner products; where int64 could
         # wrap, multiply exactly on Python ints instead
@@ -182,18 +174,18 @@ class CycMatrix:
         n x m intp array of positions in names, so entry (i, j) renders as
         names[index[i, j]].  An entry's code is its layers in mixed radix,
         each varying layer over its own min..max range; codes in a range of
-        at most n m are counted (np.bincount), with no sort, wider ones go
-        through np.unique, and past int64 a 32-byte key of the layers does."""
+        at most max(n m, 3^4) are counted (np.bincount), with no sort.  A word's
+        always are: one rho(g)'s nonzero entries share one absolute value, so
+        each layer lies in -1..1.  Wider ranges go through np.unique on layer rows."""
         n, m = self.comps.shape[1:]
         flat = self.comps.reshape(4, n * m)
         lows, highs = flat.min(axis=1).tolist(), flat.max(axis=1).tolist()
         radix = [1]  # radix[k]: layer k's place value, the product of the ranges before it
         for lo, hi in zip(lows, highs):
             radix.append(radix[-1] * (hi - lo + 1))
-        if radix[-1] > 1 << 63:
-            key = np.ascontiguousarray(flat.T).view(np.dtype((np.void, 32))).ravel()
-            keys, index = np.unique(key, return_inverse=True)
-            coeffs = keys.view(np.int64).reshape(-1, 4).tolist()
+        if radix[-1] > max(n * m, 3 ** 4):
+            rows, index = np.unique(flat.T, axis=0, return_inverse=True)
+            coeffs = rows.tolist()
         else:
             varying = [k for k in range(4) if highs[k] > lows[k]]
             code = None if varying else np.zeros(n * m, np.intp)
@@ -202,13 +194,10 @@ class CycMatrix:
                 if radix[k] > 1:
                     term *= radix[k]
                 code = term if code is None else np.add(code, term, out=code)
-            if radix[-1] <= n * m:
-                counts = np.bincount(code, minlength=radix[-1])
-                codes = np.flatnonzero(counts)
-                counts[codes] = np.arange(len(codes))  # now code -> position in codes
-                index = counts.take(code)
-            else:
-                codes, index = np.unique(code, return_inverse=True)
+            counts = np.bincount(code, minlength=radix[-1])
+            codes = np.flatnonzero(counts)
+            counts[codes] = np.arange(len(codes))  # now code -> position in codes
+            index = counts.take(code)
             coeffs = zip(*[(codes // radix[k] % (highs[k] - lows[k] + 1) + lows[k]).tolist()
                            if k in varying else [lows[k]] * len(codes) for k in range(4)])
         return [str(CycEight(e, self.denom_exp)) for e in coeffs], index.reshape(n, m)
@@ -457,7 +446,10 @@ def weil_T(q):
 
 
 # id(q) -> a WeilAction that some caller still holds.  The entry dies
-# with the action, and the action holds q, so the id stays q's.
+# with the action, and the action holds q, so the id stays q's.  It lets
+# relation_checks call weil_S(q), which perfbench counts as weil.s_builds, on
+# its own action: one built apart would add 16-20 us to a `weil check` at
+# a <= 5, about 3% of the job.
 _LIVE_ACTIONS = weakref.WeakValueDictionary()
 
 
@@ -504,35 +496,25 @@ def one_element(q):
     return _decode(gamma, q.a)
 
 
-def _coset_columns(act):
-    """T^-l S^-1 e_0 for l = 0..3, one more T^-1 per step."""
-    col = act.apply(["S^-1"], CycMatrix.basis_column(act.n, 0))
-    yield col
-    for _ in range(3):
-        col = act.apply(["T^-1"], col)
-        yield col
-
-
 def coset_formula_check(q, l):
-    """rho((S T^l)^-1) e_0 = i^(sigma/2) 2^(-a/2) sum_k i^(-l k) v_k, exactly."""
+    """rho((S T^l)^-1) e_0 = i^(sigma/2) 2^(-a/2) sum_k i^(-l k) v_k, exactly:
+    the word T^-l S^-1 on e_0 alone, the oracle of relation_checks' chain."""
     act = WeilAction(q)
-    return next(islice(_coset_columns(act), l, None)) == act._coset_rhs.columns(l, l + 1)
+    e0 = CycMatrix.identity(act.n, 0, 1)
+    return act.apply(["T^-1"] * l + ["S^-1"], e0) == act._coset_rhs.columns(l, l + 1)
 
 
-def _s_eighth_is_identity(act, s2, lo=0, c=None):
-    """(S^8 = I on the columns lo.. of I, c) from s2, S^2 on them: c^4 = 1
-    with c read off the first chunk (lo = 0); for a later chunk, given that
-    c with c^4 = 1, s2 = c times its columns; else the literal S^6 S^2 = I."""
+def _s_eighth_is_identity(act, s2, lo=0):
+    """S^8 X = X for the columns X = I[:, lo:lo + m], from s2 = S^2 X.  S is
+    Z[zeta_8]-linear, so where s2 = c X, S^8 X = c^4 X exactly, whatever the
+    other columns of I give; c^4 = 1 iff c is +-1 or +-zeta^2, one integer
+    +-1 in layer 0 or 2 over 2^0.  Else the literal S^6 s2 = X."""
     m = s2.comps.shape[2]
     diag = np.diagonal(s2.comps[:, lo:lo + m], axis1=1, axis2=2)
     if (diag == diag[:, :1]).all() and np.count_nonzero(s2.comps) == np.count_nonzero(diag):
-        own = CycEight(diag[:, 0].tolist(), s2.denom_exp)
-        if lo == 0:
-            square = own * own
-            return square * square == 1, own
-        if own == c:
-            return True, c
-    return act.apply(["S"] * 6, s2) == act.identity(lo, lo + m), c if lo else None
+        c = diag[:, 0].tolist()
+        return s2.denom_exp == 0 and abs(c[0]) + abs(c[2]) == 1 and c[1] == c[3] == 0
+    return act.apply(["S"] * 6, s2) == act.identity(lo, lo + m)
 
 
 def relation_checks(q, one=None):
@@ -546,9 +528,9 @@ def relation_checks(q, one=None):
     the literal S^6 S^2 = I.
 
     The identity block runs in chunks X = I[:, lo:hi] of CHECK_COLUMNS
-    columns, three S steps each: S X (weil_S(q) if X = I), S S X, held to
-    the first chunk's c, and S T S X against T^-1 (S X) T^-1, whose right
-    T^-1 multiplies column j by the T^-1 entry at lo + j.  One S^-1 step on
+    columns, three S steps each: S X (weil_S(q) if X = I), S S X, which
+    decides S^8 X = X alone, and S T S X against T^-1 (S X) T^-1, whose
+    right T^-1 multiplies column j by the T^-1 entry at lo + j.  One S^-1 step on
     [e_0 | T^-2 S e_0], S e_0 from the first chunk, gives S^-1 e_0 and
     V^-1 e_0: four S steps up to a = 7, where the words make six.  A step
     transforms each column on its own, so these columns and their T^-1
@@ -556,26 +538,26 @@ def relation_checks(q, one=None):
     l steps); compared canonical, each verdict is that of its word."""
     act = weil_action(q)  # weil_S shares it
     s, t, n = act._s, act._t, act.n
-    st_cubed, s_eighth, c = True, True, None
+    st_cubed, s_eighth = True, True
     for lo in range(0, n, CHECK_COLUMNS):
         hi = min(n, lo + CHECK_COLUMNS)
         s1 = weil_S(q) if hi - lo == n else s(act.identity(lo, hi), False)  # S I[:, lo:hi]
         if lo == 0:
             s_e0 = CycMatrix._of(s1.comps[:, :, :1].copy(), s1.denom_exp, s1.max_abs)
         if s_eighth:
-            s_eighth, c = _s_eighth_is_identity(act, s(s1, False), lo, c)
+            s_eighth = _s_eighth_is_identity(act, s(s1, False), lo)
         rhs = t(act._t_columns(s1, -1, lo), -1)
         x = t(s1, 1)
         del s1  # s_e0 is a copy, so no view keeps S I alive
         x = s(x, False)  # S T S; rebinding frees T S before the compare
         st_cubed = x == rhs and st_cubed
         del x, rhs  # the next chunk starts with no block alive
-    pair = s(CycMatrix.hstack([CycMatrix.basis_column(n, 0), t(t(s_e0, -1), -1)]), True)
+    pair = s(CycMatrix.hstack([CycMatrix.identity(n, 0, 1), t(t(s_e0, -1), -1)]), True)
     col = pair.columns(0, 1)  # S^-1 e_0, then T^-l S^-1 e_0 by the action's own T^-1 steps
     cosets = [col] + [col := t(col, -1) for _ in range(3)]
-    e_one = CycMatrix.basis_column(n, _encode(one_element(q) if one is None else one))
+    j = _encode(one_element(q) if one is None else one)  # e_j = e_{1_L}
     return {"st_cubed_is_s_squared": st_cubed, "s_eighth_is_identity": s_eighth,
-            "v_inverse_e0_is_e_one": pair.columns(1, 2) == e_one,
+            "v_inverse_e0_is_e_one": pair.columns(1, 2) == CycMatrix.identity(n, j, j + 1),
             "coset_formula": CycMatrix.hstack(cosets) == act._coset_rhs}
 
 
@@ -613,8 +595,8 @@ def lift_B(q, r_minus, prec):
     m = 8 + 4 - r_minus
     if not (1 <= m <= 7):
         raise UnsupportedInvariant(f"m = {m} outside the supported range")
-    if (r_minus - q.a) % 2:
-        raise UnsupportedInvariant("r_- and a_- must have equal parity")
+    # the Gauss sum has norm 2^a in Z[i], so sigma = a mod 2; with sigma = 4 - r_-
+    # mod 8 that makes r_- = a mod 2, and the scale below an integer power of 2
     scale = 2 ** ((r_minus - q.a) // 2)
     big = psi_m(m, 4 * int(Fraction(prec)) + 4)
     psi = big.truncate(Fraction(prec))

@@ -175,6 +175,12 @@ def test_vec_witness(capsys):
     assert json.loads(out)["found"]
 
 
+def test_vec_witness_none_found(capsys):
+    code, out, err = run(capsys, "vec", "witness", "U", "--norm", "3", "--box", "2")
+    assert (code, err) == (0, "")
+    assert out == "no vector of norm 3 in the box [-2, 2]\n"
+
+
 def test_qexp_eta_golden(capsys):
     code, out, _ = run(capsys, "qexp", "eta", "1^-8,2^8,4^-8",
                        "--prec", "2", "--json")
@@ -266,9 +272,10 @@ def test_weil_matrix_bytes_against_former_rendering(capsys, monkeypatch, word, a
 
 @pytest.mark.parametrize("as_json", [False, True])
 def test_weil_matrix_bytes_past_the_int64_key(capsys, monkeypatch, as_json):
-    """Entries past 2^15 code a range past the counting limit, through
-    np.unique on int64 codes (scale 3^10) or, past int64, on a 32-byte key
-    (scale 3^25); the rendering is still that of the former renderer."""
+    """Entries past 2^15 code a range past the counting limit, so they go
+    through np.unique on the rows of layers, with a code range inside int64
+    (scale 3^10) or past it (scale 3^25); the rendering is still that of the
+    former renderer."""
     from k3lat.weil import CycMatrix
 
     q = discriminant_form(parse_lattice("M5"))

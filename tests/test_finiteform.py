@@ -35,7 +35,7 @@ from k3lat.lattice import (
     direct_sum,
     induced_disc_matrix,
 )
-from k3lat.geography import fixture_catalog
+from k3lat.geography import block_sum_witness, fixture_catalog, geography_table
 
 
 def form_of(expr):
@@ -93,7 +93,9 @@ def test_gauss_sum_against_cyc_eight_search():
 
 
 def test_milgram_over_catalog():
-    """Gauss sum signature = r+ - r- mod 8 for every catalog lattice."""
+    """Gauss sum signature = r+ - r- mod 8 for every catalog lattice, and
+    sigma = a mod 2 there and on every block-sum witness of the geography:
+    the Gauss sum has norm 2^a in Z[i] (lift_B relies on it)."""
     count = 0
     for fix in fixture_catalog():
         L = fix.lattice
@@ -102,8 +104,17 @@ def test_milgram_over_catalog():
         q = discriminant_form(L)
         r_plus, r_minus = L.signature()
         assert milgram_signature(q) == (r_plus - r_minus) % 8, fix.name
+        assert milgram_signature(q) % 2 == q.a % 2, fix.name
         count += 1
     assert count >= 20
+    witnesses = 0
+    for e in geography_table():
+        r, a, delta = e.triplet
+        for sig in ((1, r - 1), (2, 20 - r)):  # L+ and L-
+            q = discriminant_form(block_sum_witness(*sig, a, delta))
+            assert milgram_signature(q) % 2 == q.a % 2, (e.triplet, sig)
+            witnesses += 1
+    assert witnesses == 150
 
 
 def test_form_invariants_examples():

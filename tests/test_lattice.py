@@ -11,7 +11,9 @@ from k3lat.errors import (
     ParseError,
     OddLattice,
     NotIntegral,
+    NotInDual,
     NotTwoElementary,
+    NotUnimodular,
     NotGraph,
     NotIsometry,
 )
@@ -68,9 +70,45 @@ def test_parse_round_trip():
 
 
 def test_parse_errors_carry_position():
+    """The position is that of the offending character, past the blanks."""
     with pytest.raises(ParseError) as exc:
         parse_lattice("U + ??")
-    assert 3 <= exc.value.position <= 4
+    assert exc.value.position == 4
+    assert str(exc.value) == "unexpected character '?' (at position 4)"
+
+
+@pytest.mark.parametrize("expr, message, position", [
+    ("", "empty expression", 0),
+    ("   ", "empty expression", 0),
+    ("U +", "dangling '+'", 2),
+    ("+ U", "expected a lattice atom, got '+'", 0),
+    ("U^", "dangling '^'", 1),
+    ("U^0", "power must be >= 1", 2),
+    ("U^-1", "power must be >= 1", 2),
+    ("U^U", "power must be an integer, got 'U'", 2),
+    ("U E8", "expected '+', got 'E8'", 2),
+    ("5", "unknown atom '5'", 0),
+    ("U(0)", "scale factor must be nonzero", 0),
+    ("E8(0)", "scale factor must be nonzero", 0),
+    ("<0>", "rank-1 lattice <0> is degenerate", 0),
+    ("M0", "M_n needs n >= 1", 0),
+])
+def test_parse_error_messages(expr, message, position):
+    """Each ParseError raise of the parser, with its message and position."""
+    with pytest.raises(ParseError) as exc:
+        parse_lattice(expr)
+    assert exc.value.position == position
+    assert str(exc.value) == f"{message} (at position {position})"
+
+
+def test_parse_error_through_the_cli(capsys):
+    """`k3lat lat info` on a bad expression exits 2 with one error line."""
+    from k3lat.cli import main
+
+    assert main(["lat", "info", "U^U"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: power must be an integer, got 'U' (at position 2)\n"
 
 
 def test_rank_bound():
@@ -187,6 +225,14 @@ def test_overlattice_trivial_glue():
     assert M.gram == L.gram
 
 
+def test_overlattice_rejects_bad_glue():
+    L = parse_lattice("U(2)")
+    with pytest.raises(ValueError, match="wrong length"):
+        overlattice(L, [[Fraction(1, 2)]])
+    with pytest.raises(NotInDual):
+        overlattice(L, [[Fraction(1, 4), 0]])
+
+
 def test_dual_rescaled_involution():
     for expr in ["U(2)", "E8(2)", "<2> + <-2>^3"]:
         L = parse_lattice(expr)
@@ -229,6 +275,19 @@ def test_glue_map_rejects_non_graphs():
     glue = [[h, 0, 0, 0, 0, 0], [0, 0, h, 0, 0, 0], [0, 0, 0, 0, h, 0]]
     with pytest.raises(NotGraph, match="not the graph of a bijection D_L -> D_M"):
         glue_map_from_embedding(L, M, glue)
+
+
+def test_glue_map_rejects_glued_lattices_it_cannot_read():
+    """The glued lattice must be unimodular and even, and both factors
+    2-elementary."""
+    with pytest.raises(NotUnimodular, match="glued lattice has det 16"):
+        glue_map_from_embedding(parse_lattice("U(2)"), parse_lattice("U(2)"), [])
+    with pytest.raises(NotUnimodular, match="glued lattice is not even"):
+        glue_map_from_embedding(parse_lattice("<1>"), parse_lattice("<-1>"), [])
+    # (1/4, 1/4) has norm 0, so <4> + <-4> glues to an even unimodular lattice
+    with pytest.raises(NotTwoElementary):
+        glue_map_from_embedding(parse_lattice("<4>"), parse_lattice("<-4>"),
+                                [[Fraction(1, 4), Fraction(1, 4)]])
 
 
 def test_glue_map_of_unimodular_factors_is_empty():

@@ -24,7 +24,6 @@ from k3lat.weil import (
     MAX_DENSE_A,
     CycMatrix,
     WeilAction,
-    _coset_columns,
     _s_eighth_is_identity,
     relation_checks,
     weil_T,
@@ -242,8 +241,18 @@ def test_lift_e1l_vanishing_order():
 
 def test_lift_rejects_high_rank():
     q = discriminant_form(parse_lattice("<2>^2 + <-2>^10"))
-    with pytest.raises(UnsupportedInvariant):
+    with pytest.raises(UnsupportedInvariant, match="assumes r_- < 12"):
         lift_B(q, 12, 4)
+
+
+def test_lift_rejects_sigma_and_m():
+    """sigma must be 4 - r_- mod 8, and m = 12 - r_- must lie in 1..7."""
+    q = discriminant_form(parse_lattice("<2>^2 + <-2>^3"))  # sigma = 7
+    with pytest.raises(UnsupportedInvariant, match="sigma must equal 4 - r_- mod 8"):
+        lift_B(q, 4, 4)
+    q = discriminant_form(parse_lattice("<2>^2"))  # sigma = 2 = 4 - 2
+    with pytest.raises(UnsupportedInvariant, match="m = 10 outside the supported range"):
+        lift_B(q, 2, 4)
 
 
 def test_principal_part_trivial_cases():
@@ -414,7 +423,7 @@ def test_degenerate_forms_have_no_weil_scalar():
                 weil_scalar(q)
             reasons.append(str(exc.value))
             with pytest.raises(DegenerateForm):
-                WeilAction(q).apply(["S^-1"], CycMatrix.basis_column(1 << a, 0))
+                WeilAction(q).apply(["S^-1"], CycMatrix.identity(1 << a, 0, 1))
     assert len(reasons) == 306
     assert reasons.count("Gauss sum vanishes") == 171
     assert reasons.count("Gauss sum has the wrong magnitude") == 135
@@ -427,8 +436,9 @@ def test_column_checks_past_the_dense_bound(expr):
     q = discriminant_form(parse_lattice(expr))
     act = WeilAction(q)
     assert q.a > MAX_DENSE_A
-    e0 = CycMatrix.basis_column(act.n, 0)
-    e_one = CycMatrix.basis_column(act.n, _encode(one_element(q)))
+    e0 = CycMatrix.identity(act.n, 0, 1)
+    j = _encode(one_element(q))
+    e_one = CycMatrix.identity(act.n, j, j + 1)
     assert act.apply(["S^-1", "T^-1", "T^-1", "S"], e0) == e_one
     for l in range(4):
         assert coset_formula_check(q, l), l
@@ -438,16 +448,12 @@ def test_column_checks_past_the_dense_bound(expr):
 # the fixed-cost shortcuts against their plain forms
 
 def test_chained_coset_columns_against_independent_words():
-    """The coset checks take T^-l S^-1 e_0 one T^-1 at a time; each column
-    equals the word applied from scratch and the closed form, and
-    relation_checks agrees with the four coset_formula_check calls (a <= 6)."""
+    """relation_checks takes T^-l S^-1 e_0 one T^-1 at a time from its shared
+    S^-1 step; its coset verdict agrees with the four coset_formula_check
+    calls, each the word T^-l S^-1 on e_0 alone against the closed form
+    (a <= 6; coset_formula_check alone to a = 10)."""
     checked = 0
     for name, q in catalog_forms(max_a=10):
-        act = WeilAction(q)
-        e0 = CycMatrix.basis_column(act.n, 0)
-        for l, col in enumerate(_coset_columns(act)):
-            assert col == act.apply(["T^-1"] * l + ["S^-1"], e0), (name, l)
-            assert col == act._coset_rhs.columns(l, l + 1), (name, l)
         independent = [coset_formula_check(q, l) for l in range(4)]
         assert all(independent), name
         if q.a <= 6:  # the rest of relation_checks works on the identity block
@@ -471,9 +477,9 @@ def test_zero_block_maps_to_zero():
 
 def test_distinct_entries_both_key_paths(monkeypatch):
     """An entry's code spans the product R of its varying layers' ranges.
-    R <= n m is counted (np.bincount), a wider R that fits int64 goes
-    through np.unique on the codes, and past int64 through np.unique on a
-    32-byte key; on each path names[index[i][j]] renders entry (i, j)."""
+    R <= max(n m, 3^4) is counted (np.bincount), as for every word's
+    entries; a wider R goes through np.unique on the rows of layers, also
+    past int64; on each path names[index[i][j]] renders entry (i, j)."""
     import numpy as np
 
     paths = []
@@ -483,10 +489,10 @@ def test_distinct_entries_both_key_paths(monkeypatch):
             return _f(a, *args, **kwargs)
         monkeypatch.setattr(np, name, spy)
 
-    def layers(**given):  # a 4 x 3 matrix over 2^1 from the given layers' entries
-        comps = np.zeros((4, 4, 3), np.int64)
+    def layers(shape=(4, 3), **given):  # a matrix over 2^1 from the given layers' entries
+        comps = np.zeros((4,) + shape, np.int64)
         for k, entries in given.items():
-            comps[int(k[1])] = np.reshape(entries, (4, 3))
+            comps[int(k[1])] = np.reshape(entries, shape)
         return CycMatrix(comps, 1)
 
     q = discriminant_form(parse_lattice("M5"))
@@ -495,15 +501,20 @@ def test_distinct_entries_both_key_paths(monkeypatch):
     # an odd scale keeps the denominator, and pushes the entries past 2^15
     big = CycMatrix(small.comps * 3 ** 10, small.denom_exp)
     assert big.max_abs >= 1 << 15
-    # the layer ranges 3 and 4 make R = 12 = n m, the limit; one range of 13 is past it
-    limit = layers(l0=[-1, 0, 1] * 4, l2=[2, 5, 2, 3, 5, 4, 3, 3, 2, 3, 2, 5])
-    past = layers(l1=[-6, -3, 0, 1, 2, 3, 4, 5, 6, 3, 2, -5])
-    # the int64 code's limit: +-(2^15 - 1) in every layer, R = (2^16 - 1)^4 > 2^63
+    # four layers over -1..1 make R = 3^4 > n m = 12, the limit; one range of 82 is past it
+    cube = [-1, 0, 1, 1, 0, -1, 0, 1, -1, 1, 1, 0]
+    limit = layers(l0=cube, l1=cube[::-1], l2=cube[1:] + cube[:1], l3=cube[2:] + cube[:2])
+    past = layers(l1=[-41, -3, 0, 1, 2, 3, 4, 5, 40, 3, 2, -5])
+    # R = n m = 100 is counted, R = 101 is past it
+    wide = layers((10, 10), l1=np.arange(100) - 50)
+    wider = layers((10, 10), l1=np.arange(100) - 50 + (np.arange(100) == 99))
+    # +-(2^15 - 1) in every layer, R = (2^16 - 1)^4 > 2^63
     top = (1 << 15) - 1
     edge = CycMatrix(np.array([[[top, -top, 0]], [[-top, top, 1]], [[0, top, -top]],
                                [[top, top, -top]]], dtype=np.int64), 3)
     cases = [(small, ("bincount", "i")), (limit, ("bincount", "i")),
-             (past, ("unique", "i")), (big, ("unique", "i")), (edge, ("unique", "V"))]
+             (past, ("unique", "i")), (wide, ("bincount", "i")), (wider, ("unique", "i")),
+             (big, ("unique", "i")), (edge, ("unique", "i"))]
     for k, (mat, path) in enumerate(cases):
         del paths[:]
         names, index = mat.distinct_entries()
@@ -517,6 +528,12 @@ def test_distinct_entries_both_key_paths(monkeypatch):
                 seen.add(index[i][j])
         assert seen == set(range(len(names))), k
     assert len(small.distinct_entries()[0]) == len(big.distinct_entries()[0])
+    # every word's entries are counted, "<2>" --word S (R = 9 > n m = 4) among them
+    for expr, word in [("<2>", ["S"]), ("U(2) + <2>", ["S", "T", "S"]),
+                       ("<2>^2 + <-2>^3", ["T^-1", "S", "T", "T", "S^-1"]), ("M5", ["S", "S"])]:
+        del paths[:]
+        weil_word(discriminant_form(parse_lattice(expr)), word).distinct_entries()
+        assert paths == [("bincount", "i")], (expr, word)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +709,7 @@ def test_s_step_holds_only_its_input_and_output():
     assert q.a == 9
     block = act.apply(["S"], act.identity())
     assert np.flatnonzero(block.comps.reshape(4, -1).any(axis=1)).tolist() == [0, 2]
-    act.apply(["S"], act.apply(["S"], CycMatrix.basis_column(act.n, 0)))  # build the tables
+    act.apply(["S"], act.apply(["S"], CycMatrix.identity(act.n, 0, 1)))  # build the tables
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -777,8 +794,9 @@ def assert_relation_checks_are_literal_words(forms, wrong):
     for name, q in forms:
         got = relation_checks(q)
         act = WeilAction(q)
-        e0 = CycMatrix.basis_column(act.n, 0)
-        e_one = CycMatrix.basis_column(act.n, _encode(one_element(q)))
+        e0 = CycMatrix.identity(act.n, 0, 1)
+        j = _encode(one_element(q))
+        e_one = CycMatrix.identity(act.n, j, j + 1)
         expect = literal_verdicts(q) + (
             act.apply(["S^-1", "T^-1", "T^-1", "S"], e0) == e_one,
             all(coset_formula_check(q, l) for l in range(4)))
@@ -926,15 +944,20 @@ def test_weil_check_builds_one_action_and_one_characteristic_solve(monkeypatch):
         assert built[0]() is None and not weil_module._LIVE_ACTIONS, expr
 
 
-def test_s_eighth_fallback_against_literal_product():
-    """A block S^2 that is not scalar takes the literal S^6 S^2 = I; a
-    scalar block c I is decided by c^4 = 1.  Either way the verdict is the
-    literal one, on true and scrambled S."""
+def is_scalar_block(block, lo=0):
+    """Whether block is c I[:, lo:lo + m] for one c."""
     import numpy as np
 
-    def is_scalar(block):
-        d = np.diagonal(block.comps, axis1=1, axis2=2)
-        return (d == d[:, :1]).all() and np.count_nonzero(block.comps) == np.count_nonzero(d)
+    d = np.diagonal(block.comps[:, lo:lo + block.comps.shape[2]], axis1=1, axis2=2)
+    return bool((d == d[:, :1]).all() and np.count_nonzero(block.comps) == np.count_nonzero(d))
+
+
+def test_s_eighth_fallback_against_literal_product():
+    """A block S^2 that is not scalar takes the literal S^6 S^2 = I; a
+    scalar block c I is decided by c^4 = 1, which zeta S^2 and zeta^3 S^2
+    miss.  Either way the verdict is the literal one, on true and
+    scrambled S."""
+    import numpy as np
 
     seen = set()
     for name, q in catalog_forms(max_a=6):
@@ -945,51 +968,52 @@ def test_s_eighth_fallback_against_literal_product():
         off[:, 0, -1] = off[:, 0, 0]  # a constant diagonal, one entry off it
         blocks = [s2, CycMatrix(2 * s2.comps, s2.denom_exp), CycMatrix(off, s2.denom_exp),
                   act.apply(["S"], ident), act.apply(["T"], s2)]
+        blocks += [zeta_diagonal_times(s2, np.full(act.n, k)) for k in (1, 3)]
         for k, block in enumerate(blocks):
             literal = act.apply(["S"] * 6, block) == ident
-            assert _s_eighth_is_identity(act, block)[0] == literal, (name, k)
-            seen.add((is_scalar(block), literal))
+            assert _s_eighth_is_identity(act, block) is literal, (name, k)
+            seen.add((is_scalar_block(block), literal))
     # U(2) with Bx read through a permutation that is not 2b: S^2 is not
     # scalar, yet S^8 = I
     q = discriminant_form(parse_lattice("U(2)"))
     act = WeilAction(q)
     act._bx = np.array([1, 0, 3, 2])
     s2 = act.apply(["S", "S"], act.identity())
-    assert not is_scalar(s2) and _s_eighth_is_identity(act, s2)[0]
+    assert not is_scalar_block(s2) and _s_eighth_is_identity(act, s2)
     assert act.apply(["S"] * 8, act.identity()) == act.identity()
     seen.add((False, True))
     assert seen == {(True, True), (True, False), (False, False), (False, True)}
 
 
-def test_s_eighth_later_chunk_against_the_first_chunks_c():
-    """A later chunk holds by the first chunk's c only where S^2 is that c
-    times its columns.  zeta^k c times them is scalar too, but its literal
-    S^6 S^2 is zeta^k times the columns: it holds only at k = 0.  A chunk
-    that is not scalar, or follows a first chunk that is not, is literal."""
+def test_s_eighth_per_chunk_against_literal_product():
+    """Each chunk X = I[:, lo:hi] is decided from its own S^2 X alone, with
+    the verdict of the literal S^6 S^2 X = X: with the true S, with Bx
+    scrambled (S^2 X scalar on some chunks and not on others) and with the
+    scalar halved (S^2 X = c X with c^4 != 1), in halves and quarters of
+    the block."""
     import numpy as np
 
-    seen = 0
+    rng = np.random.default_rng(30)
+    seen = set()
     for name, q in catalog_forms(max_a=5):
         if q.a < 2:
             continue
-        act = WeilAction(q)
-        n, lo = act.n, act.n // 2
-        s2 = act.apply(["S", "S"], act.identity())
-        ok, c = _s_eighth_is_identity(act, s2.columns(0, lo))
-        assert ok and c == s2.entry(0, 0), name
-        later = s2.columns(lo, n)
-        for k in range(8):
-            chunk = zeta_diagonal_times(later, np.full(n, k))
-            literal = act.apply(["S"] * 6, chunk) == act.identity(lo, n)
-            assert literal == (k == 0), (name, k)
-            assert _s_eighth_is_identity(act, chunk, lo, c) == (literal, c), (name, k)
-            assert _s_eighth_is_identity(act, chunk, lo, None) == (literal, None), (name, k)
-        off = later.comps.copy()
-        off[:, 0, 0] = later.comps[:, lo, 0]  # c I on the chunk, and c once more off it
-        off = CycMatrix(off, later.denom_exp)
-        assert _s_eighth_is_identity(act, off, lo, c) == (False, c), name
-        seen += 1
-    assert seen >= 8
+        n = 1 << q.a
+        for scramble in ("true", "Bx permuted", "scalar halved"):
+            act = WeilAction(q)
+            if scramble == "Bx permuted":
+                act._bx = rng.permutation(n)
+            elif scramble == "scalar halved":
+                act.scalar = CycEight(act.scalar.coeffs, act.scalar.denom_exp + 1)
+            for width in (n // 4, n // 2):
+                for lo in range(0, n, width):
+                    s2 = act.apply(["S", "S"], act.identity(lo, lo + width))
+                    literal = act.apply(["S"] * 6, s2) == act.identity(lo, lo + width)
+                    assert _s_eighth_is_identity(act, s2, lo) is literal, (name, scramble, lo)
+                    assert literal or scramble != "true", (name, lo)
+                    seen.add((scramble, is_scalar_block(s2, lo), literal))
+    assert {("Bx permuted", True, True), ("Bx permuted", False, True),
+            ("Bx permuted", False, False), ("scalar halved", True, False)} <= seen
 
 
 def schoolbook(a, b):
