@@ -12,7 +12,7 @@ edge.
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import product, tee
 
 from .errors import DegenerateForm, NotIsotropic, BoundExceeded
 
@@ -147,18 +147,19 @@ class FiniteQuadraticForm:
 
     # int-encoded elements -----------------------------------------------
     def qh_table(self):
-        """q of every element in half-units mod 4, indexed by element int.
-
-        Built once by q(x + e_i) = q(x) + q(e_i) + 2b(x, e_i).
-        """
+        """q of every element in half-units mod 4, by element int: built once, by `_doublings`."""
         if self._qtable is None:
-            table = [0]
-            for i in reversed(range(self.a)):  # low bits first: index == int
-                qi, row = self.qh_gen[i], self.rows[i]
-                table += [(v + qi + 2 * ((row & x).bit_count() & 1)) % 4
-                          for x, v in enumerate(table)]
-            self._qtable = table
+            self._qtable = [[0], *self._doublings()][-1]
         return self._qtable
+
+    def _doublings(self):
+        """q's table on [0, 2^k) for k = 1..a, by q(x + e_i) = q(x) + q(e_i) + 2b(x, e_i)."""
+        table = [0]
+        for i in reversed(range(self.a)):  # low bits first: index == int
+            qi, row = self.qh_gen[i], self.rows[i]
+            table += [(v + qi + 2 * ((row & x).bit_count() & 1)) % 4
+                      for x, v in enumerate(table)]
+            yield table
 
     def bvec(self, x):
         """Bx: the bitmask of the y with 2b(x, y) = 1 among the generators."""
@@ -290,30 +291,35 @@ def forms_isometric(q1, q2):
     return form_invariants(q1) == form_invariants(q2)
 
 
+def _isotropic_elements(q):
+    """The nonzero x with q(x) = 0 in increasing order, read off q's table when
+    built, else off its doublings: the k-th gives [2^k, 2^(k+1)), made when read."""
+    tables = [q._qtable] * q.a if q._qtable else q._doublings()
+    return (x for k, t in enumerate(tables) for x in range(1 << k, 2 << k) if not t[x])
+
+
 def iter_isotropic_subgroups(q, max_order):
     """Subgroups on which q vanishes identically, of order <= max_order,
     each yielded once, depth first, with generators taken in increasing
-    order from the isotropic elements: c extends G when it is orthogonal to
-    G and least in its coset c + G, i.e. has none of G's leading bits."""
-    table = q.qh_table()
-    candidates = [x for x in range(1, len(table)) if table[x] == 0]
+    order from the isotropic elements, as far as read: c extends G when it is
+    orthogonal to G and least in its coset c + G, i.e. has none of G's leading bits."""
 
-    def extend(gens, basis, bgens, start):
+    def extend(gens, basis, bgens, rest):
         yield SubgroupSpec._of(q.a, gens, basis)
         if 2 << len(gens) > max_order:
             return
         # Bg of each generator, once, and only for a G that is extended
         bgens = bgens + [q.bvec(g) for g in gens[len(bgens):]]
         leads = sum(basis)
-        for i in range(start, len(candidates)):
-            c = candidates[i]
+        for c in rest:
             if c & leads or any((m & c).bit_count() & 1 for m in bgens):
                 continue
             grown = dict(basis)
             _insert(grown, c)
-            yield from extend(gens + [c], grown, bgens, i + 1)
+            # a copy of the tee resumes after c, sharing the elements read so far
+            yield from extend(gens + [c], grown, bgens, rest.__copy__())
 
-    yield from extend([], {}, [], 0)
+    yield from extend([], {}, [], tee(_isotropic_elements(q), 1)[0])
 
 
 def quotient_form(q, G):

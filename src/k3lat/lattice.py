@@ -117,6 +117,12 @@ class Lattice:
         d, u, v, nontrivial = self._snf_data()
         return [d[i][i] for i in nontrivial]
 
+    @property
+    def basis_in_ambient(self):
+        """An overlattice's basis in the old rational coordinates, as columns."""
+        basis, denom = self._ambient  # only `overlattice` sets it
+        return [[Fraction(x, denom) for x in row] for row in basis]
+
     def disc_generator_lifts(self):
         """Lifts in L-dual (basis coordinates) of the D_L generators."""
         d, u, v, nontrivial = self._snf_data()
@@ -306,8 +312,7 @@ def overlattice(L, glue):
         raise NotIntegral("generated group is not an integral lattice")
     labels = [f"m{i+1}" for i in range(n)]
     M = Lattice([[x // denom2 for x in row] for row in scaled_gram], labels)
-    # columns: new basis in the old rational coordinates
-    M.basis_in_ambient = [[Fraction(x, denom) for x in row] for row in basis]
+    M._ambient = (basis, denom)
     return M, index
 
 

@@ -616,8 +616,10 @@ def lift_B(q, r_minus, prec):
 
 
 def principal_part(F):
-    """All (element, exponent, coefficient) with exponent <= 0."""
+    """All (element, exponent, coefficient) with exponent <= 0; shared series' terms made once."""
+    series = {id(f): f for f in F.components.values()}
     # lead + i*step <= 0 (in 24ths) for the first -lead // step + 1 terms
-    return [(x, Fraction(f.lead + i * f.step, N), Fraction(c, f.den))
-            for x, f in sorted(F.components.items())
-            for i, c in enumerate(f.coeffs[:max(0, -f.lead // f.step + 1)]) if c]
+    terms = {k: [(Fraction(f.lead + i * f.step, N), Fraction(c, f.den))
+                 for i, c in enumerate(f.coeffs[:max(0, -f.lead // f.step + 1)]) if c]
+             for k, f in series.items()}
+    return [(x, *t) for x, f in sorted(F.components.items()) for t in terms[id(f)]]

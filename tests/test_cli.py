@@ -230,15 +230,15 @@ def test_weil_matrix_against_per_entry_rendering(capsys, expr, word):
 
 def former_weil_matrix_rendering(mat, as_json):
     """What `weil matrix` printed before its byte table: a join of the padded
-    names per row, and json.dumps of the payload.  Kept as the byte oracle."""
-    names, index = mat.distinct_entries()
-    index = index.tolist()
+    entries per row, and json.dumps of the payload.  Kept as the byte oracle;
+    it reads each entry by `entry(i, j)`, so it shares no code with
+    `distinct_entries`, which the CLI renders from."""
+    rows = [[str(mat.entry(i, j)) for j in range(mat.n)] for i in range(mat.n)]
     if as_json:
-        payload = {"schema": 1, "n": mat.n, "entries": [[names[k] for k in row] for row in index]}
+        payload = {"schema": 1, "n": mat.n, "entries": rows}
         return json.dumps(payload, separators=(",", ":")) + "\n"
-    width = max(map(len, names))
-    padded = [s.rjust(width) for s in names]
-    return "".join("  ".join([padded[k] for k in row]) + "\n" for row in index)
+    width = max(len(s) for row in rows for s in row)
+    return "".join("  ".join(s.rjust(width) for s in row) + "\n" for row in rows)
 
 
 def catalog_forms(max_a):

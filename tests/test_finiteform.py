@@ -4,7 +4,7 @@ against set spans and 2^a scans."""
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +27,7 @@ from k3lat.finiteform import (
     _eliminate,
     _encode,
     _insert,
+    _isotropic_elements,
     _reduce,
 )
 from k3lat.lattice import (
@@ -414,6 +415,83 @@ def test_subgroups_and_quotients_against_span_scans():
                 assert quotient_form(q, G) == scan_quotient_form(q, gens, span), (name, k)
                 checked += 1
     assert checked > 300
+
+
+def lazy_scan_forms():
+    """Every distinct catalog form with a <= 12, the a = 12 glue source
+    U(2)^2 + E8(2), and the form of every block-sum witness, each as a fresh
+    form whose table of q is not built."""
+    forms = dict(catalog_forms(12))
+    forms["U(2)^2 + E8(2)"] = form_of("U(2)^2 + E8(2)")
+    for e in geography_table():
+        r, a, delta = e.triplet
+        for sig in ((1, r - 1), (2, 20 - r)):
+            forms[(sig, a, delta)] = discriminant_form(block_sum_witness(*sig, a, delta))
+    seen = {}
+    for name, q in forms.items():
+        seen.setdefault((tuple(q.qh_gen), tuple(q.rows)), name)
+    return [(name, FiniteQuadraticForm._of(len(qh), list(qh), list(rows)))
+            for (qh, rows), name in seen.items()]
+
+
+@pytest.mark.parametrize("max_order", [2, 4])
+def test_lazy_scan_prefixes_against_span_scan(max_order):
+    """The first k subgroups of the lazy scan, for k up to 64, are the first
+    k of the set-span search over the whole table, with the same generators,
+    and taking them leaves q's table unbuilt."""
+    forms = lazy_scan_forms()
+    assert len(forms) > 50 and max(q.a for _, q in forms) == 12
+    for name, q in forms:
+        got = [G._gens for G in islice(iter_isotropic_subgroups(q, max_order), 64)]
+        assert q._qtable is None, name
+        want = [gens for gens, _ in islice(scan_isotropic_subgroups(q, max_order), 64)]
+        assert got == want, name
+
+
+def test_isotropic_stream_yields_the_table_zeros():
+    """Run to its end, the stream of isotropic elements is the zeros of
+    qh_table() past 0, in increasing order, whether it doubles the table
+    itself (leaving it unbuilt) or reads the built one."""
+    for name, q in lazy_scan_forms():
+        doubled = list(_isotropic_elements(q))
+        assert q._qtable is None, name
+        table = q.qh_table()
+        want = [x for x in range(1, 1 << q.a) if table[x] == 0]
+        assert doubled == want, name
+        assert list(_isotropic_elements(q)) == want, name
+
+
+def test_glue_search_builds_no_table(monkeypatch):
+    """find_isogeny_glue on U(2)^2 + E8(2) (a = 12) to a = 10 finds its G
+    without qh_table: the form it scans keeps its table unbuilt, and the
+    scan doubles q's table once, as the element 1 is isotropic."""
+    from k3lat import geography
+
+    calls, scanned, reach = [], [], []
+    qh_table = FiniteQuadraticForm.qh_table
+    doublings = FiniteQuadraticForm._doublings
+    scan = geography.iter_isotropic_subgroups
+
+    def spy_table(self):
+        calls.append(self)
+        return qh_table(self)
+
+    def spy_doublings(self):
+        for table in doublings(self):
+            reach.append(len(table))
+            yield table
+
+    def spy_scan(q, max_order):
+        scanned.append(q)
+        return scan(q, max_order)
+
+    monkeypatch.setattr(FiniteQuadraticForm, "qh_table", spy_table)
+    monkeypatch.setattr(FiniteQuadraticForm, "_doublings", spy_doublings)
+    monkeypatch.setattr(geography, "iter_isotropic_subgroups", spy_scan)
+    hit = geography.find_isogeny_glue(parse_lattice("U(2)^2 + E8(2)"), 10, 0)
+    assert hit is not None and hit[0]._gens == [1]
+    assert calls == [] and reach == [2]
+    assert [q.a for q in scanned] == [12] and scanned[0]._qtable is None
 
 
 @given(st.integers(1, 8).flatmap(lambda a: st.tuples(

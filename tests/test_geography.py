@@ -292,6 +292,66 @@ def test_find_isogeny_glue_against_quotient_invariants():
     assert found.count(True) >= 20 and found.count(False) >= 20
 
 
+def fraction_lift_glue(L, a_target, delta_target):
+    """The former find_isogeny_glue: the D_L generator lifts as Fractions,
+    added coordinate by coordinate, and the scan reading q's whole table,
+    built first.  Kept as the oracle of the glue grid."""
+    form = discriminant_form(L)
+    form.qh_table()
+    drop = form.a - a_target
+    gamma, _ = form.characteristic_solve()
+    t_plus, t_minus = L.signature()
+    if (drop < 0 or (gamma == 0 and delta_target == 1) or not _lattice_exists(
+            t_plus, t_minus, a_target, delta_target, (t_plus - t_minus) % 8)):
+        return None
+    rank_needed = drop // 2
+    lifts = L.disc_generator_lifts()
+    for G in iter_isotropic_subgroups(form, 2 ** rank_needed):
+        if G.rank != rank_needed or int(not G._has(gamma)) != delta_target:
+            continue
+        vectors = [[sum(col) for col in zip(*(lifts[i] for i, bit in enumerate(gen) if bit))]
+                   for gen in G.generators]
+        M, _index = overlattice(L, vectors)
+        inv = main_invariant(M)
+        if (inv.a, inv.delta) == (a_target, delta_target):
+            return G, M
+    return None
+
+
+def glue_grid():
+    """The overlattice queries of the table: for the L+ and L- block-sum
+    witnesses of each triplet (r, a, delta), every a' = a - 2k with k >= 1
+    and every delta'."""
+    queries = []
+    for e in geography_table():
+        r, a, delta = e.triplet
+        for sig in ((1, r - 1), (2, 20 - r)):
+            L = block_sum_witness(*sig, a, delta)
+            queries += [(L, a - 2 * k, d_t) for k in range(1, a // 2 + 1) for d_t in (0, 1)]
+    return queries
+
+
+def test_glue_grid_against_fraction_lift_oracle():
+    """Over the 604 queries of the grid: the same G generators, M gram and
+    basis_in_ambient as the Fraction-lift oracle, 258 hits, and each hit's M
+    has the target invariant by the Smith form of its gram."""
+    queries = glue_grid()
+    assert len(queries) == 604
+    hits = 0
+    for L, a_t, d_t in queries:
+        got, want = find_isogeny_glue(L, a_t, d_t), fraction_lift_glue(L, a_t, d_t)
+        assert (got is None) == (want is None), (L, a_t, d_t)
+        if got is None:
+            continue
+        (G, M), (G0, M0) = got, want
+        assert G.generators == G0.generators, (L, a_t, d_t)
+        assert M.gram == M0.gram and M.basis_in_ambient == M0.basis_in_ambient
+        inv = main_invariant(Lattice(M.gram))
+        assert inv.as_tuple() == (*L.signature(), a_t, d_t), (L, a_t, d_t)
+        hits += 1
+    assert hits == 258
+
+
 def test_find_isogeny_glue_can_fail():
     L = parse_lattice("U(2)")
     assert find_isogeny_glue(L, 2, 1) is None

@@ -225,6 +225,25 @@ def test_overlattice_trivial_glue():
     assert M.gram == L.gram
 
 
+def test_basis_in_ambient_is_made_on_read():
+    """An overlattice's basis_in_ambient is made on each read, as columns of
+    Fractions over one denominator that map M's basis into L's rational
+    span with M's gram; a lattice that is not an overlattice has none."""
+    L = m_lattice(10)
+    M, index = overlattice(L, [[Fraction(3, 2)] + [Fraction(-1, 2)] * 9])
+    first = M.basis_in_ambient
+    assert first == M.basis_in_ambient and first is not M.basis_in_ambient
+    assert all(type(x) is Fraction for row in first for x in row)
+    cols = [[row[j] for row in first] for j in range(L.rank)]
+    assert [[fraction_pair(L, x, y) for y in cols] for x in cols] == M.gram
+    first[0][0] += 1  # a caller's edit does not reach the next read
+    assert M.basis_in_ambient != first
+    for plain in (L, parse_lattice("U + E8"), Lattice(M.gram)):
+        assert not hasattr(plain, "basis_in_ambient")
+        with pytest.raises(AttributeError):
+            plain.basis_in_ambient
+
+
 def test_overlattice_rejects_bad_glue():
     L = parse_lattice("U(2)")
     with pytest.raises(ValueError, match="wrong length"):

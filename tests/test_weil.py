@@ -17,7 +17,7 @@ from k3lat.finiteform import (
 )
 from k3lat.geography import fixture_catalog
 from k3lat.lattice import parse_lattice, discriminant_form, induced_disc_matrix
-from k3lat.qseries import psi_m, split_congruence
+from k3lat.qseries import N, psi_m, split_congruence
 from k3lat import weil as weil_module
 from k3lat.weil import (
     CHECK_COLUMNS,
@@ -266,6 +266,25 @@ def test_principal_part_trivial_cases():
     constF = VectorValuedForm(q, {(0,): FracSeries.one(4),
                                   (1,): FracSeries.zero(4)}, 0)
     assert principal_part(constF) == [((0,), 0, 1)]
+
+
+def comprehension_principal_part(F):
+    """The former principal_part: each component's Fraction terms made
+    anew, shared series or not.  Kept as the oracle."""
+    return [(x, Fraction(f.lead + i * f.step, N), Fraction(c, f.den))
+            for x, f in sorted(F.components.items())
+            for i, c in enumerate(f.coeffs[:max(0, -f.lead // f.step + 1)]) if c]
+
+
+@pytest.mark.parametrize("r_minus", range(5, 12))
+def test_principal_part_against_the_comprehension(r_minus):
+    """The lift family's principal parts, terms made once per shared series,
+    equal the per-component comprehension, in the same order."""
+    q = discriminant_form(parse_lattice(f"<2>^2 + <-2>^{r_minus - 2}"))
+    B = lift_B(q, r_minus, 8)
+    assert len({id(f) for f in B.components.values()}) < len(B.components)
+    want = comprehension_principal_part(B)
+    assert want and principal_part(B) == want
 
 
 # ---------------------------------------------------------------------------
