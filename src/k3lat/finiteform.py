@@ -11,6 +11,7 @@ edge.
 """
 
 from fractions import Fraction
+from copy import copy
 from functools import cached_property
 from itertools import product, tee
 
@@ -292,10 +293,9 @@ def forms_isometric(q1, q2):
 
 
 def _isotropic_elements(q):
-    """The nonzero x with q(x) = 0 in increasing order, read off q's table when
-    built, else off its doublings: the k-th gives [2^k, 2^(k+1)), made when read."""
-    tables = [q._qtable] * q.a if q._qtable else q._doublings()
-    return (x for k, t in enumerate(tables) for x in range(1 << k, 2 << k) if not t[x])
+    """The nonzero x with q(x) = 0 in increasing order, read off q's doublings:
+    the k-th gives [2^k, 2^(k+1)), made when read."""
+    return (x for k, t in enumerate(q._doublings()) for x in range(1 << k, 2 << k) if not t[x])
 
 
 def iter_isotropic_subgroups(q, max_order):
@@ -317,7 +317,7 @@ def iter_isotropic_subgroups(q, max_order):
             grown = dict(basis)
             _insert(grown, c)
             # a copy of the tee resumes after c, sharing the elements read so far
-            yield from extend(gens + [c], grown, bgens, rest.__copy__())
+            yield from extend(gens + [c], grown, bgens, copy(rest))
 
     yield from extend([], {}, [], tee(_isotropic_elements(q), 1)[0])
 

@@ -146,14 +146,10 @@ def find_isogeny_glue(L, a_target, delta_target):
             t_plus, t_minus, a_target, delta_target, (t_plus - t_minus) % 8)):
         return None
     rank_needed = drop // 2
-    d, u, v, nontrivial = L._snf_data()
     for G in iter_isotropic_subgroups(form, 2 ** rank_needed):
         if G.rank != rank_needed or int(not G._has(gamma)) != delta_target:
             continue
-        # D_L's generators lift to v_i / 2 (Smith columns), so G's to half their sums
-        picks = [[i for i, bit in zip(nontrivial, gen) if bit] for gen in G.generators]
-        vectors = [[Fraction(sum(row[i] for i in pick), 2) for row in v] for pick in picks]
-        M, _index = overlattice(L, vectors)
+        M, _index = overlattice(L, [L.lift_over_two(gen) for gen in G.generators])
         inv = main_invariant(M)
         if (inv.a, inv.delta) == (a_target, delta_target):
             return G, M

@@ -129,6 +129,12 @@ class Lattice:
         return [[Fraction(v[r][i], d[i][i]) for r in range(self.rank)]
                 for i in nontrivial]
 
+    def lift_over_two(self, bits):
+        """A lift in L-dual of the D_L element with these bits, L 2-elementary: sum(v_i) / 2."""
+        *_, v, nontrivial = self._snf_data()
+        pick = [i for i, bit in zip(nontrivial, bits) if bit]
+        return [Fraction(sum(row[i] for i in pick), 2) for row in v]
+
     def disc_class(self, x):
         """Coordinates of x + L in D_L = prod Z/d_i, for x in the dual."""
         xs, den = _over_common_den(x)

@@ -450,8 +450,8 @@ def test_lazy_scan_prefixes_against_span_scan(max_order):
 
 def test_isotropic_stream_yields_the_table_zeros():
     """Run to its end, the stream of isotropic elements is the zeros of
-    qh_table() past 0, in increasing order, whether it doubles the table
-    itself (leaving it unbuilt) or reads the built one."""
+    qh_table() past 0, in increasing order, and leaves the table unbuilt;
+    it doubles q's values itself even where the table is built."""
     for name, q in lazy_scan_forms():
         doubled = list(_isotropic_elements(q))
         assert q._qtable is None, name

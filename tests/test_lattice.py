@@ -244,6 +244,22 @@ def test_basis_in_ambient_is_made_on_read():
             plain.basis_in_ambient
 
 
+def test_lift_over_two_against_generator_lifts():
+    """On every block-sum witness, the lift over 2 of a D_L element is the sum
+    of its generators' lifts, and lies in that element's class."""
+    rng = random.Random(31)
+    for e in geography_table():
+        r, a, delta = e.triplet
+        for sig in ((1, r - 1), (2, 20 - r)):
+            L = block_sum_witness(*sig, a, delta)
+            lifts = L.disc_generator_lifts()
+            for bits in [[1] * a] + [[rng.randrange(2) for _ in range(a)] for _ in range(3)]:
+                lift = L.lift_over_two(bits)
+                picked = [x for x, bit in zip(lifts, bits) if bit]
+                assert lift == [sum((x[r] for x in picked), Fraction(0)) for r in range(L.rank)]
+                assert L.disc_class(lift) == tuple(bits), (sig, a, delta, bits)
+
+
 def test_overlattice_rejects_bad_glue():
     L = parse_lattice("U(2)")
     with pytest.raises(ValueError, match="wrong length"):
