@@ -6,6 +6,7 @@ audit, with stable JSON output for scripting.
 import argparse
 import functools
 import json
+import os
 import sys
 
 from ._lazy import LazyNumpy
@@ -374,10 +375,16 @@ def main(argv=None):
     if args is None or extra:
         args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone before a buffered tail shows here, not at exit
+        return code
     except K3LatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout, as `k3lat geo list | head -1` does
+        # what is left of it goes to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

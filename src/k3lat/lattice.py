@@ -536,43 +536,35 @@ def parse_lattice(expr):
     tokens = _tokenize(expr)
     if not tokens:
         raise ParseError("empty expression", 0)
-    terms = []
-    i = 0
-    expect_atom = True
-    while i < len(tokens):
+    tokens.append((None, tokens[-1][1]))  # the end, at the last token's position
+    parts, pieces, rank, i = [], [], 0, 0
+    while True:
         tok, pos = tokens[i]
-        if expect_atom:
-            if tok in ("+", "^"):
-                raise ParseError(f"expected a lattice atom, got {tok!r}", pos)
-            atom = _atom_lattice(tok, pos)
-            mult = 1
-            if i + 1 < len(tokens) and tokens[i + 1][0] == "^":
-                if i + 2 >= len(tokens):
-                    raise ParseError("dangling '^'", tokens[i + 1][1])
-                ptok, ppos = tokens[i + 2]
-                try:
-                    mult = int(ptok)
-                except ValueError:
-                    raise ParseError(f"power must be an integer, got {ptok!r}", ppos)
-                if mult < 1:
-                    raise ParseError("power must be >= 1", ppos)
-                i += 2
-            terms.append((atom, mult))
-            expect_atom = False
-        else:
-            if tok != "+":
-                raise ParseError(f"expected '+', got {tok!r}", pos)
-            expect_atom = True
-        i += 1
-    if expect_atom:
-        raise ParseError("dangling '+'", tokens[-1][1])
-    _check_rank(sum(atom.rank * mult for atom, mult in terms))
-    parts = []
-    pieces = []
-    for atom, mult in terms:
-        base = atom.expr
-        parts.append(base if mult == 1 else f"{base}^{mult}")
-        pieces.extend([atom] * mult)
+        if tok in ("+", "^", None):  # an atom is due; None is the end, past a '+'
+            due = f"expected a lattice atom, got {tok!r}" if tok else "dangling '+'"
+            raise ParseError(due, pos)
+        atom, mult = _atom_lattice(tok, pos), 1
+        if tokens[i + 1][0] == "^":
+            i += 2
+            tok, pos = tokens[i]
+            if tok is None:
+                raise ParseError("dangling '^'", pos)
+            try:
+                mult = int(tok)
+            except ValueError:
+                raise ParseError(f"power must be an integer, got {tok!r}", pos)
+            if mult < 1:
+                raise ParseError("power must be >= 1", pos)
+        rank += atom.rank * mult
+        parts.append(atom.expr if mult == 1 else f"{atom.expr}^{mult}")
+        pieces += [atom] * mult if rank <= MAX_RANK else []  # no huge list: _check_rank refuses
+        tok, pos = tokens[i + 1]
+        if tok is None:
+            break
+        if tok != "+":
+            raise ParseError(f"expected '+', got {tok!r}", pos)
+        i += 2
+    _check_rank(rank)
     out = direct_sum(*pieces) if len(pieces) > 1 else pieces[0]
     out.expr = " + ".join(parts)
     return out

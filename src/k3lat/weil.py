@@ -172,34 +172,25 @@ class CycMatrix:
     def distinct_entries(self):
         """(names, index): str of each distinct entry, built once, and the
         n x m intp array of positions in names, so entry (i, j) renders as
-        names[index[i, j]].  An entry's code is its layers in mixed radix,
-        each varying layer over its own min..max range; codes in a range of
-        at most max(n m, 3^4) are counted (np.bincount), with no sort.  A word's
-        always are: one rho(g)'s nonzero entries share one absolute value, so
-        each layer lies in -1..1.  Wider ranges go through np.unique on layer rows."""
+        names[index[i, j]].  A word's layers lie in -1..1, as one rho(g)'s
+        nonzero entries share one absolute value: there an entry's code is
+        sum_k (l_k + 1) 3^k, and the codes are counted (np.bincount), with no
+        sort.  Any other matrix goes through np.unique on layer rows."""
         n, m = self.comps.shape[1:]
         flat = self.comps.reshape(4, n * m)
-        lows, highs = flat.min(axis=1).tolist(), flat.max(axis=1).tolist()
-        radix = [1]  # radix[k]: layer k's place value, the product of the ranges before it
-        for lo, hi in zip(lows, highs):
-            radix.append(radix[-1] * (hi - lo + 1))
-        if radix[-1] > max(n * m, 3 ** 4):
+        if self.max_abs > 1:
             rows, index = np.unique(flat.T, axis=0, return_inverse=True)
             coeffs = rows.tolist()
         else:
-            varying = [k for k in range(4) if highs[k] > lows[k]]
-            code = None if varying else np.zeros(n * m, np.intp)
-            for k in varying:
-                term = np.subtract(flat[k], lows[k], dtype=np.intp)
-                if radix[k] > 1:
-                    term *= radix[k]
-                code = term if code is None else np.add(code, term, out=code)
-            counts = np.bincount(code, minlength=radix[-1])
+            code = flat[0] + 40  # 40 = sum_k 3^k, each layer's + 1
+            for k in range(1, 4):
+                if flat[k].any():
+                    code += flat[k] * 3 ** k
+            counts = np.bincount(code, minlength=81)
             codes = np.flatnonzero(counts)
             counts[codes] = np.arange(len(codes))  # now code -> position in codes
             index = counts.take(code)
-            coeffs = zip(*[(codes // radix[k] % (highs[k] - lows[k] + 1) + lows[k]).tolist()
-                           if k in varying else [lows[k]] * len(codes) for k in range(4)])
+            coeffs = [[c // 3 ** k % 3 - 1 for k in range(4)] for c in codes.tolist()]
         return [str(CycEight(e, self.denom_exp)) for e in coeffs], index.reshape(n, m)
 
     def __eq__(self, other):

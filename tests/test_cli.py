@@ -17,6 +17,8 @@ from k3lat.lattice import discriminant_form, parse_lattice
 from k3lat.vectors import short_vector_arrays, short_vectors
 from k3lat.weil import weil_word
 
+from helpers import catalog_forms
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -241,26 +243,13 @@ def former_weil_matrix_rendering(mat, as_json):
     return "".join("  ".join(s.rjust(width) for s in row) + "\n" for row in rows)
 
 
-def catalog_forms(max_a):
-    """name -> q for the even catalog lattices with a <= max_a."""
-    from k3lat.geography import fixture_catalog
-
-    forms = {}
-    for fix in fixture_catalog():
-        if fix.lattice.is_even():
-            q = discriminant_form(fix.lattice)
-            if q.a <= max_a:
-                forms.setdefault(fix.name, q)
-    return forms
-
-
 @pytest.mark.parametrize("as_json", [False, True])
 @pytest.mark.parametrize("word", ["S", "T", "S^-1", "T^-1", "T,S", "S,T,S"])
 def test_weil_matrix_bytes_against_former_rendering(capsys, monkeypatch, word, as_json):
     """The byte table and the per-row JSON join print what the former
     renderer printed, for every catalog form with a <= 6 (a = 0 included),
     read through the CLI with the form looked up by its catalog name."""
-    forms = catalog_forms(6)
+    forms = dict(catalog_forms(6))
     assert len(forms) >= 12 and {q.a for q in forms.values()} == set(range(7))
     monkeypatch.setattr(cli, "_weil_form", forms.__getitem__)
     for name, q in forms.items():
@@ -379,6 +368,34 @@ def test_usage_error_exit_1(capsys):
         main(["geo", "list", "--bogus"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [["geo", "list"], ["vec", "short", "E8", "--bound", "6"]])
+def test_closed_output_exit_1(argv, unbuffered):
+    """`k3lat geo list | head -1`: a reader gone before the output ends it
+    with status 1 and nothing on stderr, with stdout written through
+    (PYTHONUNBUFFERED) or buffered. The pipe's read end is closed before the
+    child starts, so its first write to stdout fails."""
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import k3lat
+
+    src = str(Path(k3lat.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "k3lat", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_deterministic_output(capsys):

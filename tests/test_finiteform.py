@@ -2,7 +2,6 @@
 quotients, isometries, induced actions, and the reduced-echelon F2 kernel
 against set spans and 2^a scans."""
 
-from fractions import Fraction
 from functools import cache
 from itertools import combinations, islice, product
 
@@ -37,6 +36,8 @@ from k3lat.lattice import (
     induced_disc_matrix,
 )
 from k3lat.geography import block_sum_witness, fixture_catalog, geography_table
+
+from helpers import catalog_forms, oracle_b, oracle_q
 
 
 def form_of(expr):
@@ -215,29 +216,7 @@ def test_degenerate_b_detected():
 
 
 # ---------------------------------------------------------------------------
-# oracles from the defining sums over the generator data q_gen, b_mat
-
-def oracle_q(q, x):
-    """q(x) = sum_i x_i q(e_i) + sum_{i<j} x_i x_j 2b(e_i, e_j) mod 2."""
-    ones = [i for i in range(q.a) if x[i]]
-    total = sum((q.q_gen[i] for i in ones), Fraction(0))
-    total += sum((2 * q.b_mat[i][j] for i in ones for j in ones if i < j), Fraction(0))
-    return total % 2
-
-
-def oracle_b(q, x, y):
-    """b(x, y) = sum_{i,j} x_i y_j b(e_i, e_j) mod 1."""
-    return sum((q.b_mat[i][j] for i in range(q.a) if x[i]
-                for j in range(q.a) if y[j]), Fraction(0)) % 1
-
-
-def catalog_forms(max_a):
-    for fix in fixture_catalog():
-        if fix.lattice.is_even():
-            q = discriminant_form(fix.lattice)
-            if q.a <= max_a:
-                yield fix.name, q
-
+# against the oracles from the defining sums over q_gen, b_mat (helpers.py)
 
 def test_q_b_q_values_against_defining_sums():
     import random

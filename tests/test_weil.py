@@ -15,7 +15,6 @@ from k3lat.finiteform import (
     _encode,
     milgram_signature,
 )
-from k3lat.geography import fixture_catalog
 from k3lat.lattice import parse_lattice, discriminant_form, induced_disc_matrix
 from k3lat.qseries import N, psi_m, split_congruence
 from k3lat import weil as weil_module
@@ -39,20 +38,7 @@ from k3lat.weil import (
     weil_scalar,
 )
 
-
-def catalog_forms(max_a=8):
-    seen = set()
-    for fix in fixture_catalog():
-        L = fix.lattice
-        if not L.is_even():
-            continue
-        q = discriminant_form(L)
-        if q.a > max_a:
-            continue
-        if fix.name in seen:
-            continue
-        seen.add(fix.name)
-        yield fix.name, q
+from helpers import catalog_forms, oracle_b, oracle_q, perfbench
 
 
 def test_s_symmetric_and_unitary():
@@ -288,19 +274,7 @@ def test_principal_part_against_the_comprehension(r_minus):
 
 
 # ---------------------------------------------------------------------------
-# oracles from the defining sums over the generator data q_gen, b_mat
-
-def oracle_q(q, x):
-    ones = [i for i in range(q.a) if x[i]]
-    total = sum((q.q_gen[i] for i in ones), Fraction(0))
-    total += sum((2 * q.b_mat[i][j] for i in ones for j in ones if i < j), Fraction(0))
-    return total % 2
-
-
-def oracle_b(q, x, y):
-    return sum((q.b_mat[i][j] for i in range(q.a) if x[i]
-                for j in range(q.a) if y[j]), Fraction(0)) % 1
-
+# against the oracles from the defining sums over q_gen, b_mat (helpers.py)
 
 def test_one_element_against_all_pairs_scan():
     # the catalog forms up to a = 6 all have a constant diagonal; these do not
@@ -495,10 +469,11 @@ def test_zero_block_maps_to_zero():
 
 
 def test_distinct_entries_both_key_paths(monkeypatch):
-    """An entry's code spans the product R of its varying layers' ranges.
-    R <= max(n m, 3^4) is counted (np.bincount), as for every word's
-    entries; a wider R goes through np.unique on the rows of layers, also
-    past int64; on each path names[index[i][j]] renders entry (i, j)."""
+    """max_abs alone picks the path: layers in -1..1, as in every word, are
+    coded in base 3 and counted (np.bincount); any wider entry, however few
+    distinct entries there are, goes through np.unique on the rows of
+    layers, also past int64; on each path names[index[i][j]] renders entry
+    (i, j)."""
     import numpy as np
 
     paths = []
@@ -520,19 +495,19 @@ def test_distinct_entries_both_key_paths(monkeypatch):
     # an odd scale keeps the denominator, and pushes the entries past 2^15
     big = CycMatrix(small.comps * 3 ** 10, small.denom_exp)
     assert big.max_abs >= 1 << 15
-    # four layers over -1..1 make R = 3^4 > n m = 12, the limit; one range of 82 is past it
+    # four layers over -1..1, 3^4 codes for n m = 12 entries, are counted; a layer to -41 is not
     cube = [-1, 0, 1, 1, 0, -1, 0, 1, -1, 1, 1, 0]
     limit = layers(l0=cube, l1=cube[::-1], l2=cube[1:] + cube[:1], l3=cube[2:] + cube[:2])
     past = layers(l1=[-41, -3, 0, 1, 2, 3, 4, 5, 40, 3, 2, -5])
-    # R = n m = 100 is counted, R = 101 is past it
+    # one layer over -50..49 or -50..50: 100 distinct entries, past -1..1
     wide = layers((10, 10), l1=np.arange(100) - 50)
     wider = layers((10, 10), l1=np.arange(100) - 50 + (np.arange(100) == 99))
-    # +-(2^15 - 1) in every layer, R = (2^16 - 1)^4 > 2^63
+    # +-(2^15 - 1) in every layer
     top = (1 << 15) - 1
     edge = CycMatrix(np.array([[[top, -top, 0]], [[-top, top, 1]], [[0, top, -top]],
                                [[top, top, -top]]], dtype=np.int64), 3)
     cases = [(small, ("bincount", "i")), (limit, ("bincount", "i")),
-             (past, ("unique", "i")), (wide, ("bincount", "i")), (wider, ("unique", "i")),
+             (past, ("unique", "i")), (wide, ("unique", "i")), (wider, ("unique", "i")),
              (big, ("unique", "i")), (edge, ("unique", "i"))]
     for k, (mat, path) in enumerate(cases):
         del paths[:]
@@ -547,12 +522,54 @@ def test_distinct_entries_both_key_paths(monkeypatch):
                 seen.add(index[i][j])
         assert seen == set(range(len(names))), k
     assert len(small.distinct_entries()[0]) == len(big.distinct_entries()[0])
-    # every word's entries are counted, "<2>" --word S (R = 9 > n m = 4) among them
+    # every word's entries are counted, "<2>" --word S (n m = 4 entries) among them
     for expr, word in [("<2>", ["S"]), ("U(2) + <2>", ["S", "T", "S"]),
                        ("<2>^2 + <-2>^3", ["T^-1", "S", "T", "T", "S^-1"]), ("M5", ["S", "S"])]:
         del paths[:]
         weil_word(discriminant_form(parse_lattice(expr)), word).distinct_entries()
         assert paths == [("bincount", "i")], (expr, word)
+
+
+def test_word_layers_lie_in_minus_one_to_one(monkeypatch):
+    """The fact distinct_entries rests on: one rho(g)'s nonzero entries share
+    one absolute value (Scheithauer, IMRN 2009), so a word's layers lie in
+    -1..1.  For S, T, S^-1, T^-1, T S and S T S on the catalog forms to
+    a = 8, and for every `weil matrix` job of the weil-relations workload,
+    max_abs is the largest |layer entry|, at most 1; the entries are counted,
+    with no np.unique, into the names and index that an np.unique oracle gives.
+    Layers 0 and 2 are nonzero in some word, so a code that skips one shows;
+    1 and 3 are zero in every word here (the `limit` matrix above fills all
+    four)."""
+    import numpy as np
+
+    workloads = perfbench("workloads")
+    jobs = dict.fromkeys((job[3], job[5]) for job in workloads.universe(workloads.WEIL_RELATIONS)
+                         if job[1:3] == ("weil", "matrix"))
+    cases = [(name, q, word) for name, q in catalog_forms(max_a=8)
+             for word in ("S", "T", "S^-1", "T^-1", "T,S", "S,T,S")]
+    cases += [(expr, discriminant_form(parse_lattice(expr)), word) for expr, word in jobs]
+    assert len(jobs) >= 12 and {q.a for _, q, _ in cases} == set(range(9))
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.unique on a word")
+
+    nonzero = np.zeros(4, bool)
+    for name, q, word in cases:
+        mat = weil_word(q, word.split(","))
+        flat = mat.comps.reshape(4, -1)
+        assert mat.max_abs == int(np.abs(flat).max()) <= 1, (name, word)
+        nonzero |= flat.any(axis=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "unique", no_sort)
+            names, index = mat.distinct_entries()
+        # the oracle's key, layers in base 8, is one-to-one on -1..1 and sorts fast
+        _, first, inverse = np.unique(8 ** np.arange(4) @ flat, return_index=True,
+                                      return_inverse=True)
+        want = np.array([str(CycEight(e, mat.denom_exp)) for e in flat[:, first].T.tolist()],
+                        dtype=object)
+        assert len(names) == len(first), (name, word)
+        assert (np.array(names, dtype=object)[index.ravel()] == want[inverse]).all(), (name, word)
+    assert nonzero.tolist() == [True, False, True, False]
 
 
 # ---------------------------------------------------------------------------
