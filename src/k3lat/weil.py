@@ -1,21 +1,23 @@
 """The Weil representation of Mp2(Z) attached to a 2-elementary form, with
-exact matrices over the 8th-cyclotomic ring, the v_k indicator vectors, the
-characteristic element 1_L, the six-coset lift components, and principal
-parts.
+exact matrices over the Gaussian ring Z[i, 1/2], the v_k indicator vectors,
+the characteristic element 1_L, the six-coset lift components, and
+principal parts.
 
-Matrices and blocks of columns are stored as four integer numpy layers (the
-zeta-components) over a common power-of-two denominator.  Words in S and T
-act on such blocks without dense generator matrices: rho(T) is a diagonal of
-8th roots of unity, and rho(S) is a character sum, one fast Walsh-Hadamard
-transform over the 2^a axis (Scheithauer, IMRN 2009; Stromberg, Math. Z.
-2013), so each generator costs O(a 2^a) per column: radix-2 butterflies in
-place on a large stack, and up to WHT_PRODUCT_MAX entries one 8 x 8 matmul
-per three bits (8 a 2^a / 3 operations in a/3 numpy calls where the
-butterflies make a few per bit).  Its scalar places each transformed layer
-with a sign, no product mixes them.  rho(S)^-1 is the same transform times
-the conjugate scalar; the Gauss sum behind that scalar is what certifies
-rho(S) unitary (see weil_scalar), so no dense product checks it.  Only full
-matrices are capped in a (MAX_DENSE_A).
+Every entry lies in Z[i, 1/2]: rho(T) is a diagonal of powers of i, and
+as sigma = a mod 2 the scalar of rho(S) is i^k or i^k (1 + r i), r = +-1,
+over a power of 2.  Matrices and blocks of columns are stored as two
+integer numpy parts (real and imaginary) over a common power-of-two
+denominator.  Words in S and T act on such blocks without dense generator
+matrices: rho(S) is a character sum, one fast Walsh-Hadamard transform over
+the 2^a axis (Scheithauer, IMRN 2009; Stromberg, Math. Z. 2013), so each
+generator costs O(a 2^a) per column: radix-2 butterflies in place on a
+large stack, and up to WHT_PRODUCT_MAX entries one 8 x 8 matmul per three
+bits (8 a 2^a / 3 operations in a/3 numpy calls where the butterflies make
+a few per bit).  Its scalar places each transformed part with a sign, and
+for odd a one in-place step multiplies by 1 + r i.  rho(S)^-1 is the same
+transform times the conjugate scalar; the Gauss sum behind that scalar is
+what certifies rho(S) unitary (see weil_scalar), so no dense product checks
+it.  Only full matrices are capped in a (MAX_DENSE_A).
 """
 
 import weakref
@@ -44,9 +46,10 @@ np = LazyNumpy(globals())
 # Largest a for which a word is built as a full 2^a x 2^a matrix, or the
 # identity block is checked in chunks; words on a few columns, such as e_0,
 # have no cap.  At a = 10, as fresh processes on a 2-vCPU Xeon VM, `weil
-# check` peaks at 42 MiB (three 4 MiB chunks; 126 MiB with full blocks) in
-# 0.3-0.5 s, and `weil matrix --word S` at 54 MiB (two 32 MiB blocks).  Each
-# step up in a doubles a chunk and quadruples a full block.
+# check` peaks at 36 MiB (three 2 MiB chunks; 126 MiB with four-layer full
+# blocks) in 0.25-0.3 s, and `weil matrix --word S` at 54 MiB (two 16 MiB
+# blocks, whose pages of zeros, never written, stay out of RSS).  Each step
+# up in a doubles a chunk and quadruples a full block.
 MAX_DENSE_A = 10
 
 # Largest stack, in entries k n m, that _walsh_hadamard runs as radix-8
@@ -81,8 +84,8 @@ def _canonical(comps, denom_exp, in_place):
 
 
 class CycMatrix:
-    """An n x m matrix over Z[zeta_8, 1/2]: comps[k] holds the zeta^k layer,
-    all over 2^denom_exp.  Canonical: denom_exp minimal."""
+    """An n x m matrix over Z[i, 1/2]: comps[0] and comps[1] hold the real
+    and imaginary parts, both over 2^denom_exp.  Canonical: denom_exp minimal."""
 
     def __init__(self, comps, denom_exp):
         # an exact (object) result past int64 raises OverflowError here
@@ -91,7 +94,7 @@ class CycMatrix:
 
     @classmethod
     def _of(cls, comps, denom_exp, max_abs):
-        """From int64 layers already canonical, with their max_abs."""
+        """From int64 parts already canonical, with their max_abs."""
         out = cls.__new__(cls)
         out.comps, out.denom_exp, out.max_abs = comps, denom_exp, max_abs
         return out
@@ -104,30 +107,20 @@ class CycMatrix:
     def identity(cls, n, lo=0, hi=None):
         """Columns lo..hi-1 of the n x n identity, all of them by default."""
         hi = n if hi is None else hi
-        comps = np.zeros((4, n, hi - lo), dtype=np.int64)
+        comps = np.zeros((2, n, hi - lo), dtype=np.int64)
         comps[0, lo:hi].reshape(-1)[::hi - lo + 1] = 1  # the diagonal of a square view
         return cls._of(comps, 0, 1)
 
     def __mul__(self, other):
         """The dense product: the matrix-free actions' reference, and a perfbench span."""
         inner = self.comps.shape[2]
-        # an entry is a sum of at most 4 * inner products; where int64 could
+        # an entry is a sum of at most 2 * inner products; where int64 could
         # wrap, multiply exactly on Python ints instead
-        dtype = object if 4 * inner * self.max_abs * other.max_abs >> 63 else np.int64
-        a, b = self.comps.astype(dtype, copy=False), other.comps.astype(dtype, copy=False)
-        out = np.zeros((4, self.n, other.comps.shape[2]), dtype=dtype)
-        for i in range(4):
-            if not a[i].any():
-                continue
-            for j in range(4):
-                if not b[j].any():
-                    continue
-                prod_ij = a[i] @ b[j]
-                k = i + j
-                if k >= 4:
-                    out[k - 4] -= prod_ij
-                else:
-                    out[k] += prod_ij
+        dtype = object if 2 * inner * self.max_abs * other.max_abs >> 63 else np.int64
+        a, b = self.comps.astype(dtype, copy=False)
+        c, d = other.comps.astype(dtype, copy=False)
+        # (a + b i)(c + d i) = (a c - b d) + (a d + b c) i
+        out = np.stack([a @ c - b @ d, a @ d + b @ c])
         return CycMatrix(out, self.denom_exp + other.denom_exp)
 
     def __pow__(self, k):
@@ -141,8 +134,8 @@ class CycMatrix:
         return out
 
     def conjugate_transpose(self):
-        c0, c1, c2, c3 = self.comps.transpose(0, 2, 1)
-        return CycMatrix(np.stack([c0, -c3, -c2, -c1]), self.denom_exp)
+        re, im = self.comps.transpose(0, 2, 1)
+        return CycMatrix(np.stack([re, -im]), self.denom_exp)
 
     def inverse(self):
         """Inverse via unitarity; verified, so misuse raises rather than
@@ -162,8 +155,8 @@ class CycMatrix:
                                        for b in blocks], axis=2),
                        e, max(b.max_abs << e - b.denom_exp for b in blocks))
 
-    def entry(self, i, j):
-        return CycEight([int(self.comps[k][i][j]) for k in range(4)],
+    def entry(self, i, j):  # re + im i = re + im zeta^2
+        return CycEight((int(self.comps[0, i, j]), 0, int(self.comps[1, i, j]), 0),
                         self.denom_exp)
 
     def column(self, j):
@@ -172,26 +165,28 @@ class CycMatrix:
     def distinct_entries(self):
         """(names, index): str of each distinct entry, built once, and the
         n x m intp array of positions in names, so entry (i, j) renders as
-        names[index[i, j]].  A word's layers lie in -1..1, as one rho(g)'s
+        names[index[i, j]].  A word's parts lie in -1..1, as one rho(g)'s
         nonzero entries share one absolute value: there an entry's code is
-        sum_k (l_k + 1) 3^k, and the codes are counted (np.bincount), with no
-        sort.  Any other matrix goes through np.unique on layer rows."""
+        (re + 1) + 3 (im + 1), and the codes are counted (np.bincount), with
+        no sort.  Any other matrix goes through np.unique on (re, im) rows."""
         n, m = self.comps.shape[1:]
-        flat = self.comps.reshape(4, n * m)
+        flat = self.comps.reshape(2, n * m)
         if self.max_abs > 1:
-            rows, index = np.unique(flat.T, axis=0, return_inverse=True)
-            coeffs = rows.tolist()
+            parts, index = np.unique(flat.T, axis=0, return_inverse=True)
+            parts = parts.tolist()
         else:
-            code = flat[0] + 40  # 40 = sum_k 3^k, each layer's + 1
-            for k in range(1, 4):
-                if flat[k].any():
-                    code += flat[k] * 3 ** k
-            counts = np.bincount(code, minlength=81)
+            # summed in place: on `re + 3 * im + 4` numpy's temporary elision walks
+            # the stack (backtrace), which maps about 0.5 MB more of its library
+            code = flat[1] * 3
+            code += flat[0]
+            code += 4
+            counts = np.bincount(code, minlength=9)
             codes = np.flatnonzero(counts)
             counts[codes] = np.arange(len(codes))  # now code -> position in codes
             index = counts.take(code)
-            coeffs = [[c // 3 ** k % 3 - 1 for k in range(4)] for c in codes.tolist()]
-        return [str(CycEight(e, self.denom_exp)) for e in coeffs], index.reshape(n, m)
+            parts = [(c % 3 - 1, c // 3 - 1) for c in codes.tolist()]
+        return ([str(CycEight((re, 0, im, 0), self.denom_exp)) for re, im in parts],
+                index.reshape(n, m))
 
     def __eq__(self, other):
         if not isinstance(other, CycMatrix):
@@ -216,7 +211,7 @@ def _hadamard(s):
 
 def _walsh_hadamard(x):
     """In place over axis 1 of a (k, n, m) stack of contiguous layers, such as
-    a strided slice: row y of each layer becomes sum_x (-1)^popcount(x & y) row x.
+    the parts of a block: row y of each layer becomes sum_x (-1)^popcount(x & y) row x.
 
     Up to WHT_PRODUCT_MAX entries, H_n = H_8 (x) ... (x) H_(n/8^j): each
     factor is one matmul of its table on the bits it owns, from x into one
@@ -271,16 +266,16 @@ def weil_scalar(q, sigma=None):
 
 @cache
 def _rotations():
-    """(src, signs), 4 x 8: layer t of zeta^k X is signs[t, k] X[src[t, k]]; zeta^4 = -1."""
-    d = np.arange(4)[:, None] - np.arange(8)
-    return d % 4, 1 - 2 * (d // 4 % 2)
+    """(src, signs), 2 x 4: part t of i^k X is signs[t, k] X[src[t, k]]; i^2 = -1."""
+    d = np.arange(2)[:, None] - np.arange(4)
+    return d % 2, 1 - 2 * (d // 2 % 2)
 
 
 class WeilAction:
     """rho_L of words in S, T and their inverses, applied to CycMatrix
     blocks of columns indexed by the elements of D_L.
 
-    rho(T) e_x = zeta^(2 qh(x)) e_x with qh = 2q(x) mod 4, and
+    rho(T) e_x = i^qh(x) e_x with qh = 2q(x) mod 4, and
     (rho(S) X)[x] = scalar * sum_y (-1)^(2b(x, y)) X[y] = scalar * H(X)[Bx],
     with H the Walsh-Hadamard transform over the bits of the element ints
     and B the F2 matrix of 2b, invertible once weil_scalar accepts the form;
@@ -319,69 +314,66 @@ class WeilAction:
 
     @cached_property
     def _t_tables(self):
-        """sign -> (rows, signs): layer t of row x of rho(T^sign) X is signs[t, x] times
-        row rows[t, x] of X's (4 n, m) layers; _rotations at k = 2 sign qh(x) mod 8."""
-        src, signs = _rotations()  # at[i, t, x] = 8 t + k(x) for sign (1, -1)[i]
-        at = (np.multiply.outer((2, -2), self._qh) % 8)[:, None] + np.arange(0, 32, 8)[:, None]
+        """sign -> (rows, signs): part t of row x of rho(T^sign) X is signs[t, x] times
+        row rows[t, x] of X's (2 n, m) parts; _rotations at k = sign qh(x) mod 4."""
+        src, signs = _rotations()  # at[i, t, x] = 4 t + k(x) for sign (1, -1)[i]
+        at = (np.multiply.outer((1, -1), self._qh) % 4)[:, None] + np.arange(0, 8, 4)[:, None]
         rows, signs = src.take(at) * self.n + np.arange(self.n), signs.take(at)[..., None]
         return {1: (rows[0], signs[0]), -1: (rows[1], signs[1])}
 
     @cached_property
     def _s_tables(self):
-        """conj -> (k, r): the scalar of rho(S) is zeta^k (1 + r zeta^2) over
-        2^e, read from its coefficients c, with r = 0 for even a and r = +-1
-        for odd a, where sqrt2 = z (1 - z^2); its conjugate, the scalar of
-        rho(S)^-1, is zeta^-k (1 - r zeta^2)."""
-        c = self.scalar.coeffs
-        ks = [k for k in range(4) if c[k]]
-        if [abs(c[k]) for k in ks] not in ([1], [1, 1]) or ks[-1] - ks[0] not in (0, 2):
+        """conj -> (k, r): the scalar of rho(S) is i^k (1 + r i) over 2^e, read
+        from its Gaussian parts re = c0 and im = c2 (no odd zeta layer), with
+        r = 0 for even a and r = +-1 for odd a, where sqrt2 = zeta (1 - i);
+        its conjugate, the scalar of rho(S)^-1, is i^-k (1 - r i)."""
+        re, z1, im, z3 = self.scalar.coeffs
+        if z1 or z3 or (abs(re), abs(im)) not in ((1, 0), (0, 1), (1, 1)):
             raise ValueError(f"{self.scalar!r} is not a Weil scalar")
-        k, r = ks[0] + 4 * (c[ks[0]] < 0), c[ks[0]] * c[ks[-1]] * (len(ks) - 1)
-        return {False: (k, r), True: (-k % 8, -r)}
+        # +-1 is i^(1 - re), +-i is i^(2 - im); with both parts, re + im i = re (1 + re im i)
+        k, r = 1 - re if re else 2 - im, re * im
+        return {False: (k, r), True: (-k % 4, -r)}
 
     @cached_property
     def _bx_inverse(self):
         return np.argsort(self._bx)  # B^-1 w at w: Bx is a permutation once S has a scalar
 
     def _t(self, block, sign):
-        """Row x times zeta^(2 sign qh(x)): a signed layer rotation, so comps stay canonical."""
+        """Row x times i^(sign qh(x)): a signed part rotation, so comps stay canonical."""
         rows, signs = self._t_tables[sign]
-        comps = block.comps.reshape(4 * self.n, -1).take(rows, axis=0)
+        comps = block.comps.reshape(2 * self.n, -1).take(rows, axis=0)
         comps *= signs
         return CycMatrix._of(comps, block.denom_exp, block.max_abs)
 
     def _t_columns(self, block, sign, lo):
         """block rho(T^sign) for the columns lo.. of a full block: column j
-        times zeta^(2 sign qh(lo + j)), an even power, so layer t reads
-        layer t or t + 2 (mod 4) with a sign, as the T tables say at lo + j."""
+        times i^(sign qh(lo + j)), so part t reads part t or 1 - t with a
+        sign, as the T tables say at lo + j."""
         rows, signs = self._t_tables[sign]
-        shape = block.comps.shape
-        hi = lo + shape[2]
-        pairs = block.comps.reshape(2, 2, *shape[1:])  # layer t = 2 h + p: t + 2 flips h
-        # where layer 0 reads layer 0 (rows[0] < n), every layer reads its own
-        comps = np.where(rows[0, lo:hi] < self.n, pairs, pairs[::-1]).reshape(shape)
+        hi = lo + block.comps.shape[2]
+        # where part 0 reads part 0 (rows[0] < n), both parts read their own
+        comps = np.where(rows[0, lo:hi] < self.n, block.comps, block.comps[::-1])
         comps *= signs[:, lo:hi].transpose(0, 2, 1)
         return CycMatrix._of(comps, block.denom_exp, block.max_abs)
 
     def _s(self, block, conj):
         k, r = self._s_tables[conj]
         comps = block.comps
-        nonzero = [j for j, nz in enumerate(comps.reshape(4, -1).any(axis=1).tolist()) if nz]
+        nonzero = [j for j in (0, 1) if comps[j].any()]
         # |entries of scalar H(X)| <= n max_abs (1 + |r|); past int64, use Python ints
         if self.n * block.max_abs * (1 + abs(r)) >> 63:
             comps = comps.astype(object)
         out = np.zeros(comps.shape, comps.dtype)
-        # zeta^k X at the rows B^-1 w: layer j lands on (j + k) mod 4, negated where
-        # (j + k) mod 8 >= 4 as zeta^4 = -1 ("clip": take fills out unbuffered)
-        ts = [(j + k) % 4 for j in nonzero]
+        # i^k X at the rows B^-1 w: part j lands on (j + k) mod 2, negated where
+        # (j + k) mod 4 >= 2 as i^2 = -1 ("clip": take fills out unbuffered)
+        ts = [(j + k) % 2 for j in nonzero]
         for j, t in zip(nonzero, ts):
             np.take(comps[j], self._bx_inverse, axis=0, out=out[t], mode="clip")
-            if (j + k) % 8 >= 4:
+            if (j + k) % 4 >= 2:
                 np.negative(out[t], out=out[t])
-        lo, hi = min(ts, default=0), max(ts, default=0)
-        _walsh_hadamard(out[lo:hi + 1:hi - lo if len(ts) == 2 else 1])
-        # times 1 + r zeta^2: (u, v) -> (u - r v, v + r u) on the layers t, t + 2
-        for u, v in [(out[t], out[t + 2]) for t in (0, 1) if r and {t, t + 2} & set(ts)]:
+        _walsh_hadamard(out[min(ts, default=0):max(ts, default=0) + 1])
+        if r and ts:  # times 1 + r i: (u, v) -> (u - r v, v + r u)
+            u, v = out
             (np.subtract if r > 0 else np.add)(u, v, out=u)
             v *= 2
             (np.add if r > 0 else np.subtract)(v, u, out=v)
@@ -390,11 +382,13 @@ class WeilAction:
 
     @cached_property
     def _coset_rhs(self):
-        """(S T^l)^-1 e_0 in column l = 0..3: conj(scalar) zeta^(-2 l k) on class k."""
+        """(S T^l)^-1 e_0 in column l = 0..3: conj(scalar) i^(-l k) on class k."""
         scalar = self.scalar.conjugate()
-        # layer t of row x, column l: entry t of zeta_rows()[-2 l qh(x) mod 8]
-        k = np.multiply.outer(self._qh, (0, 6, 4, 2)) % 8
-        comps = np.array(scalar.zeta_rows()).T.take(k, axis=1)
+        parts = np.array(scalar.coeffs[::2])  # re, im: a Weil scalar has no odd zeta layer
+        src, signs = _rotations()
+        # part t of row x, column l: part t of conj(scalar) i^(-l qh(x) mod 4)
+        k = np.multiply.outer(self._qh, (0, 3, 2, 1)) % 4
+        comps = (signs * parts[src]).take(k, axis=1)
         # canonical, as row 0 of column 0 is conj(scalar) itself
         return CycMatrix._of(comps, scalar.denom_exp, max(map(abs, scalar.coeffs)))
 
@@ -497,14 +491,14 @@ def coset_formula_check(q, l):
 
 def _s_eighth_is_identity(act, s2, lo=0):
     """S^8 X = X for the columns X = I[:, lo:lo + m], from s2 = S^2 X.  S is
-    Z[zeta_8]-linear, so where s2 = c X, S^8 X = c^4 X exactly, whatever the
-    other columns of I give; c^4 = 1 iff c is +-1 or +-zeta^2, one integer
-    +-1 in layer 0 or 2 over 2^0.  Else the literal S^6 s2 = X."""
+    Z[i]-linear, so where s2 = c X, S^8 X = c^4 X exactly, whatever the
+    other columns of I give; c^4 = 1 iff c is +-1 or +-i, one integer +-1
+    in part 0 or 1 over 2^0.  Else the literal S^6 s2 = X."""
     m = s2.comps.shape[2]
     diag = np.diagonal(s2.comps[:, lo:lo + m], axis1=1, axis2=2)
     if (diag == diag[:, :1]).all() and np.count_nonzero(s2.comps) == np.count_nonzero(diag):
-        c = diag[:, 0].tolist()
-        return s2.denom_exp == 0 and abs(c[0]) + abs(c[2]) == 1 and c[1] == c[3] == 0
+        re, im = diag[:, 0].tolist()
+        return s2.denom_exp == 0 and abs(re) + abs(im) == 1
     return act.apply(["S"] * 6, s2) == act.identity(lo, lo + m)
 
 

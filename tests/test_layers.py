@@ -130,3 +130,25 @@ def test_every_private_definition_is_referenced():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert sum(len(private_definitions(ast.parse(text))) for text in sources.values()) >= 80
     assert unreferenced_private_definitions(sources) == []
+
+
+def comps_readers(sources):
+    """The modules among sources (module -> text) that read or set a `.comps`
+    attribute; a plain name `comps` does not count."""
+    return sorted(module for module, text in sources.items()
+                  if any(isinstance(node, ast.Attribute) and node.attr == "comps"
+                         for node in ast.walk(ast.parse(text))))
+
+
+def test_comps_readers():
+    sources = {"a": "def f(m):\n    return m.comps[0]\n", "b": "comps = 1\n",
+               "c": "x = getattr(m, 'n')\n", "d": "class C:\n    def g(self):\n"
+               "        self.comps = None\n"}
+    assert comps_readers(sources) == ["a", "d"]
+
+
+def test_only_weil_reads_cyc_matrix_parts():
+    """The (re, im) layout of CycMatrix.comps stays behind k3lat.weil: every
+    other module goes through entry(), column() or distinct_entries()."""
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert comps_readers(sources) == ["weil"]

@@ -62,12 +62,12 @@ def test_weil_s_golden_two():
 def test_cyc_matrix_product_past_int64():
     """A product whose entries leave int64 raises instead of wrapping; one
     whose terms do but whose entries fit is exact."""
-    big = CycMatrix([[[1 << 32]], [[0]], [[0]], [[0]]], 0)
+    big = CycMatrix([[[1 << 32]], [[0]]], 0)
     with pytest.raises(OverflowError):
         big * big
     zero = [[0, 0], [0, 0]]
-    a = CycMatrix([[[1 << 40, 1 << 40], [0, 0]], zero, zero, zero], 0)
-    b = CycMatrix([[[(1 << 23) + 1, 0], [-(1 << 23), 0]], zero, zero, zero], 0)
+    a = CycMatrix([[[1 << 40, 1 << 40], [0, 0]], zero], 0)
+    b = CycMatrix([[[(1 << 23) + 1, 0], [-(1 << 23), 0]], zero], 0)
     assert (a * b).comps[0].tolist() == [[1 << 40, 0], [0, 0]]
 
 
@@ -96,7 +96,7 @@ def test_s_action_past_int64():
     sigma = milgram_signature(q)
     act = WeilAction(q)
     scalar = CycEight.zeta_power(-sigma) * CycEight.sqrt2() * CycEight.half_power(2)
-    comps = np.zeros((4, 8, 1), dtype=np.int64)
+    comps = np.zeros((2, 8, 1), dtype=np.int64)
     x = [1 << 45, -(1 << 45), 0, 0, 0, 0, 0, 0]
     comps[0, :, 0] = x
     got = act.apply(["S"], CycMatrix(comps, 0))
@@ -108,7 +108,7 @@ def test_s_action_past_int64():
         act.apply(["S"], CycMatrix(comps, 0))
     # a = 19: sum_y X[y] = 2^64, which int64 would wrap to 0
     q = diagonal_form(19)
-    comps = np.zeros((4, 1 << 19, 1), dtype=np.int64)
+    comps = np.zeros((2, 1 << 19, 1), dtype=np.int64)
     comps[0] = 1 << 45
     with pytest.raises(OverflowError):
         WeilAction(q).apply(["S"], CycMatrix(comps, 0))
@@ -165,7 +165,7 @@ def test_equivariance_u2_swap():
                   for r in range(q.a))
         perm[i] = elems.index(y)
     n = len(elems)
-    p = np.zeros((4, n, n), dtype=np.int64)
+    p = np.zeros((2, n, n), dtype=np.int64)
     for i, j in perm.items():
         p[0][j][i] = 1
     P = CycMatrix(p, 0)
@@ -311,7 +311,9 @@ def test_weil_s_entries_against_formula():
 
 
 # ---------------------------------------------------------------------------
-# the matrix-free action against dense generators and dense products
+# the matrix-free action against dense generators and dense products, in the
+# ring Z[zeta_8, 1/2]: (layers, e) holds the zeta^k layers over 2^e, so the
+# Gaussian parts are checked against the eighth-cyclotomic ring, entry by entry
 
 def dense_S(q, sigma):
     """rho(S) from its sign matrix (E B E^T) & 1, E the element coordinates."""
@@ -325,7 +327,7 @@ def dense_S(q, sigma):
     E = (np.arange(1 << a)[:, None] >> bits) & 1
     B = (np.array(q.rows, dtype=np.int64)[:, None] >> bits) & 1
     signs = 1 - 2 * ((E @ B @ E.T) & 1)
-    return CycMatrix(np.array(scalar.coeffs)[:, None, None] * signs, scalar.denom_exp)
+    return np.array(scalar.coeffs)[:, None, None] * signs, scalar.denom_exp
 
 
 def dense_T(q):
@@ -335,9 +337,47 @@ def dense_T(q):
     k = 2 * np.array(q.qh_table(), dtype=np.int64)
     n = len(k)
     idx = np.arange(n)
-    comps = np.zeros((4, n, n), dtype=np.int64)
-    comps[k % 4, idx, idx] = np.where(k < 4, 1, -1)
-    return CycMatrix(comps, 0)
+    layers = np.zeros((4, n, n), dtype=np.int64)
+    layers[k % 4, idx, idx] = np.where(k < 4, 1, -1)
+    return layers, 0
+
+
+def zeta_product(x, y):
+    """x y for (layers, e) pairs: the 16 layer products, placed by zeta^4 = -1."""
+    import numpy as np
+
+    (a, ea), (b, eb) = x, y
+    out = np.zeros((4, a.shape[1], b.shape[2]), dtype=np.int64)
+    for i, j in product(range(4), repeat=2):
+        out[(i + j) % 4] += (-1) ** ((i + j) // 4) * (a[i] @ b[j])
+    return out, ea + eb
+
+
+def zeta_conjugate_transpose(x):
+    """The transpose under zeta -> zeta^-1 = -zeta^3."""
+    import numpy as np
+
+    (c0, c1, c2, c3), e = x[0].transpose(0, 2, 1), x[1]
+    return np.stack([c0, -c3, -c2, -c1]), e
+
+
+def same_entries(got, want):
+    """Whether the CycMatrix got, read through entry(), equals want, a
+    (layers, e) pair read as CycEight entries, at every position: equal
+    (re, im) or layer columns are equal entries, so one position of each
+    distinct pair of the two is compared."""
+    import numpy as np
+
+    layers, e = want
+    if got.comps.shape[1:] != layers.shape[1:]:
+        return False
+    m = layers.shape[2]
+    keys = np.concatenate([got.comps, layers]).reshape(6, -1)
+    order = np.lexsort(keys)  # (np.unique on rows sorts them as bytes, far slower)
+    runs = keys[:, order]
+    first = order[np.r_[True, (runs[:, 1:] != runs[:, :-1]).any(axis=0)]]
+    return all(got.entry(i, j) == CycEight(layers[:, i, j].tolist(), e)
+               for i, j in (divmod(int(f), m) for f in first))
 
 
 MIXED_WORDS = (["S", "T"], ["T^-1", "S"], ["S^-1", "T", "S"],
@@ -351,10 +391,12 @@ def test_actions_against_dense_generators():
         S, T = dense_S(q, sigma), dense_T(q)
         act = WeilAction(q)
         ident = CycMatrix.identity(1 << q.a)
-        assert act.apply(["S"], ident) == S == weil_S(q), name
-        assert act.apply(["S^-1"], ident) == S.conjugate_transpose(), name
-        assert act.apply(["T"], ident) == T == weil_T(q), name
-        assert act.apply(["T^-1"], ident) == T.conjugate_transpose(), name
+        assert act.apply(["S"], ident) == weil_S(q), name
+        assert same_entries(weil_S(q), S), name
+        assert same_entries(act.apply(["S^-1"], ident), zeta_conjugate_transpose(S)), name
+        assert act.apply(["T"], ident) == weil_T(q), name
+        assert same_entries(weil_T(q), T), name
+        assert same_entries(act.apply(["T^-1"], ident), zeta_conjugate_transpose(T)), name
         checked += 1
     assert checked >= 8
 
@@ -364,23 +406,30 @@ def test_words_and_coset_formula_against_dense_products():
     for name, q in catalog_forms(max_a=6):
         sigma = milgram_signature(q)
         S, T = dense_S(q, sigma), dense_T(q)
-        gens = {"S": S, "S^-1": S.inverse(), "T": T, "T^-1": T.conjugate_transpose()}
+        gens = {"S": S, "S^-1": zeta_conjugate_transpose(S), "T": T,
+                "T^-1": zeta_conjugate_transpose(T)}
+        # S S* = I, so S* is S^-1 (T is a diagonal of units)
+        assert same_entries(CycMatrix.identity(1 << q.a), zeta_product(S, gens["S^-1"])), name
         for word in MIXED_WORDS:
             expect = gens[word[0]]
             for tok in word[1:]:
-                expect = expect * gens[tok]
-            assert weil_word(q, word) == expect, (name, word)
-        assert weil_V(q) == gens["S^-1"] * T * T * S, name
+                expect = zeta_product(expect, gens[tok])
+            assert same_entries(weil_word(q, word), expect), (name, word)
+        V = zeta_product(zeta_product(zeta_product(gens["S^-1"], T), T), S)
+        assert same_entries(weil_V(q), V), name
         # (S T^l)^-1 e_0 from dense products against the closed form
         a = q.a
         scalar = CycEight.zeta_power(sigma) * CycEight.half_power((a + 1) // 2)
         if a % 2:
             scalar = scalar * CycEight.sqrt2()
+        st = S
         for l in range(4):
-            col = (S * T ** l).inverse().column(0)
+            layers, e = zeta_conjugate_transpose(st)  # (S T^l)^-1, as S and T are unitary
+            col = [CycEight(layers[:, x, 0].tolist(), e) for x in range(1 << a)]
             dense = all(col[x] == scalar * CycEight.zeta_power(-2 * l * k)
                         for x, k in enumerate(q.qh_table()))
             assert coset_formula_check(q, l) == dense, (name, l)
+            st = zeta_product(st, T)
         assert all(relation_checks(q).values()), name
         checked += 1
     assert checked >= 10
@@ -411,7 +460,8 @@ def test_degenerate_forms_have_no_weil_scalar():
             if q.is_nondegenerate():
                 continue
             S = dense_S(q, 0)
-            assert S * S.conjugate_transpose() != CycMatrix.identity(1 << a)
+            assert not same_entries(CycMatrix.identity(1 << a),
+                                    zeta_product(S, zeta_conjugate_transpose(S)))
             with pytest.raises(DegenerateForm) as exc:
                 weil_scalar(q)
             reasons.append(str(exc.value))
@@ -462,17 +512,17 @@ def test_zero_block_maps_to_zero():
 
     q = discriminant_form(parse_lattice("U(2) + A1"))
     act = WeilAction(q)
-    zero = CycMatrix(np.zeros((4, act.n, 2), np.int64), 0)
+    zero = CycMatrix(np.zeros((2, act.n, 2), np.int64), 0)
     for tok in ("S", "S^-1", "T", "T^-1"):
         out = act.apply([tok], zero)
         assert out == zero and out.denom_exp == 0 and out.max_abs == 0, tok
 
 
 def test_distinct_entries_both_key_paths(monkeypatch):
-    """max_abs alone picks the path: layers in -1..1, as in every word, are
+    """max_abs alone picks the path: parts in -1..1, as in every word, are
     coded in base 3 and counted (np.bincount); any wider entry, however few
-    distinct entries there are, goes through np.unique on the rows of
-    layers, also past int64; on each path names[index[i][j]] renders entry
+    distinct entries there are, goes through np.unique on the (re, im)
+    rows, also past int64; on each path names[index[i][j]] renders entry
     (i, j)."""
     import numpy as np
 
@@ -483,10 +533,10 @@ def test_distinct_entries_both_key_paths(monkeypatch):
             return _f(a, *args, **kwargs)
         monkeypatch.setattr(np, name, spy)
 
-    def layers(shape=(4, 3), **given):  # a matrix over 2^1 from the given layers' entries
-        comps = np.zeros((4,) + shape, np.int64)
+    def parts(shape=(4, 3), **given):  # a matrix over 2^1 from the given parts' entries
+        comps = np.zeros((2,) + shape, np.int64)
         for k, entries in given.items():
-            comps[int(k[1])] = np.reshape(entries, shape)
+            comps[("re", "im").index(k)] = np.reshape(entries, shape)
         return CycMatrix(comps, 1)
 
     q = discriminant_form(parse_lattice("M5"))
@@ -495,17 +545,17 @@ def test_distinct_entries_both_key_paths(monkeypatch):
     # an odd scale keeps the denominator, and pushes the entries past 2^15
     big = CycMatrix(small.comps * 3 ** 10, small.denom_exp)
     assert big.max_abs >= 1 << 15
-    # four layers over -1..1, 3^4 codes for n m = 12 entries, are counted; a layer to -41 is not
-    cube = [-1, 0, 1, 1, 0, -1, 0, 1, -1, 1, 1, 0]
-    limit = layers(l0=cube, l1=cube[::-1], l2=cube[1:] + cube[:1], l3=cube[2:] + cube[:2])
-    past = layers(l1=[-41, -3, 0, 1, 2, 3, 4, 5, 40, 3, 2, -5])
-    # one layer over -50..49 or -50..50: 100 distinct entries, past -1..1
-    wide = layers((10, 10), l1=np.arange(100) - 50)
-    wider = layers((10, 10), l1=np.arange(100) - 50 + (np.arange(100) == 99))
-    # +-(2^15 - 1) in every layer
+    # two parts over -1..1, all 3^2 codes among n m = 12 entries, are counted; a part
+    # to -41 is not
+    limit = parts(re=[-1, 0, 1, -1, 0, 1, -1, 0, 1, 1, 0, -1],
+                  im=[-1, -1, -1, 0, 0, 0, 1, 1, 1, 1, 0, -1])
+    past = parts(im=[-41, -3, 0, 1, 2, 3, 4, 5, 40, 3, 2, -5])
+    # one part over -50..49 or -50..50: 100 distinct entries, past -1..1
+    wide = parts((10, 10), im=np.arange(100) - 50)
+    wider = parts((10, 10), im=np.arange(100) - 50 + (np.arange(100) == 99))
+    # +-(2^15 - 1) in both parts
     top = (1 << 15) - 1
-    edge = CycMatrix(np.array([[[top, -top, 0]], [[-top, top, 1]], [[0, top, -top]],
-                               [[top, top, -top]]], dtype=np.int64), 3)
+    edge = CycMatrix(np.array([[[top, -top, 0]], [[-top, top, 1]]], dtype=np.int64), 3)
     cases = [(small, ("bincount", "i")), (limit, ("bincount", "i")),
              (past, ("unique", "i")), (wide, ("unique", "i")), (wider, ("unique", "i")),
              (big, ("unique", "i")), (edge, ("unique", "i"))]
@@ -522,6 +572,7 @@ def test_distinct_entries_both_key_paths(monkeypatch):
                 seen.add(index[i][j])
         assert seen == set(range(len(names))), k
     assert len(small.distinct_entries()[0]) == len(big.distinct_entries()[0])
+    assert len(limit.distinct_entries()[0]) == 9
     # every word's entries are counted, "<2>" --word S (n m = 4 entries) among them
     for expr, word in [("<2>", ["S"]), ("U(2) + <2>", ["S", "T", "S"]),
                        ("<2>^2 + <-2>^3", ["T^-1", "S", "T", "T", "S^-1"]), ("M5", ["S", "S"])]:
@@ -532,14 +583,13 @@ def test_distinct_entries_both_key_paths(monkeypatch):
 
 def test_word_layers_lie_in_minus_one_to_one(monkeypatch):
     """The fact distinct_entries rests on: one rho(g)'s nonzero entries share
-    one absolute value (Scheithauer, IMRN 2009), so a word's layers lie in
-    -1..1.  For S, T, S^-1, T^-1, T S and S T S on the catalog forms to
-    a = 8, and for every `weil matrix` job of the weil-relations workload,
-    max_abs is the largest |layer entry|, at most 1; the entries are counted,
-    with no np.unique, into the names and index that an np.unique oracle gives.
-    Layers 0 and 2 are nonzero in some word, so a code that skips one shows;
-    1 and 3 are zero in every word here (the `limit` matrix above fills all
-    four)."""
+    one absolute value (Scheithauer, IMRN 2009), so a word's (re, im) parts
+    lie in -1..1.  For S, T, S^-1, T^-1, T S and S T S on the catalog forms
+    to a = 8, and for every `weil matrix` job of the weil-relations workload,
+    max_abs is the largest |part entry|, at most 1; the entries are counted,
+    with no np.unique, into the names and index that an np.unique oracle
+    gives, rendered from the zeta-layers (re, 0, im, 0).  Both parts are
+    nonzero in some word, so a code that skips one shows."""
     import numpy as np
 
     workloads = perfbench("workloads")
@@ -553,23 +603,23 @@ def test_word_layers_lie_in_minus_one_to_one(monkeypatch):
     def no_sort(*args, **kwargs):
         raise AssertionError("np.unique on a word")
 
-    nonzero = np.zeros(4, bool)
+    nonzero = np.zeros(2, bool)
     for name, q, word in cases:
         mat = weil_word(q, word.split(","))
-        flat = mat.comps.reshape(4, -1)
+        flat = mat.comps.reshape(2, -1)
         assert mat.max_abs == int(np.abs(flat).max()) <= 1, (name, word)
         nonzero |= flat.any(axis=1)
         with monkeypatch.context() as patch:
             patch.setattr(np, "unique", no_sort)
             names, index = mat.distinct_entries()
-        # the oracle's key, layers in base 8, is one-to-one on -1..1 and sorts fast
-        _, first, inverse = np.unique(8 ** np.arange(4) @ flat, return_index=True,
+        # the oracle's key, parts in base 8, is one-to-one on -1..1 and sorts fast
+        _, first, inverse = np.unique(8 ** np.arange(2) @ flat, return_index=True,
                                       return_inverse=True)
-        want = np.array([str(CycEight(e, mat.denom_exp)) for e in flat[:, first].T.tolist()],
-                        dtype=object)
+        want = np.array([str(CycEight((re, 0, im, 0), mat.denom_exp))
+                         for re, im in flat[:, first].T.tolist()], dtype=object)
         assert len(names) == len(first), (name, word)
         assert (np.array(names, dtype=object)[index.ravel()] == want[inverse]).all(), (name, word)
-    assert nonzero.tolist() == [True, False, True, False]
+    assert nonzero.tolist() == [True, True]
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +698,10 @@ def character_signs(q):
 
 def s_by_definition(q, sigma, block, conj, signs=None):
     """scalar * sum_y (-1)^(2b(x, y)) X[y] in CycEight arithmetic, the scalar
-    i^(-sigma/2) 2^(-a/2) from its factors (conjugated for rho(S)^-1), each
-    sum a dense product of the character signs, exact: on int64 where every
-    sum fits, else on Python ints; a list of columns of CycEight entries."""
+    i^(-sigma/2) 2^(-a/2) from its zeta factors (conjugated for rho(S)^-1),
+    each sum a dense product of the character signs, exact: on int64 where
+    every sum fits, else on Python ints; X[y]'s parts are the zeta-layers
+    (re, 0, im, 0); a list of columns of CycEight entries."""
     import numpy as np
 
     scalar = CycEight.zeta_power(-sigma) * CycEight.half_power((q.a + 1) // 2)
@@ -661,7 +712,7 @@ def s_by_definition(q, sigma, block, conj, signs=None):
     signs = character_signs(q) if signs is None else signs
     dtype = np.int64 if block.n * block.max_abs < 1 << 62 else object
     sums = np.matmul(signs.astype(dtype), block.comps.astype(dtype)).tolist()
-    return [[scalar * CycEight([layer[x][j] for layer in sums], block.denom_exp)
+    return [[scalar * CycEight((sums[0][x][j], 0, sums[1][x][j], 0), block.denom_exp)
              for x in range(block.n)] for j in range(block.comps.shape[2])]
 
 
@@ -672,13 +723,13 @@ S_EXACT_FORMS = ("<2>", "<-2>", "U(2)", "<2> + <-2>", "U(2) + <2>", "<-2>^3",
 
 @pytest.mark.parametrize("expr", S_EXACT_FORMS)
 def test_s_steps_against_the_character_sum(expr):
-    """S and S^-1 on seeded random blocks with all four layers nonzero, at
-    a = 1..7 (B = I and B a swap of coordinates): for odd a the scalar has
-    two terms, so two input layers land on each output layer.  Blocks of 3
-    columns, one column and the full n columns: a stack of four layers runs
-    the radix-8 products up to WHT_PRODUCT_MAX entries (every column block
-    here, and the full block to a = 5) and the butterflies past it (the full
-    block at a = 6 and 7)."""
+    """S and S^-1 on seeded random blocks with both parts nonzero, and
+    column blocks with one part zero, at a = 1..7 (B = I and B a swap of
+    coordinates): for odd a the scalar has two terms, so both input parts
+    land on each output part.  Blocks of 3 columns, one column and the full
+    n columns: a stack of two parts runs the radix-8 products up to
+    WHT_PRODUCT_MAX entries (every column block here, and the full block to
+    a = 5) and the butterflies past it (the full block at a = 6 and 7)."""
     import numpy as np
 
     q = discriminant_form(parse_lattice(expr))
@@ -688,12 +739,15 @@ def test_s_steps_against_the_character_sum(expr):
     signs = character_signs(q)
     rng = np.random.default_rng(1800 + q.a)
     for m, denom_exp in ((3, 0), (3, 3), (1, 3), (act.n, 1)):
-        block = CycMatrix(rng.integers(-10 ** 6, 10 ** 6, size=(4, act.n, m)), denom_exp)
-        assert block.comps.reshape(4, -1).any(axis=1).all()
-        for tok, conj in (("S", False), ("S^-1", True)):
-            got = act.apply([tok], block)
-            want = s_by_definition(q, sigma, block, conj, signs)
-            assert [[got.entry(i, j) for i in range(act.n)] for j in range(m)] == want, (tok, m)
+        comps = rng.integers(-10 ** 6, 10 ** 6, size=(2, act.n, m))
+        assert comps.reshape(2, -1).any(axis=1).all()
+        for zero in (None, 0, 1) if m < act.n else (None,):
+            block = CycMatrix(comps * (np.arange(2) != zero)[:, None, None], denom_exp)
+            for tok, conj in (("S", False), ("S^-1", True)):
+                got = act.apply([tok], block)
+                want = s_by_definition(q, sigma, block, conj, signs)
+                assert [[got.entry(i, j) for i in range(act.n)] for j in range(m)] == want, (
+                    tok, m, zero)
 
 
 def test_s_step_on_python_ints_whose_result_fits_int64():
@@ -707,8 +761,8 @@ def test_s_step_on_python_ints_whose_result_fits_int64():
     sigma = milgram_signature(q)
     act = WeilAction(q)
     rng = np.random.default_rng(1803)
-    comps = rng.integers(-(1 << 10), 1 << 10, size=(4, act.n, 2))
-    comps[:, 0] = [[1 << 21, -(1 << 21)]] * 4  # one entry of 2^61 per column of each layer
+    comps = rng.integers(-(1 << 10), 1 << 10, size=(2, act.n, 2))
+    comps[:, 0] = [[1 << 21, -(1 << 21)]] * 2  # one entry of 2^61 per column of each part
     comps <<= 40
     block = CycMatrix._of(comps, 44, 1 << 61)
     _, r = act._s_tables[False]
@@ -721,10 +775,11 @@ def test_s_step_on_python_ints_whose_result_fits_int64():
 
 
 @pytest.mark.parametrize("coeffs", [(1, 1, 0, 0), (1, 0, 0, 1), (3, 0, 0, 0),
-                                    (1, 0, 2, 0), (1, 1, 1, 0), (0, 0, 0, 0)])
+                                    (1, 0, 2, 0), (1, 1, 1, 0), (0, 0, 0, 0), (0, 1, 0, 0)])
 def test_s_tables_refuse_what_is_not_a_weil_scalar(monkeypatch, coeffs):
-    """The S step places layers by the shape +-zeta^k (1 +- zeta^2); any
-    other scalar raises rather than being applied wrongly."""
+    """The S step places parts by the shape i^k (1 + r i), r in -1..1; any
+    other scalar raises rather than being applied wrongly, zeta alone (an
+    odd zeta layer, outside Z[i]) among them."""
     monkeypatch.setattr(weil_module, "weil_scalar", lambda q, sigma=None: CycEight(coeffs, 1))
     q = discriminant_form(parse_lattice("U(2)"))
     act = WeilAction(q)
@@ -733,8 +788,8 @@ def test_s_tables_refuse_what_is_not_a_weil_scalar(monkeypatch, coeffs):
 
 
 def test_s_step_holds_only_its_input_and_output():
-    """One S step on a full odd-a block with two nonzero layers allocates its
-    result and next to nothing else: the layers are gathered into the result
+    """One S step on a full odd-a block with both parts nonzero allocates its
+    result and next to nothing else: the parts are gathered into the result
     and transformed and combined there."""
     import tracemalloc
 
@@ -744,7 +799,7 @@ def test_s_step_holds_only_its_input_and_output():
     act = WeilAction(q)
     assert q.a == 9
     block = act.apply(["S"], act.identity())
-    assert np.flatnonzero(block.comps.reshape(4, -1).any(axis=1)).tolist() == [0, 2]
+    assert np.flatnonzero(block.comps.reshape(2, -1).any(axis=1)).tolist() == [0, 1]
     act.apply(["S"], act.apply(["S"], CycMatrix.identity(act.n, 0, 1)))  # build the tables
     tracemalloc.start()
     try:
@@ -754,37 +809,37 @@ def test_s_step_holds_only_its_input_and_output():
     finally:
         tracemalloc.stop()
     assert out == act.apply(["S", "S"], act.identity())
-    # the result is as large as the input (8 MiB); one more layer would be 2 MiB
+    # the result is as large as the input (4 MiB); one more part would be 2 MiB
     assert peak < block.comps.nbytes + (1 << 18), peak
 
 
 # ---------------------------------------------------------------------------
 # relation_checks against the literal words, also under wrong generators
 
-def zeta_diagonal_times(block, k):
-    """Row x of block times zeta^k[x], by the rule zeta^4 = -1 alone."""
+def i_diagonal_times(block, k):
+    """Row x of block times i^k[x], by the rule i^2 = -1 alone."""
     import numpy as np
 
     out = np.zeros_like(block.comps)
-    for j in range(4):  # zeta^k zeta^j = (-1)^(e // 4) zeta^(e % 4), e = j + (k mod 8)
-        e = j + k % 8
-        rows = block.comps[j] * np.where(e // 4 % 2, -1, 1)[:, None]
-        for t in range(4):
-            out[t][e % 4 == t] += rows[e % 4 == t]
+    for j in range(2):  # i^k i^j = (-1)^(e // 2) i^(e % 2), e = j + (k mod 4)
+        e = j + k % 4
+        rows = block.comps[j] * np.where(e // 2 % 2, -1, 1)[:, None]
+        for t in range(2):
+            out[t][e % 2 == t] += rows[e % 2 == t]
     return CycMatrix(out, block.denom_exp)
 
 
 def generic_t(exponent):
-    """A WeilAction._t that multiplies row x by zeta^exponent(act, sign)[x]."""
+    """A WeilAction._t that multiplies row x by i^exponent(act, sign)[x]."""
     import numpy as np
 
     def _t(self, block, sign):
-        return zeta_diagonal_times(block, exponent(self, sign, np.array(self.q.qh_table())))
+        return i_diagonal_times(block, exponent(self, sign, np.array(self.q.qh_table())))
     return _t
 
 
-WRONG_GENERATORS = ("T sign flipped at odd a", "T uses zeta^qh", "scalar times zeta^2",
-                    "Bx is the identity")
+WRONG_GENERATORS = ("T sign flipped at odd a", "T uses i^(2 qh)",
+                    "scalar times zeta^2", "Bx is the identity")
 
 
 def install_wrong_generator(monkeypatch, wrong):
@@ -792,9 +847,9 @@ def install_wrong_generator(monkeypatch, wrong):
 
     if wrong == "T sign flipped at odd a":
         monkeypatch.setattr(WeilAction, "_t", generic_t(
-            lambda act, sign, qh: 2 * sign * qh * (-1 if act.q.a % 2 else 1)))
-    elif wrong == "T uses zeta^qh":
-        monkeypatch.setattr(WeilAction, "_t", generic_t(lambda act, sign, qh: sign * qh))
+            lambda act, sign, qh: sign * qh * (-1 if act.q.a % 2 else 1)))
+    elif wrong == "T uses i^(2 qh)":  # rho(T)^2
+        monkeypatch.setattr(WeilAction, "_t", generic_t(lambda act, sign, qh: 2 * sign * qh))
     elif wrong == "scalar times zeta^2":
         scalar = weil_module.weil_scalar
         monkeypatch.setattr(weil_module, "weil_scalar",
@@ -813,8 +868,8 @@ def literal_verdicts(q):
 
 def test_generic_t_is_rho_t():
     """The reference diagonal in the wrong-generator test is rho(T) itself
-    when its exponent is 2 sign qh."""
-    t = generic_t(lambda act, sign, qh: 2 * sign * qh)
+    when its exponent is sign qh."""
+    t = generic_t(lambda act, sign, qh: sign * qh)
     for name, q in catalog_forms(max_a=6):
         act = WeilAction(q)
         block = act.apply(["S", "T", "S"], act.identity())
@@ -901,8 +956,9 @@ def test_relation_checks_makes_four_s_steps(monkeypatch):
 
 def test_relation_checks_peak_in_chunks():
     """At a = 10 (U(2)^5) relation_checks holds a few chunks of 128 columns
-    (4 MiB each), not full blocks (32 MiB each, three alive at once before
-    the chunks: a traced peak of 96 MiB)."""
+    (2 MiB each, two int64 parts), not full blocks (16 MiB each): a traced
+    peak of 6.3 MiB, where chunks of four zeta-layers took 12.4 MiB and
+    three full blocks 96 MiB."""
     import tracemalloc
 
     q = discriminant_form(parse_lattice("U(2)^5"))
@@ -914,7 +970,7 @@ def test_relation_checks_peak_in_chunks():
     finally:
         tracemalloc.stop()
     assert all(checks.values())
-    assert peak <= 32 << 20, peak / (1 << 20)
+    assert peak <= 10 << 20, peak / (1 << 20)
 
 
 def test_weil_check_takes_one_gauss_sum(monkeypatch):
@@ -990,9 +1046,9 @@ def is_scalar_block(block, lo=0):
 
 def test_s_eighth_fallback_against_literal_product():
     """A block S^2 that is not scalar takes the literal S^6 S^2 = I; a
-    scalar block c I is decided by c^4 = 1, which zeta S^2 and zeta^3 S^2
-    miss.  Either way the verdict is the literal one, on true and
-    scrambled S."""
+    scalar block c I is decided by c^4 = 1, which 2 S^2, (1 + i) S^2 and
+    (1 - i) S^2 miss.  Either way the verdict is the literal one, on true
+    and scrambled S."""
     import numpy as np
 
     seen = set()
@@ -1004,7 +1060,8 @@ def test_s_eighth_fallback_against_literal_product():
         off[:, 0, -1] = off[:, 0, 0]  # a constant diagonal, one entry off it
         blocks = [s2, CycMatrix(2 * s2.comps, s2.denom_exp), CycMatrix(off, s2.denom_exp),
                   act.apply(["S"], ident), act.apply(["T"], s2)]
-        blocks += [zeta_diagonal_times(s2, np.full(act.n, k)) for k in (1, 3)]
+        re, im = s2.comps  # (1 + r i) S^2, r = +-1
+        blocks += [CycMatrix(np.stack([re - r * im, im + r * re]), s2.denom_exp) for r in (1, -1)]
         for k, block in enumerate(blocks):
             literal = act.apply(["S"] * 6, block) == ident
             assert _s_eighth_is_identity(act, block) is literal, (name, k)
@@ -1084,9 +1141,9 @@ def test_cyc_eight_product_against_schoolbook(a, ea, b, eb):
 def test_zeta_rows_against_products():
     """c zeta^j by rotation, for every j and the Weil scalars of a = 1..8
     and their conjugates, against the schoolbook product with zeta^4 = -1;
-    weil_scalar, the tables zeta^k (1 + r zeta^2) of rho(S) and rho(S)^-1
-    and the coset right-hand sides of every WeilAction at a <= 6 give the
-    same products."""
+    the part rotations by i^k = zeta^(2 k), weil_scalar, the tables
+    i^k (1 + r i) of rho(S) and rho(S)^-1 and the coset right-hand sides of
+    every WeilAction at a <= 6 give the same products."""
     import numpy as np
 
     def zeta_coeffs(j):
@@ -1108,10 +1165,16 @@ def test_zeta_rows_against_products():
             assert rows[j] == schoolbook(s.coeffs, zeta_coeffs(j)), (s, j)
             assert CycEight.zeta_power(j).coeffs == tuple(zeta_coeffs(j))
             assert (s * CycEight.zeta_power(j)).coeffs == schoolbook(s.coeffs, zeta_coeffs(j))
+    src, signs = weil_module._rotations()
+    for k in range(4):
+        for re, im in ((1, 0), (0, 1), (2, -3)):
+            part = [int(signs[t, k]) * (re, im)[src[t, k]] for t in range(2)]
+            assert (part[0], 0, part[1], 0) == schoolbook((re, 0, im, 0), zeta_coeffs(2 * k)), k
+
     def dense(table, j):
-        """The coefficients of zeta^(j + k) (1 + r zeta^2), term by term."""
+        """The coefficients of i^(j + k) (1 + r i), term by term in zeta = i^(1/2)."""
         k, r = table
-        return [x + r * y for x, y in zip(zeta_coeffs(j + k), zeta_coeffs(j + k + 2))]
+        return [x + r * y for x, y in zip(zeta_coeffs(2 * (j + k)), zeta_coeffs(2 * (j + k) + 2))]
 
     for name, q in catalog_forms(max_a=6):
         act = WeilAction(q)
@@ -1123,7 +1186,7 @@ def test_zeta_rows_against_products():
             assert act.scalar.denom_exp == scalar.denom_exp
             assert 1 + abs(table[1]) == sum(map(abs, scalar.coeffs))
             assert [dense(table, j) for j in range(4)] == [
-                list(schoolbook(scalar.coeffs, zeta_coeffs(j))) for j in range(4)], name
+                list(schoolbook(scalar.coeffs, zeta_coeffs(2 * j))) for j in range(4)], name
         scalar = act.scalar.conjugate()
         for l in range(4):
             col = act._coset_rhs.columns(l, l + 1)
